@@ -4,7 +4,7 @@ Subcommands: dedupe (full pipeline), compare (comparison data only),
 synth (generate a benchmark file), evaluate (score saved labelings
 against ground truth), baseline (independent-pairs mixture run).
 Exit codes: 0 success, 2 configuration problems, 3 data problems,
-4 internal failure.
+4 internal failure (with a traceback on stderr under --verbose).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -332,8 +333,10 @@ def main(argv=None) -> int:
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
-    except Exception as e:  # pragma: no cover - defensive
+    except Exception as e:
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        if args.verbose:
+            traceback.print_exc()
         return 4
 
 

@@ -8,9 +8,12 @@ values bin into levels through cut points: level 0 is similarity exactly
 right-closed interval up to the next cut, so a value sitting exactly on
 a cut falls on the lower-disagreement side.
 
-Two computation paths exist for string distance: a scalar dynamic
-program and a batched numpy version used by compare_pairs. They are
-checked against each other (and an independent oracle) in the tests.
+compare_pairs factorizes each compared column once into integer codes,
+computes one similarity per distinct unordered value pair (string
+distances through a vectorized dynamic program, the other kinds through
+their scalar functions), bins those with one searchsorted and gathers
+the levels back to the record pairs. The scalar functions and
+compare_pair are the one-pair reference it is tested against.
 """
 
 from __future__ import annotations
@@ -18,15 +21,17 @@ from __future__ import annotations
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .records import DataFile, FieldSchema, Record
+from .records import DataFile, Record
 
 COMPARATOR_KINDS = ("levenshtein", "token_levenshtein", "absolute_difference", "binary")
 
 MISSING_LEVEL = -1  # sentinel in packed level arrays
+MAX_LEVELS = 127  # levels are packed as int8
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -83,10 +88,8 @@ def token_min_levenshtein(a: str, b: str) -> float:
             return normalized_levenshtein(a, b)
         return sum(normalized_levenshtein(x, y) for x, y in zip(ta, tb)) / len(ta)
     short, long_ = (ta, tb) if len(ta) < len(tb) else (tb, ta)
-    total = 0.0
-    for s in short:
-        total += min(normalized_levenshtein(s, t) for t in long_)
-    return total / len(short)
+    return sum(min(normalized_levenshtein(s, t) for t in long_)
+               for s in short) / len(short)
 
 
 def absolute_difference(x: int, y: int) -> int:
@@ -121,6 +124,10 @@ class LevelSpec:
             raise ConfigError(f"{self.field!r}: first cut point must be 0")
         if any(p >= q for p, q in zip(cuts, cuts[1:])):
             raise ConfigError(f"{self.field!r}: cut points must be strictly ascending")
+        if len(cuts) > MAX_LEVELS:
+            raise ConfigError(
+                f"{self.field!r}: {len(cuts)} levels, at most {MAX_LEVELS} fit "
+                f"the packed level arrays")
 
     @property
     def n_levels(self) -> int:
@@ -229,188 +236,149 @@ class PairComparisons:
                 fh.write(f"{i},{j}," + ",".join(cells) + "\n")
 
 
-def read_comparisons_csv(path, r: int, specs: list[LevelSpec]) -> PairComparisons:
-    fields = tuple(s.field for s in specs)
-    n_levels = tuple(s.n_levels for s in specs)
-    pairs, rows = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if header != ["i", "j"] + list(fields):
-            raise DataError(f"{path}: unexpected comparison header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 2 + len(fields):
-                raise DataError(f"{path}:{lineno}: wrong column count")
-            try:
-                pairs.append((int(parts[0]), int(parts[1])))
-                rows.append([-1 if p == "NA" else int(p) for p in parts[2:]])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: unparseable cell") from None
-    pairs_arr = np.array(pairs, dtype=np.int32).reshape(-1, 2)
-    levels_arr = np.array(rows, dtype=np.int8).reshape(-1, len(fields))
-    for k, nl in enumerate(n_levels):
-        col = levels_arr[:, k]
-        if len(col) and (col.max(initial=-1) >= nl):
-            raise DataError(f"{path}: level out of range for field {fields[k]!r}")
-    return PairComparisons(r=r, fields=fields, n_levels=n_levels,
-                           pairs=pairs_arr, levels=levels_arr)
-
-
 # --- batched comparison -----------------------------------------------------
 
-def _encode_group(strings: list[str], length: int) -> np.ndarray:
-    """Fixed-width code-point matrix for same-length strings."""
-    if length == 0:
-        return np.zeros((len(strings), 0), dtype=np.uint32)
-    joined = "".join(strings)
-    codes = np.frombuffer(joined.encode("utf-32-le"), dtype=np.uint32)
-    return codes.reshape(len(strings), length)
+# Pairs per vectorized edit-distance run: small enough that the DP rows
+# of a run stay in cache, which bounds its memory too.
+_DP_BLOCK = 1 << 13
 
 
-def _batch_levenshtein(pairs: list[tuple[str, str]]) -> np.ndarray:
-    """Edit distances for many string pairs at once.
+def _factorize(column: list) -> tuple[list, np.ndarray]:
+    """The column's distinct values in first-appearance order, and each
+    entry's code into them (-1 where missing)."""
+    index: dict = {}
+    codes = np.fromiter(
+        (-1 if v is None else index.setdefault(v, len(index)) for v in column),
+        dtype=np.int64, count=len(column))
+    return list(index), codes
 
-    Pairs are grouped by their length signature and each group runs one
-    vectorized DP, which is what makes whole-file comparison cheap.
+
+def _distinct_pairs(x: np.ndarray, y: np.ndarray, n: int):
+    """Distinct unordered pairs of codes in range(n).
+
+    Returns (lo, hi, inverse): pair k of the input is (lo, hi)[inverse[k]]
+    up to order.
     """
-    out = np.zeros(len(pairs), dtype=np.int32)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k, (a, b) in enumerate(pairs):
-        groups.setdefault((len(a), len(b)), []).append(k)
-    for (la, lb), idxs in groups.items():
-        if la == 0 or lb == 0:
-            out[idxs] = max(la, lb)
+    keys = np.minimum(x, y) * n + np.maximum(x, y)
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    lo, hi = np.divmod(uniq, n)
+    return lo, hi, inverse
+
+
+def _normalized_distances(strings: list[str], x: np.ndarray,
+                          y: np.ndarray) -> np.ndarray:
+    """normalized_levenshtein(strings[x[k]], strings[y[k]]) for every k.
+
+    The strings become one code-point matrix. Pairs are put shorter
+    string first and grouped by their length signature; each group runs
+    the DP one row at a time, vectorized across the group.
+    """
+    if not len(x):
+        return np.zeros(0)
+    lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+    flat = np.frombuffer("".join(strings).encode("utf-32-le", "surrogatepass"),
+                         dtype=np.uint32)
+    width = lengths.max(initial=0)
+    rows = np.repeat(np.arange(len(strings)), lengths)
+    offsets = np.cumsum(lengths) - lengths
+    points = np.zeros((len(strings), width), dtype=np.uint32)
+    points[rows, np.arange(len(flat)) - offsets[rows]] = flat
+    shorter_first = lengths[x] <= lengths[y]
+    x, y = np.where(shorter_first, x, y), np.where(shorter_first, y, x)
+    la, lb = lengths[x], lengths[y]
+    dist = lb.copy()  # the distance whenever the shorter string is empty
+    signature = la * (width + 1) + lb
+    order = np.argsort(signature, kind="stable")
+    starts = np.flatnonzero(np.diff(signature[order], prepend=-1))
+    for group in np.split(order, starts[1:]):
+        m, n = int(la[group[0]]), int(lb[group[0]])
+        if m == 0:
             continue
-        A = _encode_group([pairs[k][0] for k in idxs], la)
-        B = _encode_group([pairs[k][1] for k in idxs], lb)
-        n = len(idxs)
-        prev = np.tile(np.arange(lb + 1, dtype=np.int32), (n, 1))
-        cur = np.empty_like(prev)
-        for i in range(1, la + 1):
-            cur[:, 0] = i
-            ai = A[:, i - 1]
-            for j in range(1, lb + 1):
-                sub = prev[:, j - 1] + (ai != B[:, j - 1])
-                np.minimum(sub, prev[:, j] + 1, out=sub)
-                np.minimum(sub, cur[:, j - 1] + 1, out=sub)
-                cur[:, j] = sub
-            prev, cur = cur, prev
-        out[idxs] = prev[:, lb]
-    return out
+        col = np.arange(n + 1, dtype=np.int32)[:, None]
+        for s in range(0, len(group), _DP_BLOCK):
+            idx = group[s:s + _DP_BLOCK]
+            a = points[x[idx], :m].T
+            b = points[y[idx], :n].T
+            prev = np.repeat(col, len(idx), axis=1)
+            cur = np.empty_like(prev)
+            for i in range(m):
+                # row i+1 of the DP table: substitution and deletion from
+                # the row above, then insertion along the row
+                cur[0] = i + 1
+                np.minimum(prev[:-1] + (a[i] != b), prev[1:] + 1, out=cur[1:])
+                for j in range(1, n + 1):
+                    np.minimum(cur[j], cur[j - 1] + 1, out=cur[j])
+                prev, cur = cur, prev
+            dist[idx] = prev[n]
+    return dist / np.maximum(lb, 1)
 
 
-def _batch_normalized(pairs: list[tuple[str, str]]) -> np.ndarray:
-    dists = _batch_levenshtein(pairs).astype(np.float64)
-    maxlen = np.array([max(len(a), len(b)) for a, b in pairs], dtype=np.float64)
-    np.maximum(maxlen, 1.0, out=maxlen)
-    return dists / maxlen
+def _token_similarities(values: list[str], a: np.ndarray,
+                        b: np.ndarray) -> np.ndarray:
+    """token_min_levenshtein(values[a[k]], values[b[k]]) for every k.
 
-
-def _batch_token_min(value_pairs: list[tuple[str, str]]) -> np.ndarray:
-    """token_min_levenshtein over many value pairs, deduplicating the
-    underlying token comparisons."""
-    tasks: dict[tuple[str, str], int] = {}
-    # per value pair: list of (combine, payload) where payload holds task ids
-    plans = []
-
-    def task_id(x: str, y: str) -> int:
-        key = (x, y) if x <= y else (y, x)
-        t = tasks.get(key)
-        if t is None:
-            t = len(tasks)
-            tasks[key] = t
-        return t
-
-    for a, b in value_pairs:
-        ta, tb = a.split(), b.split()
-        if not ta or not tb:
-            plans.append(("single", task_id(a, b)))
-        elif len(ta) == len(tb):
-            if len(ta) == 1:
-                plans.append(("single", task_id(a, b)))
-            else:
-                plans.append(("mean", [task_id(x, y) for x, y in zip(ta, tb)]))
+    Each value pair becomes rows of token pairs, scored as the mean over
+    rows of the row's minimum distance; every distinct token pair goes
+    through the DP once.
+    """
+    index = {v: k for k, v in enumerate(values)}
+    tokens = [[index.setdefault(t, len(index)) for t in v.split()] for v in values]
+    plans, x, y = [], [], []
+    for i, j in zip(a.tolist(), b.tolist()):
+        ti, tj = tokens[i], tokens[j]
+        if not ti or not tj or len(ti) == len(tj) == 1:
+            rows = [[(i, j)]]
+        elif len(ti) == len(tj):
+            rows = [[p] for p in zip(ti, tj)]
         else:
-            short, long_ = (ta, tb) if len(ta) < len(tb) else (tb, ta)
-            plans.append(("minmean",
-                          [[task_id(s, t) for t in long_] for s in short]))
-    keys = list(tasks.keys())
-    sims = _batch_normalized(keys)
-    out = np.empty(len(value_pairs), dtype=np.float64)
-    for k, (mode, payload) in enumerate(plans):
-        if mode == "single":
-            out[k] = sims[payload]
-        elif mode == "mean":
-            out[k] = sum(sims[t] for t in payload) / len(payload)
-        else:
-            out[k] = sum(min(sims[t] for t in row) for row in payload) / len(payload)
-    return out
+            short, long_ = (ti, tj) if len(ti) < len(tj) else (tj, ti)
+            rows = [[(s, t) for t in long_] for s in short]
+        plans.append([len(row) for row in rows])
+        for row in rows:
+            for s, t in row:
+                x.append(s)
+                y.append(t)
+    strings = list(index)
+    lo, hi, inverse = _distinct_pairs(np.array(x, dtype=np.int64),
+                                      np.array(y, dtype=np.int64), len(strings))
+    dist = iter(_normalized_distances(strings, lo, hi)[inverse].tolist())
+    return np.array([sum(min(islice(dist, n)) for n in plan) / len(plan)
+                     for plan in plans], dtype=np.float64)
 
 
-def _searchsorted_levels(sim: np.ndarray, spec: LevelSpec, observed: np.ndarray) -> np.ndarray:
-    cuts = np.asarray(spec.cut_points, dtype=np.float64)
-    vals = sim[observed]
-    if len(vals):
-        if vals.min() < 0:
+def _similarities(kind: str, values: list, a: np.ndarray,
+                  b: np.ndarray) -> np.ndarray:
+    """Similarity of each distinct value pair (values[a[k]], values[b[k]])."""
+    if kind == "levenshtein":
+        return _normalized_distances(values, a, b)
+    if kind == "token_levenshtein":
+        return _token_similarities(values, a, b)
+    func = _SIMILARITY_FUNCS[kind]
+    # object dtype keeps Python ints, and their comparison with the cut
+    # points, exact beyond int64 and float64
+    return np.array([func(values[i], values[j])
+                     for i, j in zip(a.tolist(), b.tolist())], dtype=object)
+
+
+def _compare_columns(factors: list, pairs: np.ndarray,
+                     specs: list[LevelSpec]) -> np.ndarray:
+    """Level matrix for the given pairs; factors holds each spec's
+    field as (distinct values, codes)."""
+    levels = np.full((len(pairs), len(specs)), MISSING_LEVEL, dtype=np.int8)
+    for s, (spec, (values, codes)) in enumerate(zip(specs, factors)):
+        ci, cj = codes[pairs[:, 0]], codes[pairs[:, 1]]
+        observed = (ci >= 0) & (cj >= 0)
+        a, b, inverse = _distinct_pairs(ci[observed], cj[observed], len(values))
+        sims = _similarities(spec.kind, values, a, b)
+        if len(sims) and sims.min() < 0:
             raise ConfigError(f"{spec.field!r}: negative similarity in batch")
-        lv = np.searchsorted(cuts, vals, side="left")
+        lv = np.searchsorted(np.asarray(spec.cut_points, dtype=sims.dtype),
+                             sims, side="left")
         if lv.max(initial=0) >= spec.n_levels:
             raise ConfigError(
                 f"{spec.field!r}: similarity exceeds the last cut point")
-    else:
-        lv = vals.astype(np.int64)
-    col = np.full(len(sim), MISSING_LEVEL, dtype=np.int8)
-    col[observed] = lv.astype(np.int8)
-    return col
-
-
-def _compare_columns(columns: list[list], pairs: np.ndarray,
-                     specs: list[LevelSpec], spec_cols: list[int]) -> np.ndarray:
-    """Level matrix for the given pairs; columns holds the data columns
-    referenced by spec_cols, in spec order."""
-    n = len(pairs)
-    i_arr = pairs[:, 0]
-    j_arr = pairs[:, 1]
-    levels = np.empty((n, len(specs)), dtype=np.int8)
-    for s, spec in enumerate(specs):
-        col = columns[spec_cols[s]]
-        vi = [col[i] for i in i_arr]
-        vj = [col[j] for j in j_arr]
-        observed = np.array([x is not None and y is not None
-                             for x, y in zip(vi, vj)], dtype=bool)
-        if spec.kind == "binary":
-            sim = np.array([0.0 if x == y else 1.0 for x, y in zip(vi, vj)])
-        elif spec.kind == "absolute_difference":
-            sim = np.array([abs(x - y) if (x is not None and y is not None) else 0.0
-                            for x, y in zip(vi, vj)], dtype=np.float64)
-        else:
-            # dedupe on the value pair before running any string DP
-            uniq: dict[tuple[str, str], int] = {}
-            ids = np.zeros(n, dtype=np.int64)
-            for k in range(n):
-                if not observed[k]:
-                    continue
-                key = (vi[k], vj[k]) if vi[k] <= vj[k] else (vj[k], vi[k])
-                h = uniq.get(key)
-                if h is None:
-                    h = len(uniq)
-                    uniq[key] = h
-                ids[k] = h
-            value_pairs = list(uniq.keys())
-            if spec.kind == "levenshtein":
-                sims_u = _batch_normalized(value_pairs)
-            else:
-                sims_u = _batch_token_min(value_pairs)
-            sim = np.zeros(n, dtype=np.float64)
-            if value_pairs:
-                sim[observed] = sims_u[ids[observed]]
-        levels[:, s] = _searchsorted_levels(sim, spec, observed)
+        levels[observed, s] = lv.astype(np.int8)[inverse]
     return levels
-
-
-def _compare_chunk(args) -> np.ndarray:
-    columns, pairs, specs, spec_cols = args
-    return _compare_columns(columns, pairs, specs, spec_cols)
 
 
 def compare_pairs(df: DataFile, pairs: np.ndarray, specs: list[LevelSpec],
@@ -424,15 +392,14 @@ def compare_pairs(df: DataFile, pairs: np.ndarray, specs: list[LevelSpec],
     pairs = np.ascontiguousarray(np.asarray(pairs, dtype=np.int32).reshape(-1, 2))
     if len(pairs) and (pairs.min() < 0 or pairs.max() >= df.r):
         raise DataError("pair indices out of range for this file")
-    columns = df.columns()
-    spec_cols = [df.index_of(s.field) for s in specs]
+    factors = [_factorize(df.column(s.field)) for s in specs]
     if n_workers <= 1 or len(pairs) < 2 * n_workers:
-        levels = _compare_columns(columns, pairs, specs, spec_cols)
+        levels = _compare_columns(factors, pairs, specs)
     else:
-        chunks = np.array_split(pairs, n_workers * 4)
-        jobs = [(columns, c, specs, spec_cols) for c in chunks if len(c)]
+        chunks = [c for c in np.array_split(pairs, n_workers * 4) if len(c)]
         with ProcessPoolExecutor(max_workers=n_workers) as ex:
-            parts = list(ex.map(_compare_chunk, jobs))
+            parts = list(ex.map(_compare_columns, repeat(factors), chunks,
+                                repeat(specs)))
         levels = np.concatenate(parts, axis=0)
     return PairComparisons(
         r=df.r, fields=tuple(s.field for s in specs),

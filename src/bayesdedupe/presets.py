@@ -1,11 +1,9 @@
-"""Built-in configurations: a five-record worked example and the
-level-threshold preset used for registry-scale runs."""
+"""The built-in five-record worked example: its records, level specs,
+fix rules and four prior regimes."""
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .candidates import FixRule
 from .comparison import LevelSpec, binary_spec
@@ -83,25 +81,6 @@ def toy_prior(case: int) -> PriorSpec:
     return PriorSpec.from_lambdas(lambdas)
 
 
-REGISTRY_LAMBDAS = {
-    "given_name": (0.85, 0.90, 0.99),
-    "family_name": (0.85, 0.90, 0.99),
-    "year": (0.85, 0.90, 0.99),
-    "month": (0.85, 0.90, 0.99),
-    "day": (0.70, 0.70, 0.70),
-    "municipality": (0.85,),
-}
-
-
-def registry_prior(fields=TOY_FIELDS) -> PriorSpec:
-    """Truncation preset for the six standard fields, in field order."""
-    try:
-        lambdas = [list(REGISTRY_LAMBDAS[f]) for f in fields]
-    except KeyError as e:
-        raise ConfigError(f"no preset thresholds for field {e.args[0]!r}") from None
-    return PriorSpec.from_lambdas(lambdas)
-
-
 def toy_comparisons():
     """Comparison data and candidate structure for the worked example."""
     from . import candidates, comparison
@@ -111,8 +90,3 @@ def toy_comparisons():
     comps = comparison.compare_pairs(df, pairs, toy_level_specs())
     graph = candidates.fix_noncoreferent(comps, toy_fix_rules())
     return df, comps, graph
-
-
-def flat_prior_like(prior: PriorSpec) -> PriorSpec:
-    """Same shape as the given prior with all thresholds at zero."""
-    return PriorSpec.flat([len(v) + 1 for v in prior.lam])

@@ -1,8 +1,8 @@
 """Comparators and level binning against independent oracles.
 
 The edit-distance oracle below is the textbook recursion, written
-naively on purpose so that it shares no code or structure with either of
-the library's two implementations.
+naively on purpose so that it shares no code or structure with either
+the scalar comparators or the batched path of compare_pairs.
 """
 
 import functools
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bayesdedupe.candidates import all_pairs
 from bayesdedupe.comparison import (
     LevelSpec,
     PairComparisons,
@@ -24,7 +25,6 @@ from bayesdedupe.comparison import (
     compare_pairs,
     levenshtein,
     normalized_levenshtein,
-    read_comparisons_csv,
     token_min_levenshtein,
 )
 from bayesdedupe.errors import ConfigError, DataError
@@ -146,6 +146,13 @@ class TestLevelSpec:
         with pytest.raises(ConfigError):
             LevelSpec("f", "what", (0.0, 1.0))
 
+    def test_level_count_fits_packed_levels(self):
+        # levels are stored as int8; a 128th level would wrap to -128,
+        # which reads back as missing
+        LevelSpec("f", "absolute_difference", tuple(range(127)))
+        with pytest.raises(ConfigError):
+            LevelSpec("f", "absolute_difference", tuple(range(128)))
+
     def test_levels(self):
         spec = LevelSpec("f", "levenshtein", (0.0, 0.25, 0.5, 1.0))
         assert spec.n_levels == 4
@@ -185,17 +192,60 @@ class TestBinLevel:
             bin_level(-0.1, self.SPEC)
 
 
+def assert_matches_scalar(df, specs):
+    comps = compare_pairs(df, all_pairs(df.r), specs)
+    for k in range(len(comps)):
+        vec = comps.vector(k)
+        ref = compare_pair(df.records[vec.i], df.records[vec.j], specs, df)
+        assert vec.levels == ref.levels, (vec.i, vec.j)
+
+
+NAME_ALPHABET = "AB \u00d1\u00e9\u5b57"
+WORDS = st.text("ABN\u00d1", min_size=1, max_size=4)
+HUGE = 2 ** 66
+
+
+@st.composite
+def mixed_files(draw):
+    """Files with empty, multi-token, space-padded and non-ASCII names,
+    integers beyond int64 (with differences on a cut point and just past
+    it, which float64 cannot tell apart) and about 20 % missing values."""
+    def maybe(values):
+        return None if draw(st.integers(0, 4)) == 0 else draw(values)
+
+    names = st.text(NAME_ALPHABET, max_size=6)
+    token_names = st.one_of(st.lists(WORDS, max_size=3).map(" ".join),
+                            st.text(NAME_ALPHABET, max_size=6))
+    ints = st.one_of(st.integers(-3, 3),
+                     st.sampled_from([HUGE, HUGE + 1, -HUGE, -HUGE - 1]),
+                     st.integers(-2 ** 70, 2 ** 70))
+    categories = st.sampled_from(["NORTE", "SUR", "\u00d1"])
+    r = draw(st.integers(2, 10))
+    records = [Record(i, (maybe(names), maybe(token_names), maybe(ints),
+                          maybe(categories))) for i in range(r)]
+    schema = [FieldSchema("name", "string"), FieldSchema("tokens", "string"),
+              FieldSchema("n", "integer"), FieldSchema("c", "categorical")]
+    return DataFile(schema=schema, records=records)
+
+
+MIXED_SPECS = [
+    LevelSpec("name", "levenshtein", (0.0, 0.25, 0.5, 1.0)),
+    LevelSpec("tokens", "token_levenshtein", (0.0, 0.25, 0.5, 1.0)),
+    LevelSpec("n", "absolute_difference",
+              (0.0, 1.0, 3.0, float(2 * HUGE), float("inf"))),
+    binary_spec("c"),
+]
+
+
 class TestBatchAgainstScalar:
     def test_batch_matches_pairwise_scalar(self, rng):
-        df = random_file(rng, 40, missing_rate=0.2)
-        specs = small_specs()
-        pairs = np.array([(i, j) for i in range(df.r)
-                          for j in range(i + 1, df.r)], dtype=np.int32)
-        comps = compare_pairs(df, pairs, specs)
-        for k in range(len(comps)):
-            vec = comps.vector(k)
-            ref = compare_pair(df.records[vec.i], df.records[vec.j], specs, df)
-            assert vec.levels == ref.levels, (vec.i, vec.j)
+        assert_matches_scalar(random_file(rng, 40, missing_rate=0.2),
+                              small_specs())
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_files())
+    def test_generated_files_match_scalar(self, df):
+        assert_matches_scalar(df, MIXED_SPECS)
 
     def test_token_kind_batch(self, rng):
         schema = [FieldSchema("name", "string")]
@@ -203,20 +253,13 @@ class TestBatchAgainstScalar:
                  "ANA MARIA", None, "CARLOT LOPEZ"]
         df = DataFile(schema=schema, records=[
             Record(i, (v,)) for i, v in enumerate(names)])
-        specs = [LevelSpec("name", "token_levenshtein", (0.0, 0.25, 0.5, 1.0))]
-        pairs = np.array([(i, j) for i in range(df.r)
-                          for j in range(i + 1, df.r)], dtype=np.int32)
-        comps = compare_pairs(df, pairs, specs)
-        for k in range(len(comps)):
-            vec = comps.vector(k)
-            ref = compare_pair(df.records[vec.i], df.records[vec.j], specs, df)
-            assert vec.levels == ref.levels
+        assert_matches_scalar(df, [
+            LevelSpec("name", "token_levenshtein", (0.0, 0.25, 0.5, 1.0))])
 
     def test_multiprocess_identical(self, rng):
         df = random_file(rng, 16, missing_rate=0.15)
         specs = small_specs()
-        pairs = np.array([(i, j) for i in range(df.r)
-                          for j in range(i + 1, df.r)], dtype=np.int32)
+        pairs = all_pairs(df.r)
         one = compare_pairs(df, pairs, specs, n_workers=1)
         two = compare_pairs(df, pairs, specs, n_workers=2)
         assert np.array_equal(one.levels, two.levels)
@@ -241,30 +284,6 @@ class TestMissingHandling:
         assert comps.levels[0, 0] == 0
         assert comps.levels[0, 1] == -1
         assert comps.vector(0).levels == (0, None)
-
-
-class TestCsvRoundtrip:
-    def test_roundtrip(self, rng, tmp_path):
-        df, comps, _ = compared_setup(rng, 12)
-        p = tmp_path / "comps.csv"
-        comps.write_csv(p)
-        back = read_comparisons_csv(p, df.r, small_specs())
-        assert np.array_equal(back.pairs, comps.pairs)
-        assert np.array_equal(back.levels, comps.levels)
-        assert back.fields == comps.fields
-        assert back.n_levels == comps.n_levels
-
-    def test_bad_header(self, tmp_path):
-        p = tmp_path / "c.csv"
-        p.write_text("i,j,wrong\n", encoding="utf-8")
-        with pytest.raises(DataError):
-            read_comparisons_csv(p, 3, [binary_spec("city")])
-
-    def test_level_out_of_range(self, tmp_path):
-        p = tmp_path / "c.csv"
-        p.write_text("i,j,city\n0,1,2\n", encoding="utf-8")
-        with pytest.raises(DataError):
-            read_comparisons_csv(p, 3, [binary_spec("city")])
 
 
 class TestPairComparisonsContainer:

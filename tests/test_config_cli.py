@@ -6,6 +6,7 @@ import math
 import pytest
 import yaml
 
+from bayesdedupe import cli
 from bayesdedupe.cli import main
 from bayesdedupe.config import load_config
 from bayesdedupe.errors import ConfigError
@@ -258,6 +259,29 @@ class TestCliErrors:
                    "--truth", str(truth), "--output",
                    str(tmp_path / "m.json")])
         assert rc == 3
+
+    def test_too_many_levels(self, tmp_path, capsys):
+        p = write_config(tmp_path, {
+            "comparators.1": {"field": "year", "kind": "absolute_difference",
+                              "cut_points": list(range(200))},
+            "prior.lambdas.year": None})
+        rc = main(["dedupe", "--config", str(p), "--threads", "1"])
+        assert rc == 2
+        assert "200 levels" in capsys.readouterr().err
+
+    def test_internal_error_traceback_only_when_verbose(self, monkeypatch,
+                                                        capsys):
+        def fail(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_evaluate", fail)
+        argv = ["evaluate", "--labelings", "l.txt", "--truth", "t.csv"]
+        assert main(argv) == 4
+        quiet = capsys.readouterr().err
+        assert "internal error: RuntimeError: boom" in quiet
+        assert "Traceback" not in quiet
+        assert main(["--verbose", *argv]) == 4
+        assert "Traceback" in capsys.readouterr().err
 
     def test_no_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:

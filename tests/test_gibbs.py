@@ -268,8 +268,10 @@ class TestChain:
 
 
 class TestExactPosteriorSmall:
-    def test_frozen_params_match_enumeration(self, rng):
-        """Partition chain vs exact enumeration at fixed parameters."""
+    @pytest.mark.parametrize("random_scan", [False, True])
+    def test_frozen_params_match_enumeration(self, rng, random_scan):
+        """Partition chain vs exact enumeration at fixed parameters, with
+        records visited in order or in a fresh random order each sweep."""
         df, comps, graph = compared_setup(rng, 6, fix_name_level=3)
         prior = toy_prior_for(comps)
         params = ModelParams(
@@ -286,7 +288,8 @@ class TestExactPosteriorSmall:
         exact = {format_partition(partition_to_labeling(p)): q
                  for p, q in zip(parts, probs)}
 
-        cfg = SamplerConfig(iterations=20000, burn_in=500, seed=17)
+        cfg = SamplerConfig(iterations=20000, burn_in=500, seed=17,
+                            random_scan=random_scan)
         sample = run_chain(comps, graph, prior, cfg, fixed_params=params)
         freq: dict = {}
         for row in sample.labelings:

@@ -136,14 +136,6 @@ class TestParamContainers:
         assert not in_support(ModelParams(m=[[0.75]], u=[[0.5]]), prior)
         assert not in_support(ModelParams(m=[[0.85]], u=[[1.0]]), prior)
 
-    def test_flat_prior_like_preserves_shape(self):
-        from bayesdedupe.presets import flat_prior_like, toy_prior
-
-        p = toy_prior(1)
-        q = flat_prior_like(p)
-        assert [len(v) for v in q.lam] == [len(v) for v in p.lam]
-        assert all(np.all(v == 0.0) for v in q.lam)
-
 
 def brute_stats(z, graph, comps):
     """Per-pair python recount of the level tallies."""
