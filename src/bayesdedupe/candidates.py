@@ -18,6 +18,7 @@ import numpy as np
 from .comparison import PairComparisons
 from .errors import ConfigError, DataError
 from .records import DataFile
+from .textio import write_int_rows
 
 FILTER_KINDS = ("always_compare", "categorical_block", "integer_gap_exceeds",
                 "custom_overlap")
@@ -201,11 +202,8 @@ class CandidateGraph:
 
     def write_edges(self, path) -> None:
         """Edge list export: record id pair plus the fixed flag."""
-        fixed = ~self.candidate_mask
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("i,j,fixed\n")
-            for (i, j), fx in zip(self.pairs, fixed):
-                fh.write(f"{i},{j},{int(fx)}\n")
+        write_int_rows(path, (self.pairs, ~self.candidate_mask),
+                       header="i,j,fixed")
 
 
 def connected_components(r: int, edges) -> list:

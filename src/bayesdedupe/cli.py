@@ -206,17 +206,8 @@ def cmd_synth(args) -> int:
 def cmd_evaluate(args) -> int:
     labelings = posterior.load_labelings(args.labelings)
     truth = posterior.load_truth(args.truth, r=labelings.shape[1])
-
-    class _View:
-        pass
-
-    sample = _View()
-    sample.labelings = labelings
-    sample.r = labelings.shape[1]
-    sample.n_kept = labelings.shape[0]
-    sample.n_cells_per_sample = lambda: labelings.max(axis=1) + 1
-    summary = posterior.metric_summary(sample, truth)
-    summary.update(posterior.duplicate_distribution(sample))
+    summary = posterior.metric_summary(labelings, truth)
+    summary.update(posterior.duplicate_distribution(labelings))
     truth_dups = len(truth) - len(set(truth.tolist()))
     summary["truth_duplicates"] = truth_dups
     summary["truth_percent"] = posterior.duplicate_percentage(

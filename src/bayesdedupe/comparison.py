@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .records import DataFile, Record
+from .textio import write_int_rows
 
 COMPARATOR_KINDS = ("levenshtein", "token_levenshtein", "absolute_difference", "binary")
 
@@ -229,11 +230,8 @@ class PairComparisons:
     def write_csv(self, path) -> None:
         """Export as a delimited matrix: i, j, then one level column per
         field with NA for missing."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("i,j," + ",".join(self.fields) + "\n")
-            for (i, j), row in zip(self.pairs, self.levels):
-                cells = ["NA" if v < 0 else str(int(v)) for v in row]
-                fh.write(f"{i},{j}," + ",".join(cells) + "\n")
+        write_int_rows(path, (self.pairs, self.levels), na=True,
+                       header="i,j," + ",".join(self.fields))
 
 
 # --- batched comparison -----------------------------------------------------

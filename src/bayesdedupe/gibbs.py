@@ -413,11 +413,6 @@ class PosteriorSample:
     def n_kept(self) -> int:
         return self.labelings.shape[0]
 
-    def n_cells_per_sample(self) -> np.ndarray:
-        if self.r == 0:
-            return np.zeros(self.n_kept, dtype=np.int64)
-        return self.labelings.max(axis=1).astype(np.int64) + 1
-
 
 def run_chain(comps: PairComparisons, graph: CandidateGraph, prior: PriorSpec,
               config: SamplerConfig, *, fixed_params: ModelParams | None = None,

@@ -72,11 +72,6 @@ class DataFile:
         k = self.index_of(name)
         return [rec.values[k] for rec in self.records]
 
-    def columns(self) -> list[list]:
-        """All columns, in schema order."""
-        return [[rec.values[k] for rec in self.records]
-                for k in range(len(self.schema))]
-
 
 def _normalize_cell(raw: str, kind: str, missing_token: str, where: str):
     cell = " ".join(raw.split())

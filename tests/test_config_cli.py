@@ -1,5 +1,6 @@
 """YAML configuration parsing and the command line, end to end."""
 
+import collections
 import json
 import math
 
@@ -303,3 +304,88 @@ class TestTinyPipeline:
         # records 0 and 1 are identical; they should co-refer most of the time
         together = sum(row[0] == row[1] for row in rows) / len(rows)
         assert together > 0.5
+
+
+class TestOutputContract:
+    """dedupe and evaluate outputs, read back by the README's formats."""
+
+    def test_documented_formats(self, tmp_path):
+        p = write_config(tmp_path, {"sampler.iterations": 200,
+                                    "sampler.burn_in": 50})
+        assert main(["dedupe", "--config", str(p), "--threads", "1"]) == 0
+        out = tmp_path / "out"
+
+        def lines(name):
+            text = (out / name).read_text(encoding="utf-8")
+            assert text.endswith("\n"), name
+            return text.split("\n")[:-1]
+
+        manifest = json.loads((out / "manifest.json").read_text())
+        draws = manifest["chains"] * manifest["retained_per_chain"]
+        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+
+        comparisons = lines("comparisons.csv")
+        assert comparisons[0] == "i,j,name,year,city"
+        rows = [line.split(",") for line in comparisons[1:]]
+        assert [(int(row[0]), int(row[1])) for row in rows] == pairs
+        for (i, j), row in zip(pairs, rows):
+            assert (row[3] == "NA") == (3 in (i, j))  # record 3 lacks a year
+            assert all(v.isdigit() for v in row[2:] if v != "NA")
+        assert rows[0][2:] == ["0", "0", "0"]  # records 0 and 1 agree
+
+        edges = lines("candidate_edges.csv")
+        assert edges[0] == "i,j,fixed"
+        edges = [tuple(map(int, line.split(","))) for line in edges[1:]]
+        assert [e[:2] for e in edges] == pairs
+        assert {e[2] for e in edges} <= {0, 1}
+        candidates = [e[:2] for e in edges if e[2] == 0]
+
+        labelings = [list(map(int, line.split(" ")))
+                     for line in lines("posterior_labelings.txt")]
+        assert len(labelings) == draws
+        for row in labelings:  # canonical first-appearance labels
+            assert all(v <= max(row[:k], default=-1) + 1
+                       for k, v in enumerate(row))
+            assert len(row) == 4
+
+        probabilities = lines("pairwise_probabilities.csv")
+        assert probabilities[0] == "i,j,probability"
+        probabilities = [line.split(",") for line in probabilities[1:]]
+        assert [(int(i), int(j)) for i, j, _ in probabilities] == candidates
+        for i, j, prob in probabilities:
+            share = sum(row[int(i)] == row[int(j)] for row in labelings) / draws
+            assert prob == f"{share:.6f}"
+
+        frequencies = lines("partition_frequencies.csv")
+        assert frequencies[0] == "partition,count,frequency"
+        seen = collections.Counter(tuple(row) for row in labelings)
+        keys = []
+        for line in frequencies[1:]:
+            partition, count, freq = line.rsplit(",", 2)
+            cells = [list(map(int, c.split(","))) for c in partition.split("/")]
+            assert [c[0] for c in cells] == sorted(c[0] for c in cells)
+            labels = [None] * 4
+            for k, cell in enumerate(cells):
+                for i in cell:
+                    labels[i] = k
+            assert seen[tuple(labels)] == int(count)
+            assert freq == f"{int(count) / draws:.6f}"
+            keys.append((-int(count), labels))
+        assert keys == sorted(keys)  # most frequent first, ties by labels
+        assert len(keys) == len(seen)
+
+        truth = tmp_path / "truth.csv"
+        truth.write_text("record_id,entity_id\n0,0\n1,0\n2,1\n3,2\n",
+                         encoding="utf-8")
+        metrics_path = tmp_path / "metrics.json"
+        assert main(["evaluate", "--labelings",
+                     str(out / "posterior_labelings.txt"), "--truth",
+                     str(truth), "--output", str(metrics_path)]) == 0
+        metrics = json.loads(metrics_path.read_text())
+        duplicates = json.loads((out / "duplicates.json").read_text())
+        for key in ("records", "mean", "median", "min", "max"):
+            assert metrics[key] == duplicates[key]
+        assert metrics["truth_duplicates"] == 1
+        for name in ("precision", "recall"):
+            assert set(metrics[name]) == {"median", "p01", "p99"}
+            assert all(0.0 <= v <= 1.0 for v in metrics[name].values())

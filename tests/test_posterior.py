@@ -219,6 +219,49 @@ class TestSerialization:
         with pytest.raises(DataError, match="no labelings"):
             load_labelings(p)
 
+    def test_load_labelings_accepts(self, tmp_path):
+        p = tmp_path / "labelings.txt"
+        p.write_bytes(b"0 0\t1\r\n\r\n  0 1 2  \n\n000 001 0002")
+        assert load_labelings(p).tolist() == [[0, 0, 1], [0, 1, 2], [0, 1, 2]]
+        p.write_bytes(b"0 1\r0 0\r")  # a lone CR ends a line
+        assert load_labelings(p).tolist() == [[0, 1], [0, 0]]
+        p.write_bytes(b"2147483647 000000000002147483647\n")
+        assert load_labelings(p).tolist() == [[2**31 - 1, 2**31 - 1]]
+
+    @pytest.mark.parametrize("token", [
+        "+1", "-1", "1_0", "1.0", "0x1", "1e3", "\u0661", "\u00a0", "\x0c"])
+    def test_load_labelings_rejects_other_tokens(self, tmp_path, token):
+        # int() accepts signs, underscores and non-ASCII digits; labels
+        # are plain ASCII digits
+        p = tmp_path / "labelings.txt"
+        p.write_text(f"0 1\r\n\n0 {token}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"labelings\.txt:3: unparseable"):
+            load_labelings(p)
+
+    def test_load_labelings_rejects_labels_beyond_int32(self, tmp_path):
+        p = tmp_path / "labelings.txt"
+        p.write_text("0 1\n0 2147483648\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"labelings\.txt:2: label out of"):
+            load_labelings(p)
+
+    def test_summaries_take_the_label_matrix(self):
+        sample = fake_sample([[0, 0, 1], [0, 1, 2], [0, 1, 1]])
+        ref = [0, 0, 1]
+        L = sample.labelings
+        assert metric_summary(L, ref) == metric_summary(sample, ref)
+        assert duplicate_distribution(L) == duplicate_distribution(sample)
+        assert (partition_frequency_table(L)
+                == partition_frequency_table(sample))
+
+    def test_package_deprecation_warnings_are_errors(self):
+        # pyproject.toml turns DeprecationWarnings raised from package code
+        # into errors, so deprecated numpy text paths fail the suite
+        import warnings
+        with pytest.raises(DeprecationWarning):
+            warnings.warn_explicit("deprecated", DeprecationWarning,
+                                   "posterior.py", 1,
+                                   module="bayesdedupe.posterior")
+
     def test_phi_trace(self, rng, tmp_path):
         _, comps, graph = compared_setup(rng, 6)
         prior = PriorSpec.from_lambdas(

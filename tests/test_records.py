@@ -37,7 +37,6 @@ class TestSchema:
             Record(0, ("ANA", 2001, "SUR")), Record(1, ("LUIS", None, "SUR"))])
         assert df.index_of("year") == 1
         assert df.column("year") == [2001, None]
-        assert df.columns() == [["ANA", "LUIS"], [2001, None], ["SUR", "SUR"]]
         with pytest.raises(ConfigError):
             df.index_of("zip")
 
