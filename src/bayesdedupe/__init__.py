@@ -5,51 +5,9 @@ a Gibbs sampler explores partitions of the file restricted to a
 candidate-pair graph, with truncated-Beta priors steering the
 coreferent disagreement rates. Posterior draws give pairwise link
 probabilities and a duplicate-count distribution in one pass.
+
+The package root exports only __version__; import the submodules
+(comparison, candidates, gibbs, posterior, ...) for the library.
 """
 
 __version__ = "0.1.0"
-
-from .candidates import (CandidateGraph, FilterRule, FixRule, all_pairs,
-                         build_pairs, connected_components, fix_noncoreferent)
-from .comparison import (ComparisonVector, LevelSpec, PairComparisons,
-                         bin_level, binary_spec, compare_pairs, levenshtein,
-                         normalized_levenshtein, token_min_levenshtein)
-from .errors import ConfigError, DataError
-from .gibbs import (PosteriorSample, SamplerConfig, run_chain, run_chains,
-                    sample_truncated_beta)
-from .mixture import MixtureSample, count_nontransitive_triplets, run_mixture
-from .model import (ModelParams, PriorSpec, SufficientStats,
-                    log_likelihood_ratio, log_posterior_unnormalized,
-                    marginal_log_likelihood, star_probs, sufficient_stats)
-from .partition import (bell_number, canonical_labels,
-                        enumerate_valid_partitions, format_partition,
-                        labeling_count)
-from .posterior import (duplicate_distribution, duplicate_percentage,
-                        load_truth, metric_summary, pairwise_probabilities,
-                        partition_frequency_table, pool_samples,
-                        precision_recall)
-from .records import DataFile, FieldSchema, Record, load_delimited
-from .synthgen import GeneratorConfig, SynthField, generate
-
-__all__ = [
-    "__version__",
-    "CandidateGraph", "FilterRule", "FixRule", "all_pairs", "build_pairs",
-    "connected_components", "fix_noncoreferent",
-    "ComparisonVector", "LevelSpec", "PairComparisons", "bin_level",
-    "binary_spec", "compare_pairs", "levenshtein", "normalized_levenshtein",
-    "token_min_levenshtein",
-    "ConfigError", "DataError",
-    "PosteriorSample", "SamplerConfig", "run_chain", "run_chains",
-    "sample_truncated_beta",
-    "MixtureSample", "count_nontransitive_triplets", "run_mixture",
-    "ModelParams", "PriorSpec", "SufficientStats", "log_likelihood_ratio",
-    "log_posterior_unnormalized", "marginal_log_likelihood", "star_probs",
-    "sufficient_stats",
-    "bell_number", "canonical_labels", "enumerate_valid_partitions",
-    "format_partition", "labeling_count",
-    "duplicate_distribution", "duplicate_percentage", "load_truth",
-    "metric_summary", "pairwise_probabilities", "partition_frequency_table",
-    "pool_samples", "precision_recall",
-    "DataFile", "FieldSchema", "Record", "load_delimited",
-    "GeneratorConfig", "SynthField", "generate",
-]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comparison import PairComparisons
+from .comparison import PairComparisons, _distinct_pairs, _factorize
 from .errors import ConfigError, DataError
 from .records import DataFile
 from .textio import write_int_rows
@@ -126,15 +126,20 @@ def build_pairs(df: DataFile, rules: list[FilterRule]) -> np.ndarray:
             continue
         col = df.column(rule.field)
         if rule.kind == "categorical_block":
-            codes_map: dict = {}
-            codes = np.array([-1 if v is None else codes_map.setdefault(v, len(codes_map))
-                              for v in col], dtype=np.int64)
+            _, codes = _factorize(col)
             ci, cj = codes[pairs[:, 0]], codes[pairs[:, 1]]
             keep &= (ci == -1) | (cj == -1) | (ci == cj)
         elif rule.kind == "integer_gap_exceeds":
-            vals = np.array([np.nan if v is None else float(v) for v in col])
-            diff = np.abs(vals[pairs[:, 0]] - vals[pairs[:, 1]])
-            keep &= ~(diff > rule.gap)  # NaN compares False, so missing passes
+            values, codes = _factorize(col)
+            ci, cj = codes[pairs[:, 0]], codes[pairs[:, 1]]
+            observed = (ci >= 0) & (cj >= 0)
+            a, b, inverse = _distinct_pairs(ci[observed], cj[observed],
+                                            len(values))
+            # Python ints, so the gap test is exact at any magnitude
+            close = np.array([abs(values[x] - values[y]) <= rule.gap
+                              for x, y in zip(a.tolist(), b.tolist())],
+                             dtype=bool)
+            keep[observed] &= close[inverse]
         else:
             alive = np.flatnonzero(keep)
             for k in alive:

@@ -10,39 +10,25 @@ Exit codes: 0 success, 2 configuration problems, 3 data problems,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
 import time
 import traceback
 
-import numpy as np
-
 from . import __version__, candidates, comparison, config as config_mod
-from . import gibbs, mixture, posterior, records, synthgen
+from . import posterior, records, synthgen
 from .errors import ConfigError, DataError
 
 log = logging.getLogger("bayesdedupe")
 
 
 def _apply_overrides(cfg, args) -> None:
-    sc = cfg.sampler
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.iterations is not None:
-        updates["iterations"] = args.iterations
-    if args.burn_in is not None:
-        updates["burn_in"] = args.burn_in
-    if updates:
-        try:
-            cfg.sampler = gibbs.SamplerConfig(
-                iterations=updates.get("iterations", sc.iterations),
-                burn_in=updates.get("burn_in", sc.burn_in),
-                thinning=sc.thinning, seed=updates.get("seed", sc.seed),
-                chains=sc.chains, random_scan=sc.random_scan)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+    updates = {key: getattr(args, key) for key in ("seed", "iterations", "burn_in")
+               if getattr(args, key) is not None}
+    # replace() re-runs SamplerConfig's validation
+    cfg.sampler = dataclasses.replace(cfg.sampler, **updates)
     if args.output_dir is not None:
         cfg.output.directory = args.output_dir
 
@@ -100,6 +86,8 @@ def _resolve_threads(args) -> int:
 
 
 def cmd_dedupe(args) -> int:
+    from . import gibbs  # loads scipy, which only the sampling commands need
+
     cfg = config_mod.load_config(args.config)
     _apply_overrides(cfg, args)
     threads = _resolve_threads(args)
@@ -220,6 +208,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    from . import mixture  # loads scipy, which only the sampling commands need
+
     cfg = config_mod.load_config(args.config)
     _apply_overrides(cfg, args)
     threads = _resolve_threads(args)

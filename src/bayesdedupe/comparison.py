@@ -12,8 +12,9 @@ compare_pairs factorizes each compared column once into integer codes,
 computes one similarity per distinct unordered value pair (string
 distances through a vectorized dynamic program, the other kinds through
 their scalar functions), bins those with one searchsorted and gathers
-the levels back to the record pairs. The scalar functions and
-compare_pair are the one-pair reference it is tested against.
+the levels back to the record pairs. The scalar comparators and
+bin_level define a single pair's level; the tests hold compare_pairs to
+them pair by pair.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from itertools import islice, repeat
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .records import DataFile, Record
+from .records import DataFile
 from .textio import write_int_rows
 
 COMPARATOR_KINDS = ("levenshtein", "token_levenshtein", "absolute_difference", "binary")
@@ -156,41 +157,6 @@ def bin_level(similarity: float, spec: LevelSpec) -> int:
     return lv
 
 
-_SIMILARITY_FUNCS = {
-    "levenshtein": normalized_levenshtein,
-    "token_levenshtein": token_min_levenshtein,
-    "absolute_difference": absolute_difference,
-    "binary": binary_disagreement,
-}
-
-
-def similarity(spec: LevelSpec, vi, vj) -> float:
-    return _SIMILARITY_FUNCS[spec.kind](vi, vj)
-
-
-@dataclass(frozen=True)
-class ComparisonVector:
-    """Levels for one record pair; None where a value was missing."""
-
-    i: int
-    j: int
-    levels: tuple
-
-
-def compare_pair(rec_i: Record, rec_j: Record, specs: list[LevelSpec],
-                 df: DataFile) -> ComparisonVector:
-    """Compare one record pair on all spec'd fields."""
-    out = []
-    for spec in specs:
-        k = df.index_of(spec.field)
-        vi, vj = rec_i.values[k], rec_j.values[k]
-        if vi is None or vj is None:
-            out.append(None)
-        else:
-            out.append(bin_level(similarity(spec, vi, vj), spec))
-    return ComparisonVector(i=rec_i.id, j=rec_j.id, levels=tuple(out))
-
-
 class PairComparisons:
     """Packed comparison levels for a list of record pairs.
 
@@ -214,12 +180,6 @@ class PairComparisons:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def vector(self, k: int) -> ComparisonVector:
-        row = self.levels[k]
-        return ComparisonVector(
-            i=int(self.pairs[k, 0]), j=int(self.pairs[k, 1]),
-            levels=tuple(None if v < 0 else int(v) for v in row))
 
     def field_index(self, name: str) -> int:
         try:
@@ -351,7 +311,8 @@ def _similarities(kind: str, values: list, a: np.ndarray,
         return _normalized_distances(values, a, b)
     if kind == "token_levenshtein":
         return _token_similarities(values, a, b)
-    func = _SIMILARITY_FUNCS[kind]
+    func = (absolute_difference if kind == "absolute_difference"
+            else binary_disagreement)
     # object dtype keeps Python ints, and their comparison with the cut
     # points, exact beyond int64 and float64
     return np.array([func(values[i], values[j])

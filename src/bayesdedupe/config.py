@@ -17,9 +17,34 @@ import yaml
 from .candidates import FilterRule, FixRule, load_neighbors
 from .comparison import COMPARATOR_KINDS, LevelSpec, binary_spec
 from .errors import ConfigError
-from .gibbs import SamplerConfig
 from .model import PriorSpec
 from .records import FIELD_KINDS, FieldSchema
+
+
+@dataclass
+class SamplerConfig:
+    iterations: int
+    burn_in: int = 0
+    thinning: int = 1
+    seed: int = 0
+    chains: int = 1
+    random_scan: bool = False
+
+    def __post_init__(self):
+        if self.iterations < 1:
+            raise ConfigError("iterations must be >= 1")
+        if not 0 <= self.burn_in < self.iterations:
+            raise ConfigError("need 0 <= burn_in < iterations")
+        if self.thinning < 1:
+            raise ConfigError("thinning must be >= 1")
+        if self.chains < 1:
+            raise ConfigError("chains must be >= 1")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError("seed must fit in 64 bits")
+
+    @property
+    def n_kept(self) -> int:
+        return (self.iterations - self.burn_in + self.thinning - 1) // self.thinning
 
 
 @dataclass
@@ -191,11 +216,19 @@ def _parse_prior(raw, specs) -> PriorSpec:
             raise ConfigError(f"prior.lambdas: field {fname!r} is not compared")
     lambdas = []
     for s in specs:
-        if s.field in lam_map:
-            vals = _as_list(lam_map[s.field], f"prior.lambdas.{s.field}")
-            lambdas.append([float(v) for v in vals])
-        else:
+        if s.field not in lam_map:
             lambdas.append([0.0] * (s.n_levels - 1))
+            continue
+        where = f"prior.lambdas.{s.field}"
+        vals = _as_list(lam_map[s.field], where)
+        if len(vals) != s.n_levels - 1:
+            raise ConfigError(
+                f"{where}: expected {s.n_levels - 1} values, one per level "
+                f"above zero, got {len(vals)}")
+        for v in vals:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ConfigError(f"{where}: {v!r} is not a number")
+        lambdas.append([float(v) for v in vals])
     hypers = {}
     for key in ("alpha1", "beta1", "alpha0", "beta0"):
         v = raw.get(key, 1.0)
@@ -204,7 +237,7 @@ def _parse_prior(raw, specs) -> PriorSpec:
         hypers[key] = float(v)
     try:
         return PriorSpec.from_lambdas(lambdas, **hypers)
-    except (ValueError, ConfigError) as e:
+    except ConfigError as e:
         raise ConfigError(f"prior: {e}") from None
 
 
@@ -221,10 +254,7 @@ def _parse_sampler(raw) -> SamplerConfig:
     if not isinstance(rs, bool):
         raise ConfigError("sampler.random_scan: must be a boolean")
     kwargs["random_scan"] = rs
-    try:
-        return SamplerConfig(**kwargs)
-    except ValueError as e:
-        raise ConfigError(f"sampler: {e}") from None
+    return SamplerConfig(**kwargs)
 
 
 def load_config(path) -> PipelineConfig:

@@ -35,35 +35,10 @@ from scipy.special import betainc, betaincc, betainccinv, betaincinv
 from . import model
 from .candidates import CandidateGraph
 from .comparison import PairComparisons
+from .config import SamplerConfig
 from .errors import ConfigError
 from .model import ModelParams, PriorSpec, SufficientStats
 from .partition import canonicalize_label_rows
-
-
-@dataclass
-class SamplerConfig:
-    iterations: int
-    burn_in: int = 0
-    thinning: int = 1
-    seed: int = 0
-    chains: int = 1
-    random_scan: bool = False
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise ConfigError("iterations must be >= 1")
-        if not 0 <= self.burn_in < self.iterations:
-            raise ConfigError("need 0 <= burn_in < iterations")
-        if self.thinning < 1:
-            raise ConfigError("thinning must be >= 1")
-        if self.chains < 1:
-            raise ConfigError("chains must be >= 1")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError("seed must fit in 64 bits")
-
-    @property
-    def n_kept(self) -> int:
-        return (self.iterations - self.burn_in + self.thinning - 1) // self.thinning
 
 
 # --- truncated-Beta sampling ------------------------------------------------
@@ -200,28 +175,6 @@ def draw_params(rng: np.random.Generator, flat: FlatPrior,
     m_list = [m_flat[bounds[f]:bounds[f + 1]] for f in range(len(bounds) - 1)]
     u_list = [u_flat[bounds[f]:bounds[f + 1]] for f in range(len(bounds) - 1)]
     return m_list, u_list, m_flat, u_flat
-
-
-def update_m(state: "ChainState", f: int, l: int, prior: PriorSpec,
-             rng: np.random.Generator) -> float:
-    """Redraw one m parameter from its truncated-Beta full conditional."""
-    counts = np.asarray(state.stats.a1[f])
-    a = float(prior.alpha1[f][l]) + float(counts[l])
-    b = float(prior.beta1[f][l]) + float(counts[l + 1:].sum())
-    x = sample_truncated_beta(rng, a, b, float(prior.lam[f][l]))
-    state.params.m[f][l] = x
-    return x
-
-
-def update_u(state: "ChainState", f: int, l: int, prior: PriorSpec,
-             rng: np.random.Generator) -> float:
-    """Redraw one u parameter from its Beta full conditional."""
-    counts = np.asarray(state.stats.a0[f])
-    a = float(prior.alpha0[f][l]) + float(counts[l])
-    b = float(prior.beta0[f][l]) + float(counts[l + 1:].sum())
-    x = float(np.clip(rng.beta(a, b), 1e-12, 1.0 - 1e-12))
-    state.params.u[f][l] = x
-    return x
 
 
 # --- chain state and label updates ------------------------------------------
@@ -374,15 +327,6 @@ def _update_record(i, z, cell_sizes, free_labels, adj_i, loglr,
                     a0[f][lv] -= 1
                     a1[f][lv] += 1
     return q_new
-
-
-def update_label(state: ChainState, i: int, ctx: SamplerContext,
-                 loglr: list, rng: np.random.Generator) -> int:
-    """Public single-record label update against precomputed log ratios."""
-    u1, u2 = rng.random(2)
-    return _update_record(i, state.z, state.cell_sizes, state.free_labels,
-                          ctx.adj[i], loglr, state.stats.a1, state.stats.a0,
-                          ctx.pair_terms, u1, u2)
 
 
 # --- full chain -------------------------------------------------------------

@@ -17,7 +17,8 @@ import numpy as np
 
 from .candidates import CandidateGraph
 from .comparison import PairComparisons
-from .gibbs import SamplerConfig, SamplerContext, draw_params, flatten_prior
+from .config import SamplerConfig
+from .gibbs import SamplerContext, draw_params, flatten_prior
 from .model import ModelParams, PriorSpec, SufficientStats
 
 

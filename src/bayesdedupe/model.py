@@ -16,8 +16,12 @@ gets an untruncated Beta. Defaults are uniform (alpha = beta = 1).
 The prior over coreference structures is flat over the partitions the
 candidate set permits. On labelings it appears as (r - n)!/r! for a
 labeling with n cells, which marginalizes back to the flat partition
-prior; since log_posterior_unnormalized is a function of the partition,
-that term is a constant and contributes 0 below.
+prior.
+
+This module holds what the sampler evaluates: the parameter and prior
+containers, the log level tables and the sufficient statistics. The
+exact densities that the sampler is tested against are in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaln
 
 from .candidates import CandidateGraph
 from .comparison import PairComparisons
@@ -79,10 +82,10 @@ class PriorSpec:
             for a, l in zip(arrs, self.lam):
                 if a.shape != l.shape:
                     raise ConfigError("prior hyperparameter shapes differ")
-                if np.any(a <= 0):
+                if not np.all(a > 0):  # NaN fails too
                     raise ConfigError("Beta hyperparameters must be positive")
         for l in self.lam:
-            if np.any((l < 0) | (l > 1 - 1e-6)):
+            if not np.all((l >= 0) & (l <= 1 - 1e-6)):
                 raise ConfigError("truncation points must lie in [0, 1 - 1e-6]")
 
     @property
@@ -119,39 +122,6 @@ def star_probs(m_f: np.ndarray) -> np.ndarray:
         out[1:-1] = m_f[1:] * rest[:-1]
     out[-1] = rest[-1] if len(m_f) else 1.0
     return out
-
-
-def _log_level_prob(level: int, params_f: np.ndarray) -> float:
-    """Sequential-form log probability of one observed level."""
-    L = len(params_f)
-    total = 0.0
-    if level < L:
-        total += float(np.log(params_f[level]))
-    for h in range(min(level, L)):
-        total += float(np.log1p(-params_f[h]))
-    return total
-
-
-def log_p1_obs(vec, params: ModelParams) -> float:
-    """Log probability of a pair's observed levels if coreferent."""
-    total = 0.0
-    for f, lv in enumerate(vec.levels):
-        if lv is not None:
-            total += _log_level_prob(lv, params.m[f])
-    return total
-
-
-def log_p0_obs(vec, params: ModelParams) -> float:
-    """Log probability of a pair's observed levels if not coreferent."""
-    total = 0.0
-    for f, lv in enumerate(vec.levels):
-        if lv is not None:
-            total += _log_level_prob(lv, params.u[f])
-    return total
-
-
-def log_likelihood_ratio(vec, params: ModelParams) -> float:
-    return log_p1_obs(vec, params) - log_p0_obs(vec, params)
 
 
 def log_level_tables(params: ModelParams) -> tuple[list, list]:
@@ -240,98 +210,3 @@ def fixed_pair_stats(graph: CandidateGraph, comps: PairComparisons) -> list:
         obs = (col >= 0) & fixed
         out.append(np.bincount(col[obs], minlength=comps.n_levels[f]).astype(np.int64))
     return out
-
-
-def _log_beta_tail(a: float, b: float, lam: float) -> float:
-    """log(1 - I_lam(a, b)), switching to high precision on underflow."""
-    if lam <= 0.0:
-        return 0.0
-    tail = 1.0 - float(betainc(a, b, lam))
-    if tail > 1e-280:
-        return float(np.log(tail))
-    import mpmath
-    with mpmath.workdps(60):
-        t = mpmath.betainc(b, a, 0, 1.0 - lam, regularized=True)
-        return float(mpmath.log(t))
-
-
-def truncated_beta_logpdf(x: float, a: float, b: float, lam: float) -> float:
-    if not (lam <= x < 1.0) or x <= 0.0:
-        return -np.inf
-    return ((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x)
-            - betaln(a, b) - _log_beta_tail(a, b, lam))
-
-
-def in_support(params: ModelParams, prior: PriorSpec) -> bool:
-    for mf, lamf in zip(params.m, prior.lam):
-        if np.any(mf < lamf) or np.any(mf >= 1.0) or np.any(mf <= 0.0):
-            return False
-    for uf in params.u:
-        if np.any(uf <= 0.0) or np.any(uf >= 1.0):
-            return False
-    return True
-
-
-def log_likelihood(stats: SufficientStats, params: ModelParams) -> float:
-    """Observed-data log likelihood given level counts."""
-    lm, lu = log_level_tables(params)
-    total = 0.0
-    for f in range(len(lm)):
-        total += float(np.asarray(stats.a1[f]) @ lm[f])
-        total += float(np.asarray(stats.a0[f]) @ lu[f])
-    return total
-
-
-def log_posterior_unnormalized(z, params: ModelParams, prior: PriorSpec,
-                               graph: CandidateGraph,
-                               comps: PairComparisons) -> float:
-    """Joint log density of (partition, parameters) up to a constant.
-
-    The flat partition prior contributes 0; two labelings of the same
-    partition therefore score identically. Parameters outside the prior
-    support give -inf.
-    """
-    if not in_support(params, prior):
-        return -np.inf
-    stats = sufficient_stats(z, graph, comps)
-    total = log_likelihood(stats, params)
-    for f in range(prior.n_fields):
-        for l in range(len(prior.lam[f])):
-            total += truncated_beta_logpdf(
-                float(params.m[f][l]), float(prior.alpha1[f][l]),
-                float(prior.beta1[f][l]), float(prior.lam[f][l]))
-            x = float(params.u[f][l])
-            if not 0.0 < x < 1.0:
-                return -np.inf
-            a0 = float(prior.alpha0[f][l])
-            b0 = float(prior.beta0[f][l])
-            total += (a0 - 1.0) * np.log(x) + (b0 - 1.0) * np.log1p(-x) - betaln(a0, b0)
-    return float(total)
-
-
-def marginal_log_likelihood(z, prior: PriorSpec, graph: CandidateGraph,
-                            comps: PairComparisons) -> float:
-    """Log P(observed levels | partition) with parameters integrated out.
-
-    Conjugacy makes each (field, level) factor an incomplete-Beta ratio:
-    for m, log of B(a+c, b+t) * (1 - I_lam(a+c, b+t)) minus the same at
-    zero counts; for u, the untruncated version. Used by exact small-r
-    checks against the sampler.
-    """
-    stats = sufficient_stats(z, graph, comps)
-    total = 0.0
-    for f in range(prior.n_fields):
-        c1 = np.asarray(stats.a1[f], dtype=np.float64)
-        c0 = np.asarray(stats.a0[f], dtype=np.float64)
-        L = len(prior.lam[f])
-        tails1 = np.concatenate([np.cumsum(c1[::-1])[::-1][1:], [0.0]])
-        tails0 = np.concatenate([np.cumsum(c0[::-1])[::-1][1:], [0.0]])
-        for l in range(L):
-            a, b = float(prior.alpha1[f][l]), float(prior.beta1[f][l])
-            lam = float(prior.lam[f][l])
-            total += (betaln(a + c1[l], b + tails1[l]) + _log_beta_tail(
-                a + c1[l], b + tails1[l], lam))
-            total -= betaln(a, b) + _log_beta_tail(a, b, lam)
-            a0, b0 = float(prior.alpha0[f][l]), float(prior.beta0[f][l])
-            total += betaln(a0 + c0[l], b0 + tails0[l]) - betaln(a0, b0)
-    return float(total)

@@ -19,6 +19,7 @@ import json
 import numpy as np
 
 from .errors import DataError
+from .partition import canonicalize_label_rows, format_partition
 from .textio import write_int_rows
 
 
@@ -98,19 +99,12 @@ def _row_blocks(L: np.ndarray):
 def _dense_labels(block: np.ndarray, r: int) -> np.ndarray:
     """Rows with labels in [0, r), each row a relabeling of the input row.
 
-    Rows already in range pass through; others are replaced by each
-    label's rank among the row's distinct labels.
+    Rows already in range pass through; others are canonicalized.
     """
     if (np.issubdtype(block.dtype, np.integer)
             and (block.size == 0 or (block.min() >= 0 and block.max() < r))):
         return block.astype(np.int64)
-    order = np.argsort(block, axis=1, kind="stable")
-    ordered = np.take_along_axis(block, order, axis=1)
-    rank = np.zeros(block.shape, dtype=np.int64)
-    np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=rank[:, 1:])
-    out = np.empty_like(rank)
-    np.put_along_axis(out, order, rank, axis=1)
-    return out
+    return canonicalize_label_rows(block).astype(np.int64)
 
 
 def _equal_pairs(sorted_rows: np.ndarray) -> np.ndarray:
@@ -241,7 +235,6 @@ def partition_frequency_table(sample) -> list:
 
 
 def write_frequency_csv(path, table) -> None:
-    from .partition import format_partition
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("partition,count,frequency\n")
         for labels, count, freq in table:

@@ -1,13 +1,28 @@
-"""Per-row reference versions of the output and summary layer.
+"""Reference versions of production code, kept for the tests only.
 
-These are the plain-Python bodies that the block-wise numpy code in
-bayesdedupe replaced. Tests require the production code to produce the
-same bytes and the same numbers as these.
+Two kinds live here. The per-row bodies of the output and summary
+layer are what the block-wise numpy code in bayesdedupe replaced; tests
+require the production code to produce the same bytes and the same
+numbers as these. The one-pair, one-parameter and exact-density
+references of the comparison, likelihood and sampler layers follow:
+compare_pair against compare_pairs, the sequential-form likelihood
+against the star-probability tables, the exact joint and marginal
+densities behind the enumeration and quadrature checks, and
+single-site Gibbs updates. No subcommand runs any of them.
 """
 
-import numpy as np
+from dataclasses import dataclass
 
+import numpy as np
+from scipy.special import betainc, betaln
+
+from bayesdedupe import gibbs
+from bayesdedupe.comparison import (absolute_difference, bin_level,
+                                    binary_disagreement,
+                                    normalized_levenshtein,
+                                    token_min_levenshtein)
 from bayesdedupe.errors import DataError
+from bayesdedupe.model import log_level_tables, sufficient_stats
 
 
 def write_comparisons_csv(path, comps) -> None:
@@ -121,3 +136,204 @@ def partition_frequency_table(labelings) -> list:
     total = counts.sum()
     return [(tuple(int(v) for v in uniq[k]), int(counts[k]),
              counts[k] / total) for k in order]
+
+
+# --- comparison, one pair at a time -----------------------------------------
+
+_SIMILARITY_FUNCS = {
+    "levenshtein": normalized_levenshtein,
+    "token_levenshtein": token_min_levenshtein,
+    "absolute_difference": absolute_difference,
+    "binary": binary_disagreement,
+}
+
+
+def similarity(spec, vi, vj) -> float:
+    return _SIMILARITY_FUNCS[spec.kind](vi, vj)
+
+
+@dataclass(frozen=True)
+class ComparisonVector:
+    """Levels for one record pair; None where a value was missing."""
+
+    i: int
+    j: int
+    levels: tuple
+
+
+def compare_pair(rec_i, rec_j, specs, df) -> ComparisonVector:
+    """Compare one record pair on all spec'd fields."""
+    out = []
+    for spec in specs:
+        k = df.index_of(spec.field)
+        vi, vj = rec_i.values[k], rec_j.values[k]
+        if vi is None or vj is None:
+            out.append(None)
+        else:
+            out.append(bin_level(similarity(spec, vi, vj), spec))
+    return ComparisonVector(i=rec_i.id, j=rec_j.id, levels=tuple(out))
+
+
+def comparison_vector(comps, k: int) -> ComparisonVector:
+    """Row k of a PairComparisons as a ComparisonVector."""
+    return ComparisonVector(
+        i=int(comps.pairs[k, 0]), j=int(comps.pairs[k, 1]),
+        levels=tuple(None if v < 0 else int(v) for v in comps.levels[k]))
+
+
+# --- likelihood, sequential form --------------------------------------------
+
+def _log_level_prob(level: int, params_f: np.ndarray) -> float:
+    """Sequential-form log probability of one observed level."""
+    L = len(params_f)
+    total = 0.0
+    if level < L:
+        total += float(np.log(params_f[level]))
+    for h in range(min(level, L)):
+        total += float(np.log1p(-params_f[h]))
+    return total
+
+
+def log_p1_obs(vec, params) -> float:
+    """Log probability of a pair's observed levels if coreferent."""
+    total = 0.0
+    for f, lv in enumerate(vec.levels):
+        if lv is not None:
+            total += _log_level_prob(lv, params.m[f])
+    return total
+
+
+def log_p0_obs(vec, params) -> float:
+    """Log probability of a pair's observed levels if not coreferent."""
+    total = 0.0
+    for f, lv in enumerate(vec.levels):
+        if lv is not None:
+            total += _log_level_prob(lv, params.u[f])
+    return total
+
+
+def log_likelihood_ratio(vec, params) -> float:
+    return log_p1_obs(vec, params) - log_p0_obs(vec, params)
+
+
+# --- exact densities --------------------------------------------------------
+
+def _log_beta_tail(a: float, b: float, lam: float) -> float:
+    """log(1 - I_lam(a, b)), switching to high precision on underflow."""
+    if lam <= 0.0:
+        return 0.0
+    tail = 1.0 - float(betainc(a, b, lam))
+    if tail > 1e-280:
+        return float(np.log(tail))
+    import mpmath
+    with mpmath.workdps(60):
+        t = mpmath.betainc(b, a, 0, 1.0 - lam, regularized=True)
+        return float(mpmath.log(t))
+
+
+def truncated_beta_logpdf(x: float, a: float, b: float, lam: float) -> float:
+    if not (lam <= x < 1.0) or x <= 0.0:
+        return -np.inf
+    return ((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x)
+            - betaln(a, b) - _log_beta_tail(a, b, lam))
+
+
+def in_support(params, prior) -> bool:
+    for mf, lamf in zip(params.m, prior.lam):
+        if np.any(mf < lamf) or np.any(mf >= 1.0) or np.any(mf <= 0.0):
+            return False
+    for uf in params.u:
+        if np.any(uf <= 0.0) or np.any(uf >= 1.0):
+            return False
+    return True
+
+
+def log_likelihood(stats, params) -> float:
+    """Observed-data log likelihood given level counts."""
+    lm, lu = log_level_tables(params)
+    total = 0.0
+    for f in range(len(lm)):
+        total += float(np.asarray(stats.a1[f]) @ lm[f])
+        total += float(np.asarray(stats.a0[f]) @ lu[f])
+    return total
+
+
+def log_posterior_unnormalized(z, params, prior, graph, comps) -> float:
+    """Joint log density of (partition, parameters) up to a constant.
+
+    The flat partition prior contributes 0; two labelings of the same
+    partition therefore score identically. Parameters outside the prior
+    support give -inf.
+    """
+    if not in_support(params, prior):
+        return -np.inf
+    stats = sufficient_stats(z, graph, comps)
+    total = log_likelihood(stats, params)
+    for f in range(prior.n_fields):
+        for l in range(len(prior.lam[f])):
+            total += truncated_beta_logpdf(
+                float(params.m[f][l]), float(prior.alpha1[f][l]),
+                float(prior.beta1[f][l]), float(prior.lam[f][l]))
+            x = float(params.u[f][l])
+            if not 0.0 < x < 1.0:
+                return -np.inf
+            a0 = float(prior.alpha0[f][l])
+            b0 = float(prior.beta0[f][l])
+            total += (a0 - 1.0) * np.log(x) + (b0 - 1.0) * np.log1p(-x) - betaln(a0, b0)
+    return float(total)
+
+
+def marginal_log_likelihood(z, prior, graph, comps) -> float:
+    """Log P(observed levels | partition) with parameters integrated out.
+
+    Conjugacy makes each (field, level) factor an incomplete-Beta ratio:
+    for m, log of B(a+c, b+t) * (1 - I_lam(a+c, b+t)) minus the same at
+    zero counts; for u, the untruncated version.
+    """
+    stats = sufficient_stats(z, graph, comps)
+    total = 0.0
+    for f in range(prior.n_fields):
+        c1 = np.asarray(stats.a1[f], dtype=np.float64)
+        c0 = np.asarray(stats.a0[f], dtype=np.float64)
+        L = len(prior.lam[f])
+        tails1 = np.concatenate([np.cumsum(c1[::-1])[::-1][1:], [0.0]])
+        tails0 = np.concatenate([np.cumsum(c0[::-1])[::-1][1:], [0.0]])
+        for l in range(L):
+            a, b = float(prior.alpha1[f][l]), float(prior.beta1[f][l])
+            lam = float(prior.lam[f][l])
+            total += (betaln(a + c1[l], b + tails1[l]) + _log_beta_tail(
+                a + c1[l], b + tails1[l], lam))
+            total -= betaln(a, b) + _log_beta_tail(a, b, lam)
+            a0, b0 = float(prior.alpha0[f][l]), float(prior.beta0[f][l])
+            total += betaln(a0 + c0[l], b0 + tails0[l]) - betaln(a0, b0)
+    return float(total)
+
+
+# --- single-site Gibbs updates ----------------------------------------------
+
+def update_m(state, f: int, l: int, prior, rng) -> float:
+    """Redraw one m parameter from its truncated-Beta full conditional."""
+    counts = np.asarray(state.stats.a1[f])
+    a = float(prior.alpha1[f][l]) + float(counts[l])
+    b = float(prior.beta1[f][l]) + float(counts[l + 1:].sum())
+    x = gibbs.sample_truncated_beta(rng, a, b, float(prior.lam[f][l]))
+    state.params.m[f][l] = x
+    return x
+
+
+def update_u(state, f: int, l: int, prior, rng) -> float:
+    """Redraw one u parameter from its Beta full conditional."""
+    counts = np.asarray(state.stats.a0[f])
+    a = float(prior.alpha0[f][l]) + float(counts[l])
+    b = float(prior.beta0[f][l]) + float(counts[l + 1:].sum())
+    x = float(np.clip(rng.beta(a, b), 1e-12, 1.0 - 1e-12))
+    state.params.u[f][l] = x
+    return x
+
+
+def update_label(state, i: int, ctx, loglr: list, rng) -> int:
+    """One record's label update against precomputed log ratios."""
+    u1, u2 = rng.random(2)
+    return gibbs._update_record(i, state.z, state.cell_sizes, state.free_labels,
+                                ctx.adj[i], loglr, state.stats.a1, state.stats.a0,
+                                ctx.pair_terms, u1, u2)

@@ -31,8 +31,7 @@ from bayesdedupe.comparison import (LevelSpec, bin_level, binary_spec,
 from bayesdedupe.gibbs import SamplerConfig, run_chain, sample_truncated_beta
 from bayesdedupe.mixture import (count_nontransitive_triplets,
                                  delta_from_labeling, run_mixture)
-from bayesdedupe.model import (ModelParams, PriorSpec,
-                               log_posterior_unnormalized, star_probs)
+from bayesdedupe.model import ModelParams, PriorSpec, star_probs
 from bayesdedupe.partition import (enumerate_valid_partitions,
                                    format_partition, partition_to_labeling)
 from bayesdedupe.posterior import duplicate_distribution, metric_summary
@@ -44,6 +43,7 @@ from bayesdedupe.synthgen import (GeneratorConfig, default_fields, generate,
                                   truncated_poisson_pmf)
 
 from conftest import compared_setup
+from oracles import log_posterior_unnormalized
 
 
 def report(capsys, label: str, ok: bool, detail: str) -> None:

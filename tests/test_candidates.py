@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bayesdedupe.candidates import (
     CandidateGraph,
@@ -20,6 +22,7 @@ from bayesdedupe.errors import ConfigError, DataError
 from bayesdedupe.records import DataFile, FieldSchema, Record
 
 from conftest import compared_setup, random_file, small_specs
+from oracles import comparison_vector
 
 
 def make_df(rows, schema=None):
@@ -89,6 +92,25 @@ class TestBuildPairs:
                     expected.add((i, j))
             assert got == expected
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(
+        st.none(),
+        st.builds(lambda base, offset: base + offset,
+                  st.sampled_from([0, 2**53, -2**53, 2**63, -2**63,
+                                   10**400, -10**400]),
+                  st.integers(-3, 3))), min_size=2, max_size=12),
+        st.integers(0, 4))
+    def test_integer_gap_exact_for_large_values(self, values, gap):
+        """Values float64 cannot tell apart, beyond int64, and beyond
+        float64's range."""
+        df = make_df([(v,) for v in values],
+                     schema=[FieldSchema("n", "integer")])
+        rule = FilterRule.integer_gap_exceeds("n", gap)
+        got = [tuple(p) for p in build_pairs(df, [rule]).tolist()]
+        expected = [(i, j) for i, j in itertools.combinations(range(df.r), 2)
+                    if rule.passes(values[i], values[j])]
+        assert got == expected
+
     def test_always_compare_keeps_everything(self, rng):
         df = random_file(rng, 10)
         got = build_pairs(df, [FilterRule.always_compare()])
@@ -145,7 +167,7 @@ class TestFixRules:
         graph = fix_noncoreferent(comps, rules)
         fixed = ~graph.candidate_mask
         for k in range(len(comps)):
-            lv = comps.vector(k).levels
+            lv = comparison_vector(comps, k).levels
             expect = ((lv[0] is not None and lv[0] >= 3)
                       or (lv[1] is not None and lv[1] >= 2))
             assert fixed[k] == expect

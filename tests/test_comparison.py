@@ -21,7 +21,6 @@ from bayesdedupe.comparison import (
     bin_level,
     binary_disagreement,
     binary_spec,
-    compare_pair,
     compare_pairs,
     levenshtein,
     normalized_levenshtein,
@@ -31,6 +30,7 @@ from bayesdedupe.errors import ConfigError, DataError
 from bayesdedupe.records import DataFile, FieldSchema, Record
 
 from conftest import compared_setup, random_file, small_specs
+from oracles import compare_pair, comparison_vector
 
 
 @functools.lru_cache(maxsize=None)
@@ -195,7 +195,7 @@ class TestBinLevel:
 def assert_matches_scalar(df, specs):
     comps = compare_pairs(df, all_pairs(df.r), specs)
     for k in range(len(comps)):
-        vec = comps.vector(k)
+        vec = comparison_vector(comps, k)
         ref = compare_pair(df.records[vec.i], df.records[vec.j], specs, df)
         assert vec.levels == ref.levels, (vec.i, vec.j)
 
@@ -283,7 +283,7 @@ class TestMissingHandling:
         comps = compare_pairs(df, np.array([[0, 1]]), specs)
         assert comps.levels[0, 0] == 0
         assert comps.levels[0, 1] == -1
-        assert comps.vector(0).levels == (0, None)
+        assert comparison_vector(comps, 0).levels == (0, None)
 
 
 class TestPairComparisonsContainer:

@@ -3,10 +3,14 @@
 import collections
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 import yaml
 
+import bayesdedupe
 from bayesdedupe import cli
 from bayesdedupe.cli import main
 from bayesdedupe.config import load_config
@@ -270,6 +274,19 @@ class TestCliErrors:
         assert rc == 2
         assert "200 levels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lambdas", [
+        [0.9, 0.9],                  # too short
+        [0.9, 0.9, 0.9, 0.9],        # too long
+        ["abc", 0.9, 0.9],
+        [None, 0.9, 0.9],
+        [False, 0.9, 0.9],
+    ], ids=["short", "long", "string", "null", "boolean"])
+    def test_malformed_lambdas(self, tmp_path, capsys, lambdas):
+        p = write_config(tmp_path, {"prior.lambdas.name": lambdas})
+        rc = main(["dedupe", "--config", str(p), "--threads", "1"])
+        assert rc == 2
+        assert "prior.lambdas.name" in capsys.readouterr().err
+
     def test_internal_error_traceback_only_when_verbose(self, monkeypatch,
                                                         capsys):
         def fail(args):
@@ -389,3 +406,34 @@ class TestOutputContract:
         for name in ("precision", "recall"):
             assert set(metrics[name]) == {"median", "p01", "p99"}
             assert all(0.0 <= v <= 1.0 for v in metrics[name].values())
+
+
+LOADED_MODULES = """
+import json, sys
+from bayesdedupe.cli import main
+d = sys.argv[1]
+codes = [
+    main(["synth", "--output-dir", d + "/data", "--originals", "6",
+          "--duplicates", "2"]),
+    main(["compare", "--config", d + "/cmp.yaml", "--threads", "1"]),
+    main(["evaluate", "--labelings", d + "/lab.txt", "--truth",
+          d + "/data/truth.csv", "--output", d + "/m.json"]),
+]
+print(json.dumps({"codes": codes, "loaded": [
+    m for m in ("scipy", "bayesdedupe.gibbs", "bayesdedupe.mixture")
+    if m in sys.modules]}))
+"""
+
+
+def test_scipy_loads_only_for_sampling_commands(tmp_path):
+    """synth, compare and evaluate never import the sampler or scipy."""
+    (tmp_path / "cmp.yaml").write_text(synth_config_text(
+        tmp_path / "data" / "records.csv", tmp_path / "out"), encoding="utf-8")
+    (tmp_path / "lab.txt").write_text("0 1 2 3 4 5 6 7\n", encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(bayesdedupe.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", LOADED_MODULES, str(tmp_path)],
+                         capture_output=True, text=True, env=env, check=True)
+    report = json.loads(run.stdout.strip().splitlines()[-1])
+    assert report == {"codes": [0, 0, 0], "loaded": []}

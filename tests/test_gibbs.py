@@ -27,17 +27,8 @@ from bayesdedupe.gibbs import (
     run_chain,
     run_chains,
     sample_truncated_beta,
-    update_label,
-    update_m,
-    update_u,
 )
-from bayesdedupe.model import (
-    ModelParams,
-    PriorSpec,
-    log_likelihood_ratio,
-    log_posterior_unnormalized,
-    sufficient_stats,
-)
+from bayesdedupe.model import ModelParams, PriorSpec, sufficient_stats
 from bayesdedupe.partition import (
     canonical_labels,
     enumerate_valid_partitions,
@@ -47,6 +38,14 @@ from bayesdedupe.partition import (
 )
 
 from conftest import compared_setup
+from oracles import (
+    comparison_vector,
+    log_likelihood_ratio,
+    log_posterior_unnormalized,
+    update_label,
+    update_m,
+    update_u,
+)
 
 
 def tbeta_moment(a: float, b: float, lam: float, k: int) -> float:
@@ -187,7 +186,7 @@ class TestLogRatios:
         loglr = ctx.log_ratios(params)
         cand_idx = np.flatnonzero(graph.candidate_mask)
         for c, k in enumerate(cand_idx):
-            vec = comps.vector(int(k))
+            vec = comparison_vector(comps, int(k))
             assert loglr[c] == pytest.approx(
                 log_likelihood_ratio(vec, params), abs=1e-12)
 

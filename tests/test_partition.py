@@ -1,12 +1,14 @@
 """Partition and labeling machinery against independent references."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bayesdedupe import partition
 from bayesdedupe.partition import (
     bell_number,
     canonical_labels,
@@ -162,8 +164,27 @@ class TestCanonicalizeRows:
         for k in range(n):
             assert tuple(out[k]) == canonical_labels(rows[k])
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 5), st.sampled_from([1, 2, 31, 32, 33, 64]),
+           st.sampled_from([np.int32, np.int64]),
+           st.sampled_from([1, 7, 1 << 16]), st.integers(0, 2**32 - 1))
+    def test_matches_scalar_any_width_and_labels(self, n, r, dtype, cells,
+                                                 seed):
+        """Widths on both sides of 32, negative labels and labels at the
+        ends of the dtype's range, rows split over blocks of any size."""
+        info = np.iinfo(dtype)
+        gen = np.random.default_rng(seed)
+        alphabet = np.array([info.min, info.min + 1, -7, -1, 0, 3,
+                             info.max - 1, info.max], dtype=dtype)
+        rows = alphabet[gen.integers(0, len(alphabet), size=(n, r))]
+        with mock.patch.object(partition, "_CANON_CELLS", cells):
+            out = canonicalize_label_rows(rows)
+        assert out.shape == (n, r)
+        for k in range(n):
+            assert tuple(out[k]) == canonical_labels(rows[k].tolist())
+
     def test_wide_path(self):
-        # exercise the per-row branch used beyond 32 columns
+        # rows wider than 32 columns
         rng = np.random.default_rng(9)
         rows = rng.integers(0, 50, size=(5, 40))
         out = canonicalize_label_rows(rows)
