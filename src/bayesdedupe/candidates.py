@@ -170,13 +170,6 @@ class FixRule:
                 raise ConfigError(
                     f"fix rule on {f!r}: minimum level must be >= 1")
 
-    def matches(self, vec_levels, field_pos: dict) -> bool:
-        for f, min_lv in self.conditions:
-            lv = vec_levels[field_pos[f]]
-            if lv is None or lv < min_lv:
-                return False
-        return True
-
 
 @dataclass
 class CandidateGraph:

@@ -136,6 +136,7 @@ def cmd_dedupe(args) -> int:
         "retained_per_chain": chains[0].n_kept, "seed": cfg.sampler.seed,
         "runtime_s": round(time.perf_counter() - t0, 3),
         "outputs": [os.path.basename(p) for p in outputs],
+        **gibbs.component_summary(graph),
     })
     posterior.write_json(os.path.join(out_dir, "manifest.json"), manifest)
     print(f"dedupe: {df.r} records, {graph.n_candidates} candidate pairs, "

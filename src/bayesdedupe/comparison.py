@@ -20,7 +20,6 @@ them pair by pair.
 from __future__ import annotations
 
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice, repeat
 
@@ -355,6 +354,8 @@ def compare_pairs(df: DataFile, pairs: np.ndarray, specs: list[LevelSpec],
     if n_workers <= 1 or len(pairs) < 2 * n_workers:
         levels = _compare_columns(factors, pairs, specs)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = [c for c in np.array_split(pairs, n_workers * 4) if len(c)]
         with ProcessPoolExecutor(max_workers=n_workers) as ex:
             parts = list(ex.map(_compare_columns, repeat(factors), chunks,

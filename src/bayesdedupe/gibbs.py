@@ -1,31 +1,43 @@
 """Gibbs sampler over constrained coreference labelings and parameters.
 
-One iteration is a systematic sweep: every record touched by a candidate
-pair is revisited in ascending id order and its label redrawn from the
-full conditional, then all level parameters are redrawn from their
-conjugate full conditionals. Records outside every candidate pair stay
-singletons by construction and are never visited.
+Given the parameters, the partition posterior factorizes over the
+connected components of the candidate graph, since no labeling may merge
+records of different components. One iteration redraws the labels of
+every component and then all level parameters from their conjugate full
+conditionals. Records outside every candidate pair stay singletons by
+construction and are never visited.
 
-The label full conditional for record i gives each existing cell weight
-equal to the product of likelihood ratios against the cell's members -
-zero if any member is not a candidate partner of i - and gives unit
-total weight to opening a new cell, realized by drawing one of the
-r - n(Z without i) unused labels uniformly. That uniform split is what
-makes the labeling-level chain marginalize to a flat prior over the
-permitted partitions.
+Components of 2 to BLOCK_MAX records are drawn exactly as a whole. Each
+size class enumerates its set partitions once and scores them for all of
+its components with one incidence-matrix product against the candidate
+log likelihood ratios; partitions that put a non-candidate pair in one
+cell get weight zero. Each member of a drawn cell takes the record id of
+the cell's first member as its label.
 
-Sufficient statistics are delta-updated as labels move; an optional
-audit recomputes them from scratch every so many sweeps and fails loudly
-on divergence. Given a seed and a config the trajectory is
-bit-reproducible: random draws happen in a fixed order (per sweep: one
-batch of label-update uniforms, then the m draws, then the u draws).
+Records of larger components get single-site updates, in ascending id
+order or, with random_scan, in a fresh random order each sweep. The
+full conditional for record i gives each existing cell weight equal to
+the product of likelihood ratios against the cell's members - zero if
+any member is not a candidate partner of i - and gives unit total weight
+to opening a new cell, realized by drawing one of the unused labels of
+the single-site records uniformly. That uniform split is what makes the
+labeling-level chain marginalize to a flat prior over the permitted
+partitions.
+
+The sufficient statistics are recounted from the labeling once per
+sweep, before the parameter draw. Given a seed and a config the
+trajectory is bit-reproducible: random draws happen in a fixed order.
+Each sweep draws one batch of uniforms, two per single-site record (in
+visiting order) and then one per block component (by size class, then
+by smallest member); with random_scan the visiting order is drawn next;
+then come the m draws and then the u draws.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from math import exp
 
@@ -33,12 +45,12 @@ import numpy as np
 from scipy.special import betainc, betaincc, betainccinv, betaincinv
 
 from . import model
-from .candidates import CandidateGraph
+from .candidates import CandidateGraph, connected_components
 from .comparison import PairComparisons
 from .config import SamplerConfig
 from .errors import ConfigError
 from .model import ModelParams, PriorSpec, SufficientStats
-from .partition import canonicalize_label_rows
+from .partition import canonicalize_label_rows, enumerate_valid_partitions
 
 
 # --- truncated-Beta sampling ------------------------------------------------
@@ -179,8 +191,63 @@ def draw_params(rng: np.random.Generator, flat: FlatPrior,
 
 # --- chain state and label updates ------------------------------------------
 
+# Candidate components of 2..BLOCK_MAX records are drawn exactly as one
+# block each; a component of six has Bell(6) = 203 set partitions.
+BLOCK_MAX = 6
+
+# One size class of block-drawn components:
+#   members[k]      component k's records, ascending (rows indexes the
+#                   components, flat_members lists members row by row)
+#   reps[p]         per member, the member index of its cell's first member
+#                   under set partition p
+#   incidence[q, p] 1 when local pair q shares a cell under p, else 0
+#   pair_idx[k, q]  candidate index of component k's local pair q
+#   penalty[k, p]   -inf when p puts a non-candidate pair of component k in
+#                   one cell, else 0
+_Block = namedtuple("_Block",
+                    "members rows flat_members reps incidence pair_idx penalty")
+
+
+def _set_partitions(s: int) -> np.ndarray:
+    """Every set partition of s members as a row of cell representatives
+    (each member's cell's smallest member); all singletons come last."""
+    everything = {(a, b) for a in range(s) for b in range(a + 1, s)}
+    parts = enumerate_valid_partitions(s, everything)
+    reps = np.empty((len(parts), s), dtype=np.int64)
+    for p, cells in enumerate(parts):
+        for cell in cells:
+            reps[p, list(cell)] = cell[0]
+    return reps
+
+
+def _make_block(group: list, cand_index: dict) -> _Block:
+    """Set-up of one size class from its components (sorted tuples)."""
+    s = len(group[0])
+    reps = _set_partitions(s)
+    a, b = np.triu_indices(s, k=1)
+    incidence = (reps[:, a] == reps[:, b]).T.astype(np.float64)
+    pair_idx = np.array([[cand_index.get((comp[x], comp[y]), -1)
+                          for x, y in zip(a.tolist(), b.tolist())]
+                         for comp in group], dtype=np.int64)
+    missing = pair_idx < 0
+    penalty = np.where(missing.astype(np.float64) @ incidence > 0, -np.inf, 0.0)
+    # a stand-in index: every partition the penalty allows keeps a missing
+    # pair apart, so its value is multiplied by zero
+    pair_idx[missing] = 0
+    members = np.array(group, dtype=np.int64)
+    return _Block(members=members, rows=np.arange(len(group))[:, None],
+                  flat_members=members.ravel().tolist(),
+                  reps=reps, incidence=incidence, pair_idx=pair_idx,
+                  penalty=penalty)
+
+
 class SamplerContext:
-    """Data-side constants shared by all sweeps of a chain."""
+    """Data-side constants shared by all sweeps of a chain.
+
+    Records of candidate components larger than BLOCK_MAX are updated one
+    at a time (single_site, ascending); smaller components with two or
+    more records are drawn whole, one size class per entry of blocks.
+    """
 
     def __init__(self, comps: PairComparisons, graph: CandidateGraph):
         if len(comps) != len(graph.pairs) or comps.r != graph.r:
@@ -189,53 +256,90 @@ class SamplerContext:
         self.graph = graph
         self.r = comps.r
         cand_idx = np.flatnonzero(graph.candidate_mask)
-        ci = comps.pairs[cand_idx, 0].tolist()
-        cj = comps.pairs[cand_idx, 1].tolist()
         self.n_candidates = len(cand_idx)
+        self.cand_i = comps.pairs[cand_idx, 0].astype(np.int64)
+        self.cand_j = comps.pairs[cand_idx, 1].astype(np.int64)
+        ci, cj = self.cand_i.tolist(), self.cand_j.tolist()
         adj: list = [[] for _ in range(self.r)]
         for c, (i, j) in enumerate(zip(ci, cj)):
             adj[i].append((j, c))
             adj[j].append((i, c))
         self.adj = adj
-        self.active = [i for i in range(self.r) if adj[i]]
-        cand_levels = comps.levels[cand_idx]
-        self.pair_terms = [
-            tuple((f, int(lv)) for f, lv in enumerate(row) if lv >= 0)
-            for row in cand_levels]
-        self.obs_idx = []
-        self.obs_lv = []
-        for f in range(len(comps.fields)):
-            col = cand_levels[:, f]
-            o = np.flatnonzero(col >= 0)
-            self.obs_idx.append(o)
-            self.obs_lv.append(col[o].astype(np.int64))
-        self.fixed_a0 = model.fixed_pair_stats(graph, comps)
 
-    def log_ratios(self, params: ModelParams) -> list:
-        """Per-candidate-pair log likelihood ratios as a plain list."""
+        # observed candidate levels as (pair, bin) entries in field order,
+        # where a field's bins are its levels after the earlier fields' bins
+        self.bin_bounds = np.cumsum([0] + list(comps.n_levels))
+        cand_levels = comps.levels[cand_idx]
+        field, pair = np.nonzero(cand_levels.T >= 0)
+        self.obs_pair = pair
+        self.obs_bin = self.bin_bounds[field] + cand_levels[pair, field]
+        n_bins = int(self.bin_bounds[-1])
+        fixed = model.fixed_pair_stats(graph, comps)
+        # a0 = fixed-pair counts + candidate counts - a1
+        self.a0_base = np.concatenate(fixed) + np.bincount(self.obs_bin,
+                                                           minlength=n_bins)
+
+        components = graph.components or connected_components(self.r, zip(ci, cj))
+        self.single_site = sorted(i for comp in components
+                                  if len(comp) > BLOCK_MAX for i in comp)
+        cand_index = {(i, j): c for c, (i, j) in enumerate(zip(ci, cj))}
+        self.blocks = []
+        for s in range(2, BLOCK_MAX + 1):
+            group = [comp for comp in components if len(comp) == s]
+            if group:
+                self.blocks.append(_make_block(group, cand_index))
+        self.n_block_components = sum(len(b.members) for b in self.blocks)
+
+    def log_ratios(self, params: ModelParams) -> np.ndarray:
+        """Per-candidate-pair log likelihood ratios."""
         lm, lu = model.log_level_tables(params)
-        out = np.zeros(self.n_candidates)
-        for f in range(len(self.obs_idx)):
-            o = self.obs_idx[f]
-            if len(o):
-                out[o] += lm[f][self.obs_lv[f]] - lu[f][self.obs_lv[f]]
-        return out.tolist()
+        lr = np.concatenate(lm) - np.concatenate(lu)
+        return np.bincount(self.obs_pair, weights=lr[self.obs_bin],
+                           minlength=self.n_candidates)
+
+    def link_stats(self, linked: np.ndarray) -> SufficientStats:
+        """Sufficient statistics when exactly the candidate pairs flagged
+        in linked are coreferent."""
+        a1 = np.bincount(self.obs_bin[linked[self.obs_pair]],
+                         minlength=len(self.a0_base))
+        cut = self.bin_bounds[1:-1]
+        return SufficientStats(a1=np.split(a1, cut),
+                               a0=np.split(self.a0_base - a1, cut))
+
+    def recount(self, z: np.ndarray) -> SufficientStats:
+        """Sufficient statistics of labeling z, counted from scratch."""
+        return self.link_stats(z[self.cand_i] == z[self.cand_j])
+
+
+def component_summary(graph: CandidateGraph) -> dict:
+    """Sizes of the candidate components with two or more records (size:
+    number of components), and how many records each label path draws."""
+    sizes = [len(comp) for comp in graph.components if len(comp) > 1]
+    return {
+        "component_sizes": dict(sorted(Counter(sizes).items())),
+        "block_records": sum(s for s in sizes if s <= BLOCK_MAX),
+        "single_site_records": sum(s for s in sizes if s > BLOCK_MAX),
+    }
 
 
 @dataclass
 class ChainState:
-    """Mutable Gibbs state: labeling, parameters, statistics, and the
-    cell bookkeeping the label updates rely on."""
+    """Mutable Gibbs state: labeling, parameters with their candidate log
+    ratios, statistics, and the cell bookkeeping of the single-site
+    records.
+
+    stats are recounted from z before every parameter draw. cell_sizes
+    and free_labels cover only labels held by single-site records; block
+    draws label a cell with its first member's record id, which no
+    single-site record ever holds.
+    """
 
     z: list
     params: ModelParams
+    loglr: np.ndarray
     stats: SufficientStats
     cell_sizes: dict
     free_labels: list
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.cell_sizes)
 
 
 def init_state(ctx: SamplerContext, prior: PriorSpec,
@@ -243,23 +347,20 @@ def init_state(ctx: SamplerContext, prior: PriorSpec,
                params: ModelParams | None = None) -> ChainState:
     """Singleton labeling; parameters drawn from the prior unless given."""
     r = ctx.r
-    z = list(range(r))
-    stats_np = model.sufficient_stats(z, ctx.graph, ctx.comps)
-    stats = SufficientStats(a1=[v.tolist() for v in stats_np.a1],
-                            a0=[v.tolist() for v in stats_np.a0])
     if params is None:
-        zero = SufficientStats(a1=[[0] * n for n in ctx.comps.n_levels],
-                               a0=[[0] * n for n in ctx.comps.n_levels])
+        zero = SufficientStats.zeros(ctx.comps.n_levels)
         m_list, u_list, _, _ = draw_params(rng, flatten_prior(prior), zero)
         params = ModelParams(m=m_list, u=u_list)
     else:
         params = params.copy()
-    return ChainState(z=z, params=params, stats=stats,
-                      cell_sizes={lab: 1 for lab in range(r)}, free_labels=[])
+    return ChainState(z=list(range(r)), params=params,
+                      loglr=ctx.log_ratios(params),
+                      stats=ctx.recount(np.arange(r)),
+                      cell_sizes={i: 1 for i in ctx.single_site},
+                      free_labels=[])
 
 
-def _update_record(i, z, cell_sizes, free_labels, adj_i, loglr,
-                   a1, a0, pair_terms, u1, u2):
+def _update_record(i, z, cell_sizes, free_labels, adj_i, loglr, u1, u2):
     """Redraw record i's label in place. u1 picks the option, u2 picks
     the concrete unused label if a new cell opens."""
     q_old = z[i]
@@ -315,18 +416,67 @@ def _update_record(i, z, cell_sizes, free_labels, adj_i, loglr,
     else:
         cell_sizes[q_new] += 1
     z[i] = q_new
-    if q_new != q_old:
-        for j, c in adj_i:
-            qj = z[j]
-            if qj == q_old:
-                for f, lv in pair_terms[c]:
-                    a1[f][lv] -= 1
-                    a0[f][lv] += 1
-            elif qj == q_new:
-                for f, lv in pair_terms[c]:
-                    a0[f][lv] -= 1
-                    a1[f][lv] += 1
     return q_new
+
+
+def _block_scores(blk: _Block, loglr: np.ndarray) -> np.ndarray:
+    """Log weight of every set partition (column) of every component (row)
+    of a size class, up to a constant per component; -inf where the
+    partition merges a non-candidate pair."""
+    return loglr[blk.pair_idx] @ blk.incidence + blk.penalty
+
+
+def _draw_blocks(blocks: list, loglr: np.ndarray, us: np.ndarray,
+                 z: list) -> None:
+    """Draw every block component's partition exactly, one uniform per
+    component, and write its labels into z."""
+    at = 0
+    for blk in blocks:
+        n = len(blk.members)
+        scores = _block_scores(blk, loglr)
+        scores -= scores.max(axis=1, keepdims=True)
+        cdf = np.cumsum(np.exp(scores), axis=1)
+        t = us[at:at + n] * cdf[:, -1]
+        at += n
+        # the first partition whose cdf exceeds t; the last one, all
+        # singletons and always allowed, also takes t rounded up to the total
+        choice = (cdf[:, :-1] <= t[:, None]).sum(axis=1)
+        labels = blk.members[blk.rows, blk.reps[choice]]
+        for i, lab in zip(blk.flat_members, labels.ravel().tolist()):
+            z[i] = lab
+
+
+def sweep(ctx: SamplerContext, state: ChainState, rng: np.random.Generator,
+          flat: FlatPrior | None, random_scan: bool = False):
+    """One Gibbs iteration on state, in place: labels, then parameters.
+
+    With flat None the parameters stay fixed and None is returned;
+    otherwise the statistics are recounted, the parameters redrawn, and
+    the flat m and u vectors returned.
+    """
+    z = state.z
+    single = ctx.single_site
+    n_single = len(single)
+    us = rng.random(2 * n_single + ctx.n_block_components)
+    if n_single:
+        order = rng.permutation(n_single) if random_scan else range(n_single)
+        u_single = us[:2 * n_single].tolist()
+        loglr = state.loglr.tolist()
+        cell_sizes, free_labels, adj = state.cell_sizes, state.free_labels, ctx.adj
+        k2 = 0
+        for k in order:
+            i = single[k]
+            _update_record(i, z, cell_sizes, free_labels, adj[i], loglr,
+                           u_single[k2], u_single[k2 + 1])
+            k2 += 2
+    _draw_blocks(ctx.blocks, state.loglr, us[2 * n_single:], z)
+    if flat is None:
+        return None
+    state.stats = ctx.recount(np.array(z))
+    m_list, u_list, m_flat, u_flat = draw_params(rng, flat, state.stats)
+    state.params = ModelParams(m=m_list, u=u_list)
+    state.loglr = ctx.log_ratios(state.params)
+    return m_flat, u_flat
 
 
 # --- full chain -------------------------------------------------------------
@@ -359,8 +509,8 @@ class PosteriorSample:
 
 
 def run_chain(comps: PairComparisons, graph: CandidateGraph, prior: PriorSpec,
-              config: SamplerConfig, *, fixed_params: ModelParams | None = None,
-              audit_every: int = 0) -> PosteriorSample:
+              config: SamplerConfig, *,
+              fixed_params: ModelParams | None = None) -> PosteriorSample:
     """Run one chain and return its retained samples.
 
     With fixed_params the parameter block never updates (useful for
@@ -371,56 +521,23 @@ def run_chain(comps: PairComparisons, graph: CandidateGraph, prior: PriorSpec,
     ctx = SamplerContext(comps, graph)
     rng = np.random.default_rng(config.seed)
     state = init_state(ctx, prior, rng, params=fixed_params)
-    frozen = fixed_params is not None
-    flat = flatten_prior(prior) if not frozen else None
-    loglr = ctx.log_ratios(state.params)
-
-    z = state.z
-    cell_sizes = state.cell_sizes
-    free_labels = state.free_labels
-    a1 = state.stats.a1
-    a0 = state.stats.a0
-    adj = ctx.adj
-    pair_terms = ctx.pair_terms
-    active = ctx.active
-    n_active = len(active)
+    flat = flatten_prior(prior) if fixed_params is None else None
 
     n_kept = config.n_kept
     kept_z = np.empty((n_kept, ctx.r), dtype=np.int32)
     kept_iter = np.empty(n_kept, dtype=np.int64)
-    n_params = len(flat.lam) if not frozen else 0
-    m_trace = np.empty((n_kept, n_params)) if not frozen else None
-    u_trace = np.empty((n_kept, n_params)) if not frozen else None
+    n_params = len(flat.lam) if flat is not None else 0
+    m_trace = np.empty((n_kept, n_params)) if flat is not None else None
+    u_trace = np.empty((n_kept, n_params)) if flat is not None else None
 
     kk = 0
     for t in range(1, config.iterations + 1):
-        us = rng.random(2 * n_active)
-        if config.random_scan:
-            order = rng.permutation(n_active)
-        else:
-            order = range(n_active)
-        k2 = 0
-        for k in order:
-            i = active[k]
-            _update_record(i, z, cell_sizes, free_labels, adj[i], loglr,
-                           a1, a0, pair_terms, us[k2], us[k2 + 1])
-            k2 += 2
-        if not frozen:
-            m_list, u_list, m_flat, u_flat = draw_params(rng, flat, state.stats)
-            state.params = ModelParams(m=m_list, u=u_list)
-            loglr = ctx.log_ratios(state.params)
-        if audit_every and t % audit_every == 0:
-            ref = model.sufficient_stats(z, ctx.graph, ctx.comps)
-            if not state.stats.equals(ref):
-                raise RuntimeError(
-                    f"sufficient statistics diverged from scratch recompute "
-                    f"at sweep {t}")
+        drawn = sweep(ctx, state, rng, flat, config.random_scan)
         if t > config.burn_in and (t - config.burn_in - 1) % config.thinning == 0:
-            kept_z[kk] = z
+            kept_z[kk] = state.z
             kept_iter[kk] = t
-            if not frozen:
-                m_trace[kk] = m_flat
-                u_trace[kk] = u_flat
+            if drawn is not None:
+                m_trace[kk], u_trace[kk] = drawn
             kk += 1
 
     return PosteriorSample(

@@ -19,7 +19,7 @@ from .candidates import CandidateGraph
 from .comparison import PairComparisons
 from .config import SamplerConfig
 from .gibbs import SamplerContext, draw_params, flatten_prior
-from .model import ModelParams, PriorSpec, SufficientStats
+from .model import ModelParams, PriorSpec
 
 
 def count_nontransitive_triplets(r: int, pos_pairs) -> int:
@@ -65,18 +65,6 @@ class MixtureSample:
         return len(self.kept_iterations)
 
 
-def _delta_stats(ctx: SamplerContext, delta: np.ndarray) -> SufficientStats:
-    a1, a0 = [], []
-    for f in range(len(ctx.comps.fields)):
-        o, lv = ctx.obs_idx[f], ctx.obs_lv[f]
-        n = ctx.comps.n_levels[f]
-        pos = delta[o] == 1
-        a1.append(np.bincount(lv[pos], minlength=n).astype(np.int64))
-        a0.append(np.bincount(lv[~pos], minlength=n).astype(np.int64)
-                  + ctx.fixed_a0[f])
-    return SufficientStats(a1=a1, a0=a0)
-
-
 def run_mixture(comps: PairComparisons, graph: CandidateGraph,
                 prior: PriorSpec, config: SamplerConfig) -> MixtureSample:
     """Gibbs over (match flags, mixing weight, level parameters).
@@ -93,19 +81,19 @@ def run_mixture(comps: PairComparisons, graph: CandidateGraph,
     cand_pairs = graph.candidate_pairs()
     delta = np.zeros(n_cand, dtype=np.int8)
     m_list, u_list, m_flat, u_flat = draw_params(
-        rng, flat, _delta_stats(ctx, delta))
+        rng, flat, ctx.link_stats(delta == 1))
     p = rng.beta(1.0, 1.0 + n_cand)
 
     kept_z, kept_iter, p_tr, m_tr, u_tr, nontr = [], [], [], [], [], []
     for t in range(1, config.iterations + 1):
-        loglr = np.asarray(ctx.log_ratios(ModelParams(m=m_list, u=u_list)))
+        loglr = ctx.log_ratios(ModelParams(m=m_list, u=u_list))
         logit = np.log(p) - np.log1p(-p) + loglr
         prob = 1.0 / (1.0 + np.exp(-logit))
         delta = (rng.random(n_cand) < prob).astype(np.int8)
         n_pos = int(delta.sum())
         p = rng.beta(1.0 + n_pos, 1.0 + n_cand - n_pos)
         m_list, u_list, m_flat, u_flat = draw_params(
-            rng, flat, _delta_stats(ctx, delta))
+            rng, flat, ctx.link_stats(delta == 1))
         if t > config.burn_in and (t - config.burn_in - 1) % config.thinning == 0:
             kept_iter.append(t)
             p_tr.append(p)

@@ -10,44 +10,7 @@ why the flat prior over partitions appears as (r-n)!/r! per labeling.
 
 from __future__ import annotations
 
-from math import factorial
-
 import numpy as np
-
-
-def bell_number(r: int) -> int:
-    """Number of set partitions of r elements, via the Bell triangle."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    row = [1]
-    for _ in range(r):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[0]
-
-
-def labeling_count(r: int, n: int) -> int:
-    """Number of labelings of r records, over r labels, that induce a
-    given partition with n cells: r! / (r-n)!."""
-    if not 0 <= n <= r:
-        raise ValueError("need 0 <= n <= r")
-    return factorial(r) // factorial(r - n)
-
-
-def canonical_labels(z) -> tuple[int, ...]:
-    """Relabel by order of first occurrence, so equivalent labelings map
-    to the same tuple. Cell ids are 0..n-1."""
-    seen: dict = {}
-    out = []
-    for lab in z:
-        c = seen.get(lab)
-        if c is None:
-            c = len(seen)
-            seen[lab] = c
-        out.append(c)
-    return tuple(out)
 
 
 def labeling_to_partition(z) -> tuple[tuple[int, ...], ...]:
@@ -74,35 +37,10 @@ def partition_to_labeling(cells) -> list[int]:
     return z
 
 
-def n_cells(z) -> int:
-    return len(set(z))
-
-
-def coreferent(z, i: int, j: int) -> bool:
-    return z[i] == z[j]
-
-
 def format_partition(z) -> str:
     """Render a labeling's partition as e.g. '0,1,2/3,4'."""
     return "/".join(",".join(str(i) for i in cell)
                     for cell in labeling_to_partition(z))
-
-
-def is_valid_labeling(z, candidate_pairs) -> bool:
-    """True when every coreferent pair is a candidate pair.
-
-    candidate_pairs is a set of (i, j) tuples with i < j. Records that
-    share no candidate pair may never share a label.
-    """
-    cells: dict = {}
-    for i, lab in enumerate(z):
-        cells.setdefault(lab, []).append(i)
-    for cell in cells.values():
-        for a in range(len(cell)):
-            for b in range(a + 1, len(cell)):
-                if (cell[a], cell[b]) not in candidate_pairs:
-                    return False
-    return True
 
 
 # Label-matrix cells handled per block by canonicalize_label_rows. A block
@@ -112,7 +50,8 @@ _CANON_CELLS = 1 << 16
 
 
 def canonicalize_label_rows(rows: np.ndarray) -> np.ndarray:
-    """canonical_labels applied to every row of a label matrix.
+    """Every row of a label matrix relabeled by order of first occurrence,
+    so equivalent labelings map to the same row; cell ids are 0..n-1.
 
     One stable sort per row puts each label's first position at the head
     of its run; a record's cell is then the number of first positions
@@ -147,8 +86,9 @@ _ENUMERATION_LIMIT = 10
 
 def enumerate_valid_partitions(r: int, candidate_pairs) -> list[tuple[tuple[int, ...], ...]]:
     """All partitions of 0..r-1 in which every within-cell pair is a
-    candidate pair. Guarded to r <= 10; meant for exact checks on small
-    problems, not production use.
+    candidate pair, each cell ascending. Guarded to r <= 10: the sampler
+    enumerates the partitions of its small components with it, and the
+    tests enumerate whole small files.
     """
     if r > _ENUMERATION_LIMIT:
         raise ValueError(f"exact enumeration is limited to r <= {_ENUMERATION_LIMIT}")

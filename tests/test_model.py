@@ -27,12 +27,12 @@ from bayesdedupe.model import (
     star_probs,
     sufficient_stats,
 )
-from bayesdedupe.partition import canonical_labels
 
 from conftest import compared_setup
 from oracles import (
     ComparisonVector,
     _log_beta_tail,
+    canonical_labels,
     comparison_vector,
     in_support,
     log_likelihood,

@@ -4,6 +4,7 @@ Every file must be byte-identical to the per-row writers in oracles.py,
 and every summary number identical to the per-draw computations there.
 """
 
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -71,6 +72,36 @@ class TestWriters:
         with mock.patch.object(textio, "_BLOCK_CELLS", block):
             assert same_bytes(tmp, lambda p: posterior.save_labelings(p, L),
                               lambda p: oracles.save_labelings(p, L))
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_levels=st.lists(st.integers(2, 4), min_size=1, max_size=4),
+           draws=st.integers(0, 7), block=st.sampled_from([1, 3, 1024]),
+           data=st.data())
+    def test_phi_trace(self, tmp_path_factory, n_levels, draws, block, data):
+        """Field names needing csv quoting or holding format characters,
+        and any float, including NaN, infinities and negative zero."""
+        tmp = tmp_path_factory.mktemp("t")
+        names = st.one_of(st.sampled_from(["name", "a,b", 'say "hi"', "%d %%",
+                                           "{0}", "two\nlines", " "]),
+                          st.text(min_size=1, max_size=6))
+        fields = tuple(data.draw(names) for _ in n_levels)
+        k = sum(n - 1 for n in n_levels)
+        floats = st.one_of(st.floats(0, 1), st.floats(allow_nan=True))
+        m = np.array(data.draw(st.lists(floats, min_size=draws * k,
+                                        max_size=draws * k))).reshape(draws, k)
+        u = np.array(data.draw(st.lists(floats, min_size=draws * k,
+                                        max_size=draws * k))).reshape(draws, k)
+        iterations = np.array(data.draw(st.lists(
+            st.integers(1, 10**12), min_size=draws, max_size=draws)),
+            dtype=np.int64)
+        sample = SimpleNamespace(
+            fields=fields, n_levels=tuple(n_levels), n_kept=draws,
+            kept_iterations=iterations, m_trace=m, u_trace=u)
+        with mock.patch.object(posterior, "_TRACE_DRAWS", block):
+            assert same_bytes(tmp,
+                              lambda p: posterior.save_phi_trace(p, sample),
+                              lambda p: oracles.save_phi_trace(p, sample))
 
 
 def label_matrices(max_rows=12, max_cols=9):

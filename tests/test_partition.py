@@ -10,17 +10,20 @@ from hypothesis import strategies as st
 
 from bayesdedupe import partition
 from bayesdedupe.partition import (
-    bell_number,
-    canonical_labels,
     canonicalize_label_rows,
-    coreferent,
     enumerate_valid_partitions,
     format_partition,
+    labeling_to_partition,
+    partition_to_labeling,
+)
+
+from oracles import (
+    bell_number,
+    canonical_labels,
+    coreferent,
     is_valid_labeling,
     labeling_count,
-    labeling_to_partition,
     n_cells,
-    partition_to_labeling,
 )
 
 

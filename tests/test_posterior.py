@@ -11,7 +11,7 @@ from bayesdedupe.errors import DataError
 from bayesdedupe.gibbs import PosteriorSample, SamplerConfig, run_chain
 from bayesdedupe.model import PriorSpec
 from bayesdedupe.posterior import (
-    confusion_counts,
+    confusion_arrays,
     duplicate_distribution,
     duplicate_percentage,
     load_labelings,
@@ -20,7 +20,7 @@ from bayesdedupe.posterior import (
     pairwise_probabilities,
     partition_frequency_table,
     pool_samples,
-    precision_recall,
+    precision_recall_arrays,
     save_labelings,
     save_phi_trace,
     write_frequency_csv,
@@ -39,6 +39,18 @@ def fake_sample(labelings, m_trace=None, u_trace=None):
         labelings=labelings, kept_iterations=np.arange(1, n + 1),
         m_trace=m_trace, u_trace=u_trace, fields=("f",), n_levels=(2,),
         seed=0, config=cfg, runtime_s=0.0)
+
+
+def confusion_counts(est, ref):
+    """(b11, b10, b01) of one labeling, through confusion_arrays."""
+    b11, b10, b01 = confusion_arrays(np.asarray(est)[None, :], ref)
+    return int(b11[0]), int(b10[0]), int(b01[0])
+
+
+def precision_recall(est, ref):
+    """(precision, recall) of one labeling, through precision_recall_arrays."""
+    precs, recs = precision_recall_arrays(np.asarray(est)[None, :], ref)
+    return float(precs[0]), float(recs[0])
 
 
 def brute_confusion(est, ref):
