@@ -97,8 +97,9 @@ def cmd_dedupe(args) -> int:
     df, comps, graph, dropped = _load_and_prepare(cfg, threads)
     outputs = _write_comparison_outputs(out_dir, comps, graph)
 
+    ctx = gibbs.SamplerContext(comps, graph)
     chains = gibbs.run_chains(comps, graph, cfg.prior, cfg.sampler,
-                              n_workers=threads)
+                              n_workers=threads, ctx=ctx)
     pooled = posterior.pool_samples(chains)
 
     lab_path = os.path.join(out_dir, "posterior_labelings.txt")
@@ -136,7 +137,7 @@ def cmd_dedupe(args) -> int:
         "retained_per_chain": chains[0].n_kept, "seed": cfg.sampler.seed,
         "runtime_s": round(time.perf_counter() - t0, 3),
         "outputs": [os.path.basename(p) for p in outputs],
-        **gibbs.component_summary(graph),
+        **gibbs.component_summary(ctx),
     })
     posterior.write_json(os.path.join(out_dir, "manifest.json"), manifest)
     print(f"dedupe: {df.r} records, {graph.n_candidates} candidate pairs, "

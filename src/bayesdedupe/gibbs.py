@@ -7,15 +7,17 @@ every component and then all level parameters from their conjugate full
 conditionals. Records outside every candidate pair stay singletons by
 construction and are never visited.
 
-Components of 2 to BLOCK_MAX records are drawn exactly as a whole. Each
-size class enumerates its set partitions once and scores them for all of
-its components with one incidence-matrix product against the candidate
-log likelihood ratios; partitions that put a non-candidate pair in one
-cell get weight zero. Each member of a drawn cell takes the record id of
-the cell's first member as its label.
+A component is drawn exactly as a whole when it has at most P_MAX valid
+partitions, those whose every cell is a clique of the candidate graph.
+They are enumerated once per run and stored flat: per partition, the
+candidate pairs it puts in one cell and the label of each member, the
+record id of its cell's first member. A sweep scores every partition of
+every such component with one bincount over the candidate log likelihood
+ratios and draws all components with one searchsorted on the cumulative
+weights, so its numpy calls do not depend on the number of components.
 
-Records of larger components get single-site updates, in ascending id
-order or, with random_scan, in a fresh random order each sweep. The
+Records of the other components get single-site updates, in ascending
+id order or, with random_scan, in a fresh random order each sweep. The
 full conditional for record i gives each existing cell weight equal to
 the product of likelihood ratios against the cell's members - zero if
 any member is not a candidate partner of i - and gives unit total weight
@@ -24,13 +26,14 @@ the single-site records uniformly. That uniform split is what makes the
 labeling-level chain marginalize to a flat prior over the permitted
 partitions.
 
-The sufficient statistics are recounted from the labeling once per
-sweep, before the parameter draw. Given a seed and a config the
-trajectory is bit-reproducible: random draws happen in a fixed order.
-Each sweep draws one batch of uniforms, two per single-site record (in
-visiting order) and then one per block component (by size class, then
-by smallest member); with random_scan the visiting order is drawn next;
-then come the m draws and then the u draws.
+The parameter block is flat: the level counts of all fields form one
+vector over their level bins, recounted from the labeling once per sweep
+with one bincount, and m and u are single vectors over all fields' free
+parameters. Given a seed and a config the trajectory is bit-reproducible:
+random draws happen in a fixed order. Each sweep draws one batch of
+uniforms, two per single-site record (in visiting order) and then one
+per block component (by smallest member); with random_scan the visiting
+order is drawn next; then come the m draws and then the u draws.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .comparison import PairComparisons
 from .config import SamplerConfig
 from .errors import ConfigError
 from .model import ModelParams, PriorSpec, SufficientStats
-from .partition import canonicalize_label_rows, enumerate_valid_partitions
+from .partition import canonicalize_label_rows, valid_partitions
 
 
 # --- truncated-Beta sampling ------------------------------------------------
@@ -150,103 +153,97 @@ def sample_truncated_beta(rng: np.random.Generator, alpha: float, beta: float,
 
 # --- parameter block --------------------------------------------------------
 
-FlatPrior = namedtuple("FlatPrior", "alpha1 beta1 lam alpha0 beta0 offsets")
+# Per parameter, in field order: its Beta hyperparameters and truncation
+# point; offsets bounds each field's parameters. A field with L + 1 levels
+# has L parameters and L + 1 level bins, so parameter q of field f counts
+# the pairs in bin q + f against those in the bins above it up to the
+# field's top bin. at and top hold these two bins per parameter as indices
+# into (2, bins) level counts raveled, for a1 and then for a0.
+FlatPrior = namedtuple("FlatPrior", "alpha1 beta1 lam alpha0 beta0 offsets at top")
+
+
+def _concat(arrs) -> np.ndarray:
+    return np.concatenate(arrs) if len(arrs) else np.empty(0)
 
 
 def flatten_prior(prior: PriorSpec) -> FlatPrior:
-    offsets = np.cumsum([0] + [len(v) for v in prior.lam])
-    cat = lambda arrs: np.concatenate(arrs) if len(arrs) else np.empty(0)
-    return FlatPrior(alpha1=cat(prior.alpha1), beta1=cat(prior.beta1),
-                     lam=cat(prior.lam), alpha0=cat(prior.alpha0),
-                     beta0=cat(prior.beta0), offsets=offsets)
+    sizes = [len(v) for v in prior.lam]
+    offsets = np.cumsum([0] + sizes)
+    fields = np.arange(len(sizes))
+    field = np.repeat(fields, sizes)
+    at = np.arange(offsets[-1]) + field
+    top = (offsets[1:] + fields)[field]
+    n_bins = offsets[-1] + len(sizes)
+    return FlatPrior(alpha1=_concat(prior.alpha1), beta1=_concat(prior.beta1),
+                     lam=_concat(prior.lam), alpha0=_concat(prior.alpha0),
+                     beta0=_concat(prior.beta0), offsets=offsets,
+                     at=np.concatenate((at, at + n_bins)),
+                     top=np.concatenate((top, top + n_bins)))
 
 
-def _level_counts(counts_by_field) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten per-field level counts into (count at l, count above l)."""
-    cs, ts = [], []
-    for counts in counts_by_field:
-        arr = np.asarray(counts, dtype=np.float64)
-        rev = np.cumsum(arr[::-1])[::-1]
-        cs.append(arr[:-1])
-        ts.append(rev[1:])
-    return np.concatenate(cs), np.concatenate(ts)
+def _level_counts(flat: FlatPrior, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per parameter, the count at its level and the count above it in its
+    field, from (2, bins) level counts; each result has a row for a1 and
+    one for a0. The running sum crosses from the a1 row into the a0 row,
+    which the differences within a field cancel."""
+    flat_counts = counts.ravel()
+    upto = np.cumsum(flat_counts)
+    return (flat_counts[flat.at].reshape(2, -1),
+            (upto[flat.top] - upto[flat.at]).reshape(2, -1))
+
+
+def draw_flat_params(rng: np.random.Generator, flat: FlatPrior,
+                     counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Joint conjugate redraw of all m then all u, as flat vectors, from
+    level counts of shape (2, bins): a1 in row 0, a0 in row 1."""
+    at, above = _level_counts(flat, counts)
+    m = _tbeta_vec(rng, flat.alpha1 + at[0], flat.beta1 + above[0], flat.lam)
+    u = rng.beta(flat.alpha0 + at[1], flat.beta0 + above[1])
+    np.clip(u, 1e-12, 1.0 - 1e-12, out=u)
+    return m, u
 
 
 def draw_params(rng: np.random.Generator, flat: FlatPrior,
                 stats: SufficientStats):
-    """Joint conjugate redraw of all m then all u.
-
-    Returns per-field lists plus the flat vectors for trace storage.
-    """
-    c1, t1 = _level_counts(stats.a1)
-    m_flat = _tbeta_vec(rng, flat.alpha1 + c1, flat.beta1 + t1, flat.lam)
-    c0, t0 = _level_counts(stats.a0)
-    u_flat = rng.beta(flat.alpha0 + c0, flat.beta0 + t0)
-    np.clip(u_flat, 1e-12, 1.0 - 1e-12, out=u_flat)
-    bounds = flat.offsets
-    m_list = [m_flat[bounds[f]:bounds[f + 1]] for f in range(len(bounds) - 1)]
-    u_list = [u_flat[bounds[f]:bounds[f + 1]] for f in range(len(bounds) - 1)]
-    return m_list, u_list, m_flat, u_flat
+    """draw_flat_params from per-field statistics; returns per-field lists
+    plus the flat vectors."""
+    m, u = draw_flat_params(rng, flat, stats.as_counts())
+    cut = flat.offsets[1:-1]
+    return np.split(m, cut), np.split(u, cut), m, u
 
 
-# --- chain state and label updates ------------------------------------------
+# --- sampler context --------------------------------------------------------
 
-# Candidate components of 2..BLOCK_MAX records are drawn exactly as one
-# block each; a component of six has Bell(6) = 203 set partitions.
-BLOCK_MAX = 6
-
-# One size class of block-drawn components:
-#   members[k]      component k's records, ascending (rows indexes the
-#                   components, flat_members lists members row by row)
-#   reps[p]         per member, the member index of its cell's first member
-#                   under set partition p
-#   incidence[q, p] 1 when local pair q shares a cell under p, else 0
-#   pair_idx[k, q]  candidate index of component k's local pair q
-#   penalty[k, p]   -inf when p puts a non-candidate pair of component k in
-#                   one cell, else 0
-_Block = namedtuple("_Block",
-                    "members rows flat_members reps incidence pair_idx penalty")
+# A candidate component is drawn exactly as a whole when it has at most
+# P_MAX valid partitions; a complete component of seven records has 877,
+# one of eight 4,140.
+P_MAX = 4096
 
 
-def _set_partitions(s: int) -> np.ndarray:
-    """Every set partition of s members as a row of cell representatives
-    (each member's cell's smallest member); all singletons come last."""
-    everything = {(a, b) for a in range(s) for b in range(a + 1, s)}
-    parts = enumerate_valid_partitions(s, everything)
-    reps = np.empty((len(parts), s), dtype=np.int64)
-    for p, cells in enumerate(parts):
-        for cell in cells:
-            reps[p, list(cell)] = cell[0]
-    return reps
-
-
-def _make_block(group: list, cand_index: dict) -> _Block:
-    """Set-up of one size class from its components (sorted tuples)."""
-    s = len(group[0])
-    reps = _set_partitions(s)
-    a, b = np.triu_indices(s, k=1)
-    incidence = (reps[:, a] == reps[:, b]).T.astype(np.float64)
-    pair_idx = np.array([[cand_index.get((comp[x], comp[y]), -1)
-                          for x, y in zip(a.tolist(), b.tolist())]
-                         for comp in group], dtype=np.int64)
-    missing = pair_idx < 0
-    penalty = np.where(missing.astype(np.float64) @ incidence > 0, -np.inf, 0.0)
-    # a stand-in index: every partition the penalty allows keeps a missing
-    # pair apart, so its value is multiplied by zero
-    pair_idx[missing] = 0
-    members = np.array(group, dtype=np.int64)
-    return _Block(members=members, rows=np.arange(len(group))[:, None],
-                  flat_members=members.ravel().tolist(),
-                  reps=reps, incidence=incidence, pair_idx=pair_idx,
-                  penalty=penalty)
+def _too_many_partitions(edges: list) -> bool:
+    """Whether a component with these (a, b, candidate) edges surely has
+    more than P_MAX valid partitions: it has at least one per edge plus
+    all singletons, and at least one per subset of any matching."""
+    if len(edges) + 1 > P_MAX:
+        return True
+    matched: set = set()
+    for a, b, _ in edges:
+        if a not in matched and b not in matched:
+            matched.update((a, b))
+    return 1 << (len(matched) // 2) > P_MAX
 
 
 class SamplerContext:
-    """Data-side constants shared by all sweeps of a chain.
+    """Data-side constants shared by all sweeps of all chains of a run.
 
-    Records of candidate components larger than BLOCK_MAX are updated one
-    at a time (single_site, ascending); smaller components with two or
-    more records are drawn whole, one size class per entry of blocks.
+    Candidate components with at most P_MAX valid partitions are drawn
+    whole (block_records, by component in order of smallest member); the
+    records of the others are updated one at a time (single_site,
+    ascending). Block draws are stored flat: partitions of component c
+    are comp_parts[c]..comp_parts[c + 1] - 1; partition p puts the
+    candidate pairs pair_cand[pair_part == p] in one cell, and
+    part_labels[label_at[p]:] labels the members of its component, in
+    member order.
     """
 
     def __init__(self, comps: PairComparisons, graph: CandidateGraph):
@@ -268,76 +265,145 @@ class SamplerContext:
 
         # observed candidate levels as (pair, bin) entries in field order,
         # where a field's bins are its levels after the earlier fields' bins
-        self.bin_bounds = np.cumsum([0] + list(comps.n_levels))
+        n_fields = len(comps.n_levels)
+        bin_bounds = np.cumsum([0] + list(comps.n_levels))
         cand_levels = comps.levels[cand_idx]
         field, pair = np.nonzero(cand_levels.T >= 0)
         self.obs_pair = pair
-        self.obs_bin = self.bin_bounds[field] + cand_levels[pair, field]
-        n_bins = int(self.bin_bounds[-1])
+        self.obs_bin = bin_bounds[field] + cand_levels[pair, field]
+        self.n_bins = int(bin_bounds[-1])
         fixed = model.fixed_pair_stats(graph, comps)
         # a0 = fixed-pair counts + candidate counts - a1
-        self.a0_base = np.concatenate(fixed) + np.bincount(self.obs_bin,
-                                                           minlength=n_bins)
+        self.a0_base = _concat(fixed) + np.bincount(self.obs_bin,
+                                                    minlength=self.n_bins)
+        # a bin's log star probability is the log of its own parameter (none
+        # for a field's top level) plus the log1p(-parameter) of every level
+        # below it in its field: gathers from a log vector padded with 0 and
+        # from an exclusive cumsum, less that cumsum at the field's start
+        bin_field = np.repeat(np.arange(n_fields), comps.n_levels)
+        self._bin_past = np.arange(self.n_bins) - bin_field
+        top = np.zeros(self.n_bins, dtype=bool)
+        top[bin_bounds[1:] - 1] = True
+        self._bin_own = np.where(top, self.n_bins - n_fields, self._bin_past)
+        self._bin_first = (bin_bounds[:-1] - np.arange(n_fields))[bin_field]
 
         components = graph.components or connected_components(self.r, zip(ci, cj))
-        self.single_site = sorted(i for comp in components
-                                  if len(comp) > BLOCK_MAX for i in comp)
-        cand_index = {(i, j): c for c, (i, j) in enumerate(zip(ci, cj))}
-        self.blocks = []
-        for s in range(2, BLOCK_MAX + 1):
-            group = [comp for comp in components if len(comp) == s]
-            if group:
-                self.blocks.append(_make_block(group, cand_index))
-        self.n_block_components = sum(len(b.members) for b in self.blocks)
+        self._admit([comp for comp in components if len(comp) > 1])
 
-    def log_ratios(self, params: ModelParams) -> np.ndarray:
-        """Per-candidate-pair log likelihood ratios."""
-        lm, lu = model.log_level_tables(params)
-        lr = np.concatenate(lm) - np.concatenate(lu)
+    def _admit(self, components: list) -> None:
+        """Enumerate the valid partitions of every component, keep those
+        with at most P_MAX for block draws, and flatten them."""
+        single, blocks = [], []
+        for comp in components:
+            pos = {rec: k for k, rec in enumerate(comp)}
+            edges = [(pos[j], k, c) for k, rec in enumerate(comp)
+                     for j, c in self.adj[rec] if j < rec]
+            heads = None
+            if not _too_many_partitions(edges):
+                lower: list = [[] for _ in comp]
+                for a, b, _ in edges:
+                    lower[b].append(a)
+                heads = valid_partitions(lower, P_MAX)
+            if heads is None:
+                single.extend(comp)
+            else:
+                blocks.append((comp, heads, edges))
+        self.single_site = sorted(single)
+        self.single_idx = np.array(self.single_site, dtype=np.int64)
+
+        # per component: every partition's labels, and (partition, candidate)
+        # for the candidate pairs within its cells
+        none = [np.empty(0, dtype=np.int64)]
+        labels, pair_part, pair_cand = none[:], none[:], none[:]
+        n_parts = 0
+        for comp, heads, edges in blocks:
+            labels.append(np.array(comp)[heads].ravel())
+            a, b, cand = np.array(edges).T
+            part, edge = np.nonzero(heads[:, a] == heads[:, b])
+            pair_part.append(part + n_parts)
+            pair_cand.append(cand[edge])
+            n_parts += len(heads)
+        self.part_labels = np.concatenate(labels)
+        self.pair_part = np.concatenate(pair_part)
+        self.pair_cand = np.concatenate(pair_cand)
+
+        sizes = np.array([len(comp) for comp, _, _ in blocks], dtype=np.int64)
+        per_comp = np.array([len(heads) for _, heads, _ in blocks],
+                            dtype=np.int64)
+        self.n_block_components = len(blocks)
+        self.n_partitions = n_parts
+        self.block_records = np.array(
+            [rec for comp, _, _ in blocks for rec in comp], dtype=np.int64)
+        self.record_comp = np.repeat(np.arange(len(blocks)), sizes)
+        self.record_pos = np.arange(len(self.block_records)) - np.repeat(
+            np.cumsum(sizes) - sizes, sizes)
+        self.comp_parts = np.concatenate(([0], np.cumsum(per_comp)))
+        self.part_comp = np.repeat(np.arange(len(blocks)), per_comp)
+        width = sizes[self.part_comp]
+        self.label_at = np.cumsum(width) - width
+
+    def flat_log_ratios(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Per-candidate-pair log likelihood ratios from flat m and u."""
+        own = np.log(m) - np.log(u)
+        past = np.empty(len(m) + 1)
+        past[0] = 0.0
+        np.cumsum(np.log1p(-m) - np.log1p(-u), out=past[1:])
+        lr = np.append(own, 0.0)[self._bin_own] + (past[self._bin_past]
+                                                   - past[self._bin_first])
         return np.bincount(self.obs_pair, weights=lr[self.obs_bin],
                            minlength=self.n_candidates)
 
-    def link_stats(self, linked: np.ndarray) -> SufficientStats:
-        """Sufficient statistics when exactly the candidate pairs flagged
-        in linked are coreferent."""
+    def log_ratios(self, params: ModelParams) -> np.ndarray:
+        """flat_log_ratios from per-field parameters."""
+        return self.flat_log_ratios(_concat(params.m), _concat(params.u))
+
+    def link_counts(self, linked: np.ndarray) -> np.ndarray:
+        """Level counts of shape (2, bins), a1 then a0, when exactly the
+        candidate pairs flagged in linked are coreferent."""
         a1 = np.bincount(self.obs_bin[linked[self.obs_pair]],
-                         minlength=len(self.a0_base))
-        cut = self.bin_bounds[1:-1]
-        return SufficientStats(a1=np.split(a1, cut),
-                               a0=np.split(self.a0_base - a1, cut))
+                         minlength=self.n_bins)
+        return np.stack((a1, self.a0_base - a1))
 
-    def recount(self, z: np.ndarray) -> SufficientStats:
-        """Sufficient statistics of labeling z, counted from scratch."""
-        return self.link_stats(z[self.cand_i] == z[self.cand_j])
+    def recount(self, z: np.ndarray) -> np.ndarray:
+        """Level counts of labeling z, counted from scratch."""
+        return self.link_counts(z[self.cand_i] == z[self.cand_j])
 
 
-def component_summary(graph: CandidateGraph) -> dict:
+def component_summary(ctx: SamplerContext) -> dict:
     """Sizes of the candidate components with two or more records (size:
-    number of components), and how many records each label path draws."""
-    sizes = [len(comp) for comp in graph.components if len(comp) > 1]
+    number of components), how many records each label path draws, and
+    how many valid partitions the block path enumerated."""
+    sizes = [len(comp) for comp in ctx.graph.components if len(comp) > 1]
     return {
         "component_sizes": dict(sorted(Counter(sizes).items())),
-        "block_records": sum(s for s in sizes if s <= BLOCK_MAX),
-        "single_site_records": sum(s for s in sizes if s > BLOCK_MAX),
+        "block_records": len(ctx.block_records),
+        "single_site_records": len(ctx.single_site),
+        "block_partitions": ctx.n_partitions,
     }
 
 
+# --- chain state and label updates ------------------------------------------
+
 @dataclass
 class ChainState:
-    """Mutable Gibbs state: labeling, parameters with their candidate log
-    ratios, statistics, and the cell bookkeeping of the single-site
-    records.
+    """Mutable Gibbs state: labeling, flat parameters with their candidate
+    log ratios, level counts, and the labels and cell bookkeeping of the
+    single-site records.
 
-    stats are recounted from z before every parameter draw. cell_sizes
-    and free_labels cover only labels held by single-site records; block
-    draws label a cell with its first member's record id, which no
-    single-site record ever holds.
+    stats (a1 and a0 over all bins) are recounted from z before every
+    parameter draw. site_z mirrors z as a list for the single-site
+    records, which write their labels back to z after each sweep's loop;
+    its other entries are unused. cell_sizes and free_labels cover only
+    labels held by single-site records; block draws label a cell with
+    its first member's record id, which no single-site record ever holds.
     """
 
-    z: list
-    params: ModelParams
+    z: np.ndarray
+    m: np.ndarray
+    u: np.ndarray
     loglr: np.ndarray
-    stats: SufficientStats
+    stats: np.ndarray
+    site_z: list
     cell_sizes: dict
     free_labels: list
 
@@ -346,16 +412,14 @@ def init_state(ctx: SamplerContext, prior: PriorSpec,
                rng: np.random.Generator,
                params: ModelParams | None = None) -> ChainState:
     """Singleton labeling; parameters drawn from the prior unless given."""
-    r = ctx.r
+    z = np.arange(ctx.r)
     if params is None:
-        zero = SufficientStats.zeros(ctx.comps.n_levels)
-        m_list, u_list, _, _ = draw_params(rng, flatten_prior(prior), zero)
-        params = ModelParams(m=m_list, u=u_list)
+        zero = np.zeros((2, ctx.n_bins), dtype=np.int64)
+        m, u = draw_flat_params(rng, flatten_prior(prior), zero)
     else:
-        params = params.copy()
-    return ChainState(z=list(range(r)), params=params,
-                      loglr=ctx.log_ratios(params),
-                      stats=ctx.recount(np.arange(r)),
+        m, u = _concat(params.m), _concat(params.u)
+    return ChainState(z=z, m=m, u=u, loglr=ctx.flat_log_ratios(m, u),
+                      stats=ctx.recount(z), site_z=z.tolist(),
                       cell_sizes={i: 1 for i in ctx.single_site},
                       free_labels=[])
 
@@ -419,31 +483,30 @@ def _update_record(i, z, cell_sizes, free_labels, adj_i, loglr, u1, u2):
     return q_new
 
 
-def _block_scores(blk: _Block, loglr: np.ndarray) -> np.ndarray:
-    """Log weight of every set partition (column) of every component (row)
-    of a size class, up to a constant per component; -inf where the
-    partition merges a non-candidate pair."""
-    return loglr[blk.pair_idx] @ blk.incidence + blk.penalty
+def _block_scores(ctx: SamplerContext, loglr: np.ndarray) -> np.ndarray:
+    """Log weight of every block partition, up to a constant per component:
+    the sum of the log ratios of the candidate pairs it puts in one cell."""
+    return np.bincount(ctx.pair_part, weights=loglr[ctx.pair_cand],
+                       minlength=ctx.n_partitions)
 
 
-def _draw_blocks(blocks: list, loglr: np.ndarray, us: np.ndarray,
-                 z: list) -> None:
+def _draw_blocks(ctx: SamplerContext, loglr: np.ndarray, us: np.ndarray,
+                 z: np.ndarray) -> None:
     """Draw every block component's partition exactly, one uniform per
     component, and write its labels into z."""
-    at = 0
-    for blk in blocks:
-        n = len(blk.members)
-        scores = _block_scores(blk, loglr)
-        scores -= scores.max(axis=1, keepdims=True)
-        cdf = np.cumsum(np.exp(scores), axis=1)
-        t = us[at:at + n] * cdf[:, -1]
-        at += n
-        # the first partition whose cdf exceeds t; the last one, all
-        # singletons and always allowed, also takes t rounded up to the total
-        choice = (cdf[:, :-1] <= t[:, None]).sum(axis=1)
-        labels = blk.members[blk.rows, blk.reps[choice]]
-        for i, lab in zip(blk.flat_members, labels.ravel().tolist()):
-            z[i] = lab
+    scores = _block_scores(ctx, loglr)
+    first, end = ctx.comp_parts[:-1], ctx.comp_parts[1:]
+    scores -= np.maximum.reduceat(scores, first)[ctx.part_comp]
+    cdf = np.empty(ctx.n_partitions + 1)
+    cdf[0] = 0.0
+    np.cumsum(np.exp(scores), out=cdf[1:])
+    lo, hi = cdf[first], cdf[end]
+    # the partition whose cdf interval holds t; the last one of a component,
+    # all singletons and never of weight zero, also takes t rounded up to hi
+    choice = np.searchsorted(cdf, lo + us * (hi - lo), side="right") - 1
+    np.minimum(choice, end - 1, out=choice)
+    z[ctx.block_records] = ctx.part_labels[ctx.label_at[choice][ctx.record_comp]
+                                           + ctx.record_pos]
 
 
 def sweep(ctx: SamplerContext, state: ChainState, rng: np.random.Generator,
@@ -454,7 +517,6 @@ def sweep(ctx: SamplerContext, state: ChainState, rng: np.random.Generator,
     otherwise the statistics are recounted, the parameters redrawn, and
     the flat m and u vectors returned.
     """
-    z = state.z
     single = ctx.single_site
     n_single = len(single)
     us = rng.random(2 * n_single + ctx.n_block_components)
@@ -462,21 +524,23 @@ def sweep(ctx: SamplerContext, state: ChainState, rng: np.random.Generator,
         order = rng.permutation(n_single) if random_scan else range(n_single)
         u_single = us[:2 * n_single].tolist()
         loglr = state.loglr.tolist()
-        cell_sizes, free_labels, adj = state.cell_sizes, state.free_labels, ctx.adj
+        site_z, cell_sizes, free_labels, adj = (state.site_z, state.cell_sizes,
+                                                state.free_labels, ctx.adj)
         k2 = 0
         for k in order:
             i = single[k]
-            _update_record(i, z, cell_sizes, free_labels, adj[i], loglr,
+            _update_record(i, site_z, cell_sizes, free_labels, adj[i], loglr,
                            u_single[k2], u_single[k2 + 1])
             k2 += 2
-    _draw_blocks(ctx.blocks, state.loglr, us[2 * n_single:], z)
+        state.z[ctx.single_idx] = [site_z[i] for i in single]
+    if ctx.n_block_components:
+        _draw_blocks(ctx, state.loglr, us[2 * n_single:], state.z)
     if flat is None:
         return None
-    state.stats = ctx.recount(np.array(z))
-    m_list, u_list, m_flat, u_flat = draw_params(rng, flat, state.stats)
-    state.params = ModelParams(m=m_list, u=u_list)
-    state.loglr = ctx.log_ratios(state.params)
-    return m_flat, u_flat
+    state.stats = ctx.recount(state.z)
+    state.m, state.u = draw_flat_params(rng, flat, state.stats)
+    state.loglr = ctx.flat_log_ratios(state.m, state.u)
+    return state.m, state.u
 
 
 # --- full chain -------------------------------------------------------------
@@ -510,15 +574,18 @@ class PosteriorSample:
 
 def run_chain(comps: PairComparisons, graph: CandidateGraph, prior: PriorSpec,
               config: SamplerConfig, *,
-              fixed_params: ModelParams | None = None) -> PosteriorSample:
+              fixed_params: ModelParams | None = None,
+              ctx: SamplerContext | None = None) -> PosteriorSample:
     """Run one chain and return its retained samples.
 
     With fixed_params the parameter block never updates (useful for
     validating the partition chain against exact enumeration); otherwise
-    parameters are redrawn each sweep after the labels.
+    parameters are redrawn each sweep after the labels. ctx, when given,
+    is the SamplerContext of comps and graph, built once for all chains.
     """
     start = time.perf_counter()
-    ctx = SamplerContext(comps, graph)
+    if ctx is None:
+        ctx = SamplerContext(comps, graph)
     rng = np.random.default_rng(config.seed)
     state = init_state(ctx, prior, rng, params=fixed_params)
     flat = flatten_prior(prior) if fixed_params is None else None
@@ -563,25 +630,29 @@ def chain_seeds(seed: int, chains: int) -> list[int]:
 
 
 def _chain_job(args):
-    comps, graph, prior, config = args
-    return run_chain(comps, graph, prior, config)
+    ctx, prior, config = args
+    return run_chain(ctx.comps, ctx.graph, prior, config, ctx=ctx)
 
 
 def run_chains(comps: PairComparisons, graph: CandidateGraph, prior: PriorSpec,
-               config: SamplerConfig, n_workers: int = 1) -> list[PosteriorSample]:
-    """Run config.chains independent chains, optionally across processes.
+               config: SamplerConfig, n_workers: int = 1,
+               ctx: SamplerContext | None = None) -> list[PosteriorSample]:
+    """Run config.chains independent chains, optionally across processes,
+    on one SamplerContext (ctx, or one built here).
 
     Output is deterministic for a given master seed regardless of
     worker count.
     """
+    if ctx is None:
+        ctx = SamplerContext(comps, graph)
     seeds = chain_seeds(config.seed, config.chains)
     configs = [SamplerConfig(iterations=config.iterations, burn_in=config.burn_in,
                              thinning=config.thinning, seed=s, chains=1,
                              random_scan=config.random_scan)
                for s in seeds]
     if n_workers <= 1 or config.chains == 1:
-        return [run_chain(comps, graph, prior, c) for c in configs]
+        return [run_chain(comps, graph, prior, c, ctx=ctx) for c in configs]
     from concurrent.futures import ProcessPoolExecutor
-    jobs = [(comps, graph, prior, c) for c in configs]
+    jobs = [(ctx, prior, c) for c in configs]
     with ProcessPoolExecutor(max_workers=min(n_workers, config.chains)) as ex:
         return list(ex.map(_chain_job, jobs))

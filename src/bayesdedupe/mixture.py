@@ -18,8 +18,8 @@ import numpy as np
 from .candidates import CandidateGraph
 from .comparison import PairComparisons
 from .config import SamplerConfig
-from .gibbs import SamplerContext, draw_params, flatten_prior
-from .model import ModelParams, PriorSpec
+from .gibbs import SamplerContext, draw_flat_params, flatten_prior
+from .model import PriorSpec
 
 
 def count_nontransitive_triplets(r: int, pos_pairs) -> int:
@@ -80,25 +80,23 @@ def run_mixture(comps: PairComparisons, graph: CandidateGraph,
     n_cand = ctx.n_candidates
     cand_pairs = graph.candidate_pairs()
     delta = np.zeros(n_cand, dtype=np.int8)
-    m_list, u_list, m_flat, u_flat = draw_params(
-        rng, flat, ctx.link_stats(delta == 1))
+    m, u = draw_flat_params(rng, flat, ctx.link_counts(delta == 1))
     p = rng.beta(1.0, 1.0 + n_cand)
 
     kept_z, kept_iter, p_tr, m_tr, u_tr, nontr = [], [], [], [], [], []
     for t in range(1, config.iterations + 1):
-        loglr = ctx.log_ratios(ModelParams(m=m_list, u=u_list))
+        loglr = ctx.flat_log_ratios(m, u)
         logit = np.log(p) - np.log1p(-p) + loglr
         prob = 1.0 / (1.0 + np.exp(-logit))
         delta = (rng.random(n_cand) < prob).astype(np.int8)
         n_pos = int(delta.sum())
         p = rng.beta(1.0 + n_pos, 1.0 + n_cand - n_pos)
-        m_list, u_list, m_flat, u_flat = draw_params(
-            rng, flat, ctx.link_stats(delta == 1))
+        m, u = draw_flat_params(rng, flat, ctx.link_counts(delta == 1))
         if t > config.burn_in and (t - config.burn_in - 1) % config.thinning == 0:
             kept_iter.append(t)
             p_tr.append(p)
-            m_tr.append(m_flat.copy())
-            u_tr.append(u_flat.copy())
+            m_tr.append(m)
+            u_tr.append(u)
             kept_z.append(delta.copy())
             nontr.append(count_nontransitive_triplets(
                 comps.r, cand_pairs[delta == 1]))

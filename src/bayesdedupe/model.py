@@ -19,7 +19,7 @@ labeling with n cells, which marginalizes back to the flat partition
 prior.
 
 This module holds what the sampler evaluates: the parameter and prior
-containers, the log level tables and the sufficient statistics. The
+containers, the star probabilities and the sufficient statistics. The
 exact densities that the sampler is tested against are in
 tests/oracles.py.
 """
@@ -124,13 +124,6 @@ def star_probs(m_f: np.ndarray) -> np.ndarray:
     return out
 
 
-def log_level_tables(params: ModelParams) -> tuple[list, list]:
-    """Log star-probability lookup tables (per field, indexed by level)."""
-    lm = [np.log(star_probs(v)) for v in params.m]
-    lu = [np.log(star_probs(v)) for v in params.u]
-    return lm, lu
-
-
 @dataclass
 class SufficientStats:
     """Observed-level counts split by coreference status.
@@ -153,6 +146,12 @@ class SufficientStats:
     def copy(self) -> "SufficientStats":
         return SufficientStats([v.copy() for v in self.a1],
                                [v.copy() for v in self.a0])
+
+    def as_counts(self) -> np.ndarray:
+        """The counts as one (2, bins) array, a1 then a0, with every
+        field's levels after the earlier fields' levels."""
+        cat = lambda arrs: np.concatenate(arrs) if len(arrs) else np.empty(0)
+        return np.array([cat(self.a1), cat(self.a0)])
 
     def equals(self, other: "SufficientStats") -> bool:
         return (len(self.a1) == len(other.a1)

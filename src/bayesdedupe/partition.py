@@ -10,6 +10,9 @@ why the flat prior over partitions appears as (r-n)!/r! per labeling.
 
 from __future__ import annotations
 
+import math
+from array import array
+
 import numpy as np
 
 
@@ -84,30 +87,71 @@ def canonicalize_label_rows(rows: np.ndarray) -> np.ndarray:
 _ENUMERATION_LIMIT = 10
 
 
+def valid_partitions(lower, cap: float = math.inf) -> np.ndarray | None:
+    """Every partition of vertices 0..n-1 whose cells are cliques, as one
+    row per partition giving each vertex its cell's head (the cell's
+    smallest vertex); None as soon as more than cap partitions exist.
+
+    lower[k] lists the neighbours of vertex k below k. Vertices are
+    placed in ascending order, each into a cell whose members are all
+    its neighbours (one bitmask test per cell) or into a new cell, in
+    ascending head order with the new cell last; so rows come out in
+    lexicographic order of their cells, and all singletons come last.
+    The last vertex's options are emitted as rows without a descent,
+    into one flat buffer.
+    """
+    n = len(lower)
+    if n < 2:
+        return np.arange(n).reshape(1, n) if cap >= 1 else None
+    nbr_mask = [sum(1 << j for j in nbrs) for nbrs in lower]
+    head = [0] * n
+    cell = [0] * n       # member bitmask of the cell headed by each vertex
+    options = [[0]] + [[]] * (n - 1)
+    tried = [0] * n      # options of each vertex tried so far
+    out = array("q")
+    limit = cap * n
+    k = 0
+    while k >= 0:
+        if tried[k]:
+            cell[head[k]] ^= 1 << k
+        if tried[k] == len(options[k]):
+            k -= 1
+            continue
+        h = options[k][tried[k]]
+        tried[k] += 1
+        head[k] = h
+        cell[h] |= 1 << k
+        mask = nbr_mask[k + 1]
+        nxt = sorted({head[j] for j in lower[k + 1]
+                      if not cell[head[j]] & ~mask}) + [k + 1]
+        if k + 2 < n:
+            k += 1
+            options[k] = nxt
+            tried[k] = 0
+            continue
+        for last in nxt:
+            head[-1] = last
+            out.extend(head)
+        if len(out) > limit:
+            return None
+    return np.frombuffer(out, dtype=np.int64).reshape(-1, n)
+
+
 def enumerate_valid_partitions(r: int, candidate_pairs) -> list[tuple[tuple[int, ...], ...]]:
     """All partitions of 0..r-1 in which every within-cell pair is a
-    candidate pair, each cell ascending. Guarded to r <= 10: the sampler
-    enumerates the partitions of its small components with it, and the
-    tests enumerate whole small files.
+    candidate pair (i, j), i < j, each cell ascending. Guarded to
+    r <= 10: the tests enumerate whole small files with it.
     """
     if r > _ENUMERATION_LIMIT:
         raise ValueError(f"exact enumeration is limited to r <= {_ENUMERATION_LIMIT}")
-    cand = set(candidate_pairs)
-    out: list[tuple[tuple[int, ...], ...]] = []
-    cells: list[list[int]] = []
-
-    def place(k: int) -> None:
-        if k == r:
-            out.append(tuple(tuple(c) for c in cells))
-            return
-        for cell in cells:
-            if all((m, k) in cand for m in cell):
-                cell.append(k)
-                place(k + 1)
-                cell.pop()
-        cells.append([k])
-        place(k + 1)
-        cells.pop()
-
-    place(0)
+    lower: list[list[int]] = [[] for _ in range(r)]
+    for i, j in set(candidate_pairs):
+        if 0 <= i < j < r:
+            lower[j].append(i)
+    out = []
+    for heads in valid_partitions(lower).tolist():
+        cells: dict = {}
+        for k, h in enumerate(heads):
+            cells.setdefault(h, []).append(k)
+        out.append(tuple(tuple(c) for c in cells.values()))
     return out

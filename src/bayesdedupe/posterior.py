@@ -30,13 +30,18 @@ def _label_matrix(sample) -> np.ndarray:
 
 
 def pairwise_probabilities(sample, graph) -> np.ndarray:
-    """Posterior coreference probability for every candidate pair."""
+    """Posterior coreference probability for every candidate pair, with
+    the equal-label counts accumulated over row blocks of bounded size."""
     pairs = graph.candidate_pairs()
     L = _label_matrix(sample)
     if len(L) == 0:
         return np.zeros(len(pairs))
-    eq = L[:, pairs[:, 0]] == L[:, pairs[:, 1]]
-    return eq.mean(axis=0)
+    equal = np.zeros(len(pairs), dtype=np.int64)
+    for rows in _row_blocks(L):
+        block = L[rows]
+        equal += np.count_nonzero(block[:, pairs[:, 0]] == block[:, pairs[:, 1]],
+                                  axis=0)
+    return equal / len(L)
 
 
 def write_pairwise_csv(path, graph, probs: np.ndarray) -> None:

@@ -6,9 +6,10 @@ require the production code to produce the same bytes and the same
 numbers as these. The one-pair, one-parameter and exact-density
 references of the comparison, likelihood and sampler layers follow:
 compare_pair against compare_pairs, the sequential-form likelihood
-against the star-probability tables, the exact joint and marginal
-densities behind the enumeration and quadrature checks, and
-single-site Gibbs updates. Last come the small partition helpers that
+against the star-probability tables, the per-field parameter block
+(level counts and log likelihood ratios) against the flat one, the
+exact joint and marginal densities behind the enumeration and
+quadrature checks, and single-site Gibbs updates. Last come the small partition helpers that
 the tests count and check labelings with, and fix rules evaluated on one
 pair. No subcommand runs any of them.
 """
@@ -26,7 +27,7 @@ from bayesdedupe.comparison import (absolute_difference, bin_level,
                                     normalized_levenshtein,
                                     token_min_levenshtein)
 from bayesdedupe.errors import DataError
-from bayesdedupe.model import log_level_tables, sufficient_stats
+from bayesdedupe.model import star_probs, sufficient_stats
 
 
 def write_comparisons_csv(path, comps) -> None:
@@ -148,6 +149,15 @@ def metric_summary(labelings, ref) -> dict:
     return {"precision": summarize(precs), "recall": summarize(recs)}
 
 
+def pairwise_probabilities(labelings, graph) -> np.ndarray:
+    """pairwise_probabilities over all draws at once."""
+    pairs = graph.candidate_pairs()
+    if len(labelings) == 0:
+        return np.zeros(len(pairs))
+    eq = labelings[:, pairs[:, 0]] == labelings[:, pairs[:, 1]]
+    return eq.mean(axis=0)
+
+
 def partition_frequency_table(labelings) -> list:
     """partition_frequency_table through np.unique over whole rows."""
     if len(labelings) == 0:
@@ -235,6 +245,35 @@ def log_p0_obs(vec, params) -> float:
 
 def log_likelihood_ratio(vec, params) -> float:
     return log_p1_obs(vec, params) - log_p0_obs(vec, params)
+
+
+# --- parameter block, one field at a time -----------------------------------
+
+def log_level_tables(params) -> tuple[list, list]:
+    """Log star-probability lookup tables (per field, indexed by level)."""
+    lm = [np.log(star_probs(v)) for v in params.m]
+    lu = [np.log(star_probs(v)) for v in params.u]
+    return lm, lu
+
+
+def log_ratios(ctx, params) -> np.ndarray:
+    """SamplerContext.flat_log_ratios through per-field log level tables."""
+    lm, lu = log_level_tables(params)
+    lr = np.concatenate(lm) - np.concatenate(lu)
+    return np.bincount(ctx.obs_pair, weights=lr[ctx.obs_bin],
+                       minlength=ctx.n_candidates)
+
+
+def level_counts(counts_by_field) -> tuple[np.ndarray, np.ndarray]:
+    """gibbs._level_counts one field at a time: per parameter, the count
+    at its level and the count above it in its field."""
+    cs, ts = [], []
+    for counts in counts_by_field:
+        arr = np.asarray(counts, dtype=np.float64)
+        rev = np.cumsum(arr[::-1])[::-1]
+        cs.append(arr[:-1])
+        ts.append(rev[1:])
+    return np.concatenate(cs), np.concatenate(ts)
 
 
 # --- exact densities --------------------------------------------------------
@@ -332,31 +371,40 @@ def marginal_log_likelihood(z, prior, graph, comps) -> float:
 
 # --- single-site Gibbs updates ----------------------------------------------
 
+def _field_slices(prior, f: int) -> tuple[int, slice]:
+    """Field f's first flat parameter index and its slice of level bins."""
+    first = sum(len(v) for v in prior.lam[:f])
+    return first, slice(first + f, first + f + len(prior.lam[f]) + 1)
+
+
 def update_m(state, f: int, l: int, prior, rng) -> float:
     """Redraw one m parameter from its truncated-Beta full conditional."""
-    counts = np.asarray(state.stats.a1[f])
+    first, bins = _field_slices(prior, f)
+    counts = state.stats[0, bins]
     a = float(prior.alpha1[f][l]) + float(counts[l])
     b = float(prior.beta1[f][l]) + float(counts[l + 1:].sum())
     x = gibbs.sample_truncated_beta(rng, a, b, float(prior.lam[f][l]))
-    state.params.m[f][l] = x
+    state.m[first + l] = x
     return x
 
 
 def update_u(state, f: int, l: int, prior, rng) -> float:
     """Redraw one u parameter from its Beta full conditional."""
-    counts = np.asarray(state.stats.a0[f])
+    first, bins = _field_slices(prior, f)
+    counts = state.stats[1, bins]
     a = float(prior.alpha0[f][l]) + float(counts[l])
     b = float(prior.beta0[f][l]) + float(counts[l + 1:].sum())
     x = float(np.clip(rng.beta(a, b), 1e-12, 1.0 - 1e-12))
-    state.params.u[f][l] = x
+    state.u[first + l] = x
     return x
 
 
 def update_label(state, i: int, ctx, loglr: list, rng) -> int:
-    """One record's label update against precomputed log ratios."""
+    """One single-site record's label update against precomputed log
+    ratios."""
     u1, u2 = rng.random(2)
-    return gibbs._update_record(i, state.z, state.cell_sizes, state.free_labels,
-                                ctx.adj[i], loglr, u1, u2)
+    return gibbs._update_record(i, state.site_z, state.cell_sizes,
+                                state.free_labels, ctx.adj[i], loglr, u1, u2)
 
 
 # --- partitions and labelings -----------------------------------------------

@@ -12,9 +12,11 @@ import yaml
 
 import bayesdedupe
 from bayesdedupe import cli
+from bayesdedupe.candidates import connected_components
 from bayesdedupe.cli import main
 from bayesdedupe.config import load_config
 from bayesdedupe.errors import ConfigError
+from bayesdedupe.partition import enumerate_valid_partitions
 from bayesdedupe.synthgen import data_path
 
 BASE_CONFIG = {
@@ -362,6 +364,12 @@ class TestOutputContract:
         assert sum(int(s) * n for s, n in sizes.items()) == len(active)
         assert manifest["block_records"] == len(active)
         assert manifest["single_site_records"] == 0
+        # the valid partitions of every component, enumerated on its own
+        assert manifest["block_partitions"] == sum(
+            len(enumerate_valid_partitions(len(comp), {
+                (comp.index(i), comp.index(j)) for i, j in candidates
+                if i in comp}))
+            for comp in connected_components(4, candidates) if len(comp) > 1)
 
         labelings = [list(map(int, line.split(" ")))
                      for line in lines("posterior_labelings.txt")]

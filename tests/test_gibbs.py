@@ -13,18 +13,23 @@ from collections import Counter
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bayesdedupe.comparison import compare_pairs
+import oracles
+from bayesdedupe import gibbs
+from bayesdedupe.comparison import PairComparisons, compare_pairs
 from bayesdedupe.candidates import (CandidateGraph, all_pairs,
                                     connected_components)
 from bayesdedupe.errors import ConfigError
 from bayesdedupe.gibbs import (
-    BLOCK_MAX,
     SamplerConfig,
     SamplerContext,
     _block_scores,
+    _level_counts,
     _tbeta_vec,
     chain_seeds,
+    draw_flat_params,
     draw_params,
     flatten_prior,
     init_state,
@@ -33,7 +38,8 @@ from bayesdedupe.gibbs import (
     sample_truncated_beta,
     sweep,
 )
-from bayesdedupe.model import ModelParams, PriorSpec, sufficient_stats
+from bayesdedupe.model import (ModelParams, PriorSpec, SufficientStats,
+                               sufficient_stats)
 from bayesdedupe.partition import (
     enumerate_valid_partitions,
     partition_to_labeling,
@@ -171,14 +177,15 @@ class TestParameterBlock:
         prior = toy_prior_for(comps)
         ctx = SamplerContext(comps, graph)
         state = init_state(ctx, prior, rng)
+        offsets = flatten_prior(prior).offsets
         for f in range(len(comps.fields)):
             for l in range(comps.n_levels[f] - 1):
                 x = update_m(state, f, l, prior, rng)
                 assert prior.lam[f][l] <= x < 1.0
-                assert state.params.m[f][l] == x
+                assert state.m[offsets[f] + l] == x
                 y = update_u(state, f, l, prior, rng)
                 assert 0.0 < y < 1.0
-                assert state.params.u[f][l] == y
+                assert state.u[offsets[f] + l] == y
 
 
 class TestLogRatios:
@@ -194,6 +201,66 @@ class TestLogRatios:
             vec = comparison_vector(comps, int(k))
             assert loglr[c] == pytest.approx(
                 log_likelihood_ratio(vec, params), abs=1e-12)
+
+
+# m and u values at the clip bounds and near them, besides any in between
+PROBS = st.one_of(st.sampled_from([1e-12, 1e-9, 1e-6, 1 - 1e-6, 1 - 1e-9,
+                                   1 - 1e-12]),
+                  st.floats(1e-12, 1 - 1e-12))
+
+
+@st.composite
+def level_setups(draw):
+    """Every pair of up to six records compared on fields of 2 to 6
+    levels (missing allowed) and all of them candidates, a labeling, and
+    flat m and u vectors."""
+    n_levels = draw(st.lists(st.integers(2, 6), min_size=1, max_size=4))
+    r = draw(st.integers(2, 6))
+    pairs = all_pairs(r)
+    levels = np.array([[draw(st.integers(-1, n - 1)) for n in n_levels]
+                       for _ in range(len(pairs))])
+    comps = PairComparisons(r, tuple(f"f{k}" for k in range(len(n_levels))),
+                            tuple(n_levels), pairs, levels)
+    graph = graph_with_candidates(comps, [tuple(p) for p in pairs.tolist()])
+    z = np.array(draw(st.lists(st.integers(0, r - 1), min_size=r, max_size=r)))
+    n_params = sum(n_levels) - len(n_levels)
+    m, u = (np.array(draw(st.lists(PROBS, min_size=n_params,
+                                   max_size=n_params))) for _ in range(2))
+    return comps, graph, z, m, u
+
+
+class TestFlatParameterBlock:
+    @settings(max_examples=100, deadline=None)
+    @given(level_setups(), st.integers(0, 2**32 - 1))
+    def test_matches_per_field_block(self, setup, seed):
+        """Level counts, log ratios and parameter draws of the flat block
+        against the per-field references."""
+        comps, graph, z, m, u = setup
+        ctx = SamplerContext(comps, graph)
+        flat = flatten_prior(PriorSpec.flat(comps.n_levels, lam=0.5))
+        scratch = sufficient_stats(z.tolist(), graph, comps)
+        counts = ctx.recount(z)
+        at, above = _level_counts(flat, counts)
+        for row, per_field in enumerate((scratch.a1, scratch.a0)):
+            ref_at, ref_above = oracles.level_counts(per_field)
+            assert np.array_equal(at[row], ref_at)
+            assert np.array_equal(above[row], ref_above)
+
+        cut = flat.offsets[1:-1]
+        params = ModelParams(m=np.split(m, cut), u=np.split(u, cut))
+        assert np.allclose(ctx.flat_log_ratios(m, u),
+                           oracles.log_ratios(ctx, params), rtol=0, atol=1e-12)
+        assert np.array_equal(ctx.log_ratios(params), ctx.flat_log_ratios(m, u))
+
+        # list-valued statistics, as perfbench/traced.py passes them
+        listed = SufficientStats(a1=[v.tolist() for v in scratch.a1],
+                                 a0=[v.tolist() for v in scratch.a0])
+        m_list, u_list, m1, u1 = draw_params(np.random.default_rng(seed),
+                                             flat, listed)
+        m2, u2 = draw_flat_params(np.random.default_rng(seed), flat, counts)
+        assert np.array_equal(m1, m2) and np.array_equal(u1, u2)
+        assert all(np.array_equal(a, b) for a, b in zip(m_list, np.split(m2, cut)))
+        assert all(np.array_equal(a, b) for a, b in zip(u_list, np.split(u2, cut)))
 
 
 class TestChain:
@@ -236,17 +303,25 @@ class TestChain:
         for row in sample.labelings:
             assert tuple(row) == canonical_labels(row)
 
-    def test_recounted_stats_match_scratch(self, rng):
+    def test_recounted_stats_match_scratch(self, rng, monkeypatch):
         """The statistics each parameter draw used equal a from-scratch
-        count over the labeling, after every sweep of a short chain."""
+        count over the labeling, after every sweep of a short chain, with
+        the component drawn whole and, under a lowered P_MAX, one record
+        at a time; z holds the single-site labels after every sweep."""
         _, comps, graph = compared_setup(rng, 12, fix_name_level=2)
         prior = toy_prior_for(comps)
-        ctx = SamplerContext(comps, graph)
-        state = init_state(ctx, prior, rng)
         flat = flatten_prior(prior)
-        for _ in range(50):
-            sweep(ctx, state, rng, flat)
-            assert state.stats.equals(sufficient_stats(state.z, graph, comps))
+        for p_max in (gibbs.P_MAX, 1):
+            monkeypatch.setattr(gibbs, "P_MAX", p_max)
+            ctx = SamplerContext(comps, graph)
+            assert bool(ctx.single_site) == (p_max == 1)
+            state = init_state(ctx, prior, rng)
+            for _ in range(50):
+                sweep(ctx, state, rng, flat)
+                scratch = sufficient_stats(state.z, graph, comps)
+                assert np.array_equal(state.stats, scratch.as_counts())
+                assert state.z[ctx.single_idx].tolist() == [
+                    state.site_z[i] for i in ctx.single_site]
 
     def test_frozen_params_have_no_traces(self, rng):
         _, comps, graph = compared_setup(rng, 8)
@@ -267,12 +342,12 @@ class TestChain:
         ctx = SamplerContext(comps, graph)
         assert ctx.single_site == list(range(10))
         state = init_state(ctx, prior, rng)
-        loglr = ctx.log_ratios(state.params)
+        loglr = state.loglr.tolist()
         for _ in range(200):
             for i in ctx.single_site:
                 update_label(state, i, ctx, loglr, rng)
             sizes = {}
-            for lab in state.z:
+            for lab in state.site_z:
                 sizes[lab] = sizes.get(lab, 0) + 1
             assert sizes == state.cell_sizes
             assert len(state.free_labels) == ctx.r - len(sizes)
@@ -327,57 +402,117 @@ class TestExactPosteriorSmall:
         assert tv < 0.05, f"TV distance {tv:.4f}"
 
     @pytest.mark.parametrize("random_scan", [False, True])
-    def test_mixed_paths_match_enumeration(self, rng, random_scan):
-        """A seven-record component, larger than BLOCK_MAX and updated one
-        record at a time, next to a block-drawn pair: the chain's law at
-        fixed parameters matches exact enumeration."""
+    def test_mixed_paths_match_enumeration(self, rng, random_scan,
+                                           monkeypatch):
+        """A seven-record component with 45 valid partitions, updated one
+        record at a time once P_MAX is lowered below that, next to a
+        block-drawn pair: the chain's law at fixed parameters matches
+        exact enumeration."""
+        monkeypatch.setattr(gibbs, "P_MAX", 44)
         df = random_file(rng, 9)
         comps = compare_pairs(df, all_pairs(9), small_specs())
         large = [(i, i + 1) for i in range(6)] + [(0, 2), (4, 6)]
         graph = graph_with_candidates(comps, large + [(7, 8)])
         ctx = SamplerContext(comps, graph)
         assert ctx.single_site == list(range(7))
-        assert [blk.members.tolist() for blk in ctx.blocks] == [[[7, 8]]]
+        assert ctx.block_records.tolist() == [7, 8]
         tv = chain_tv(df, comps, graph, 29, random_scan)
         assert tv < 0.05, f"TV distance {tv:.4f}"
 
 
+def block_probabilities(ctx, loglr) -> list:
+    """Per block component, its members and the probability the block draw
+    gives each of its partitions, keyed by the partition's canonical
+    labels over the members."""
+    scores = _block_scores(ctx, loglr)
+    out = []
+    for c in range(ctx.n_block_components):
+        members = ctx.block_records[ctx.record_comp == c].tolist()
+        lo, hi = ctx.comp_parts[c], ctx.comp_parts[c + 1]
+        probs = np.exp(scores[lo:hi] - scores[lo:hi].max())
+        probs /= probs.sum()
+        got = {}
+        for p, q in zip(range(lo, hi), probs):
+            at = ctx.label_at[p]
+            labels = canonical_labels(
+                ctx.part_labels[at:at + len(members)].tolist())
+            assert labels not in got
+            got[labels] = q
+        out.append((members, got))
+    return out
+
+
+GRAPHS = {
+    "complete": lambda s, rng: [(i, j) for i in range(s)
+                                for j in range(i + 1, s)],
+    "path": lambda s, rng: [(i, i + 1) for i in range(s - 1)],
+    "star": lambda s, rng: [(0, j) for j in range(1, s)],
+    "cycle": lambda s, rng: ([(i, i + 1) for i in range(s - 1)]
+                             + ([(0, s - 1)] if s > 2 else [])),
+    "random": lambda s, rng: [(i, j) for i in range(s)
+                              for j in range(i + 1, s) if rng.random() < 0.5],
+    # a pair, a triangle and a star, as far as s records reach
+    "disjoint": lambda s, rng: [(i, j) for i, j in
+                                [(0, 1), (2, 3), (2, 4), (3, 4)]
+                                + [(5, j) for j in range(6, s)] if j < s],
+}
+
+
+# complete graphs of eight or more records go single-site (test_admission_cap)
+BLOCK_CASES = [(shape, s) for shape in sorted(GRAPHS) for s in range(2, 10)
+               if shape != "complete" or s <= 7]
+
+
 class TestBlockConditional:
-    @pytest.mark.parametrize("s", range(2, BLOCK_MAX + 1))
-    @pytest.mark.parametrize("shape", ["complete", "path"])
-    def test_block_probabilities_match_enumeration(self, s, shape):
-        """Every partition's probability in the block draw of one
-        component equals its exact posterior probability, and partitions
-        that merge a non-candidate pair get none."""
+    @pytest.mark.parametrize("shape,s", BLOCK_CASES)
+    def test_block_probabilities_match_enumeration(self, shape, s):
+        """Every component with at most P_MAX valid partitions is drawn
+        whole, and the block draw gives each of its valid partitions its
+        exact posterior probability (the marginal of an enumeration of
+        the whole file) and no other partition any."""
         rng = np.random.default_rng(400 + s)
         df = random_file(rng, s)
         comps = compare_pairs(df, all_pairs(s), small_specs())
-        if shape == "complete":
-            cand = [(i, j) for i in range(s) for j in range(i + 1, s)]
-        else:
-            cand = [(i, i + 1) for i in range(s - 1)]
-        graph = graph_with_candidates(comps, cand)
+        graph = graph_with_candidates(comps, GRAPHS[shape](s, rng))
         prior = toy_prior_for(comps)
         exact = exact_partition_probs(df, comps, graph, FROZEN, prior)
 
         ctx = SamplerContext(comps, graph)
-        assert ctx.single_site == []
-        [blk] = ctx.blocks
-        assert blk.members.tolist() == [list(range(s))]
-        scores = _block_scores(blk, ctx.log_ratios(FROZEN))[0]
-        probs = np.exp(scores - scores.max())
-        probs /= probs.sum()
-        got = {}
-        for rep, q in zip(blk.reps, probs):
-            labels = canonical_labels(rep.tolist())
-            assert labels not in got
-            got[labels] = q
-        assert len(got) == bell_number(s)
-        for labels, q in got.items():
-            assert q == pytest.approx(exact.get(labels, 0.0), rel=1e-9,
-                                      abs=1e-300)
-        if shape == "path" and s >= 3:
-            assert got[(0, 0, 0) + tuple(range(1, s - 2))] == 0.0
+        blocks = dict((tuple(members), got) for members, got
+                      in block_probabilities(ctx, ctx.log_ratios(FROZEN)))
+        assert ctx.n_partitions == sum(len(got) for got in blocks.values())
+        for comp in graph.components:
+            if len(comp) < 2:
+                continue
+            marginal: Counter = Counter()
+            for labels, q in exact.items():
+                marginal[canonical_labels([labels[i] for i in comp])] += q
+            admitted = len(marginal) <= gibbs.P_MAX
+            assert (comp in blocks) == admitted
+            assert set(comp).isdisjoint(ctx.single_site) == admitted
+            if admitted:
+                got = blocks[comp]
+                assert set(got) == set(marginal)
+                for labels, q in got.items():
+                    assert q == pytest.approx(marginal[labels], rel=1e-9,
+                                              abs=1e-300)
+
+    def test_admission_cap(self):
+        """A complete component of seven records (Bell(7) = 877 valid
+        partitions) is drawn whole; one of eight (4,140) is not."""
+        assert bell_number(7) <= gibbs.P_MAX < bell_number(8)
+        for s in (7, 8):
+            rng = np.random.default_rng(400 + s)
+            comps = compare_pairs(random_file(rng, s), all_pairs(s),
+                                  small_specs())
+            ctx = SamplerContext(comps, graph_with_candidates(
+                comps, GRAPHS["complete"](s, rng)))
+            if s == 7:
+                assert ctx.single_site == []
+                assert ctx.n_partitions == bell_number(7)
+            else:
+                assert ctx.single_site == list(range(8))
+                assert ctx.n_block_components == 0
 
 
 class TestChainSeeds:

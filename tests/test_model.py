@@ -23,7 +23,6 @@ from bayesdedupe.model import (
     SufficientStats,
     check_valid_labeling,
     fixed_pair_stats,
-    log_level_tables,
     star_probs,
     sufficient_stats,
 )
@@ -35,6 +34,7 @@ from oracles import (
     canonical_labels,
     comparison_vector,
     in_support,
+    log_level_tables,
     log_likelihood,
     log_likelihood_ratio,
     log_p0_obs,

@@ -161,6 +161,25 @@ class TestMetrics:
         assert (precs[0], recs[0]) == (1.0, 1.0)
 
 
+class TestPairwise:
+    @settings(max_examples=100, deadline=None)
+    @given(L=label_matrices(), data=st.data(),
+           cells=st.sampled_from([1, 5, 1 << 18]))
+    def test_matches_all_draws_at_once(self, L, data, cells):
+        """Equal probabilities, so pairwise_probabilities.csv keeps its
+        bytes."""
+        r = L.shape[1]
+        all_pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(all_pairs),
+                                           max_size=len(all_pairs))), dtype=bool)
+        graph = CandidateGraph(r=r, pairs=np.array(all_pairs, dtype=np.int32
+                                                   ).reshape(-1, 2),
+                               candidate_mask=mask)
+        with mock.patch.object(posterior, "_SUMMARY_CELLS", cells):
+            got = posterior.pairwise_probabilities(L, graph)
+        assert np.array_equal(got, oracles.pairwise_probabilities(L, graph))
+
+
 class TestFrequencyTable:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), cells=st.sampled_from([1, 5, 1 << 18]))

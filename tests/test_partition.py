@@ -15,6 +15,7 @@ from bayesdedupe.partition import (
     format_partition,
     labeling_to_partition,
     partition_to_labeling,
+    valid_partitions,
 )
 
 from oracles import (
@@ -152,6 +153,18 @@ class TestValidity:
             got = {tuple(partition_to_labeling(c))
                    for c in enumerate_valid_partitions(r, cand)}
             assert got == expected
+
+    def test_capped_enumeration(self):
+        """On complete graphs: Bell(r) distinct rows of cell heads, all
+        singletons last, and None once the count passes the cap."""
+        for r in range(1, 7):
+            lower = [list(range(k)) for k in range(r)]
+            rows = valid_partitions(lower, bell_number(r))
+            assert rows.shape == (bell_number(r), r)
+            assert len({tuple(row) for row in rows.tolist()}) == len(rows)
+            assert np.all(rows[np.arange(len(rows))[:, None], rows] == rows)
+            assert rows[-1].tolist() == list(range(r))
+            assert valid_partitions(lower, bell_number(r) - 1) is None
 
     def test_enumeration_guard(self):
         with pytest.raises(ValueError):
