@@ -20,6 +20,7 @@ import traceback
 from . import __version__, candidates, comparison, config as config_mod
 from . import posterior, records, synthgen
 from .errors import ConfigError, DataError
+from .textio import write_int_rows
 
 log = logging.getLogger("bayesdedupe")
 
@@ -33,7 +34,7 @@ def _apply_overrides(cfg, args) -> None:
         cfg.output.directory = args.output_dir
 
 
-def _load_and_prepare(cfg, n_workers: int):
+def _load_and_prepare(cfg):
     df = records.load_delimited(
         cfg.input.path, cfg.schema, delimiter=cfg.input.delimiter,
         missing_token=cfg.input.missing_token)
@@ -46,8 +47,7 @@ def _load_and_prepare(cfg, n_workers: int):
         if dropped:
             log.info("dropped %d records missing required fields", dropped)
     pairs = candidates.build_pairs(df, cfg.filter_rules)
-    comps = comparison.compare_pairs(df, pairs, cfg.level_specs,
-                                     n_workers=n_workers)
+    comps = comparison.compare_pairs(df, pairs, cfg.level_specs)
     graph = candidates.fix_noncoreferent(comps, cfg.fix_rules)
     return df, comps, graph, dropped
 
@@ -94,7 +94,7 @@ def cmd_dedupe(args) -> int:
     out_dir = cfg.output.directory
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
-    df, comps, graph, dropped = _load_and_prepare(cfg, threads)
+    df, comps, graph, dropped = _load_and_prepare(cfg)
     outputs = _write_comparison_outputs(out_dir, comps, graph)
 
     ctx = gibbs.SamplerContext(comps, graph)
@@ -149,11 +149,10 @@ def cmd_compare(args) -> int:
     cfg = config_mod.load_config(args.config)
     if args.output_dir is not None:
         cfg.output.directory = args.output_dir
-    threads = _resolve_threads(args)
     out_dir = cfg.output.directory
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
-    df, comps, graph, dropped = _load_and_prepare(cfg, threads)
+    df, comps, graph, dropped = _load_and_prepare(cfg)
     outputs = _write_comparison_outputs(out_dir, comps, graph)
     manifest = _manifest(args, {
         "records": df.r, "dropped": dropped,
@@ -214,11 +213,10 @@ def cmd_baseline(args) -> int:
 
     cfg = config_mod.load_config(args.config)
     _apply_overrides(cfg, args)
-    threads = _resolve_threads(args)
     out_dir = cfg.output.directory
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
-    df, comps, graph, dropped = _load_and_prepare(cfg, threads)
+    df, comps, graph, dropped = _load_and_prepare(cfg)
     outputs = _write_comparison_outputs(out_dir, comps, graph)
 
     sample = mixture.run_mixture(comps, graph, cfg.prior, cfg.sampler)
@@ -232,10 +230,8 @@ def cmd_baseline(args) -> int:
             fh.write(f"{int(it)},{p:.8f}\n")
     outputs.append(p_path)
     nt_path = os.path.join(out_dir, "nontransitive.csv")
-    with open(nt_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("iteration,count\n")
-        for it, c in zip(sample.kept_iterations, sample.nontransitive):
-            fh.write(f"{int(it)},{int(c)}\n")
+    write_int_rows(nt_path, (sample.kept_iterations, sample.nontransitive),
+                   header="iteration,count")
     outputs.append(nt_path)
 
     nt = sample.nontransitive
@@ -268,17 +264,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--iterations", type=int, default=None)
         p.add_argument("--burn-in", type=int, default=None, dest="burn_in")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker cap (default: available cores)")
         p.add_argument("--output-dir", default=None)
 
     p = sub.add_parser("dedupe", help="run the full partition sampler")
     sampling_flags(p)
+    p.add_argument("--threads", type=int, default=None,
+                   help="chain worker cap (default: available cores)")
     p.set_defaults(func=cmd_dedupe)
 
     p = sub.add_parser("compare", help="comparison data and candidate pairs only")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--output-dir", default=None)
     p.set_defaults(func=cmd_compare)
 

@@ -12,16 +12,21 @@ compare_pairs factorizes each compared column once into integer codes,
 computes one similarity per distinct unordered value pair (string
 distances through a vectorized dynamic program, the other kinds through
 their scalar functions), bins those with one searchsorted and gathers
-the levels back to the record pairs. The scalar comparators and
-bin_level define a single pair's level; the tests hold compare_pairs to
-them pair by pair.
+the levels back to the record pairs. This is the only comparison path.
+
+The string similarities are edit distances scaled by the longer length,
+in [0, 1]. token_levenshtein tolerates differing token counts: equal
+counts compare position by position and average; otherwise each token
+of the shorter name takes its best-fitting token of the longer name,
+and those minima average, so an exact token match yields 0. The one-pair
+scalar versions of these comparators and of the binning live in
+tests/oracles.py, which holds compare_pairs to them pair by pair.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 
 import numpy as np
 
@@ -33,64 +38,6 @@ COMPARATOR_KINDS = ("levenshtein", "token_levenshtein", "absolute_difference", "
 
 MISSING_LEVEL = -1  # sentinel in packed level arrays
 MAX_LEVELS = 127  # levels are packed as int8
-
-
-def levenshtein(a: str, b: str) -> int:
-    """Edit distance: minimum insertions, deletions, substitutions."""
-    if a == b:
-        return 0
-    la, lb = len(a), len(b)
-    if la == 0:
-        return lb
-    if lb == 0:
-        return la
-    prev = list(range(lb + 1))
-    for i in range(la):
-        ca = a[i]
-        cur = [i + 1]
-        append = cur.append
-        for j in range(lb):
-            cost = prev[j] if ca == b[j] else prev[j] + 1
-            d = prev[j + 1] + 1
-            if d < cost:
-                cost = d
-            e = cur[j] + 1
-            if e < cost:
-                cost = e
-            append(cost)
-        prev = cur
-    return prev[lb]
-
-
-def normalized_levenshtein(a: str, b: str) -> float:
-    """Edit distance scaled by the longer length, in [0, 1]."""
-    m = max(len(a), len(b))
-    if m == 0:
-        return 0.0
-    return levenshtein(a, b) / m
-
-
-def token_min_levenshtein(a: str, b: str) -> float:
-    """Name comparison tolerant of differing token counts.
-
-    Single-token names compare directly. When token counts are equal,
-    tokens compare positionally and the normalized distances average.
-    When they differ, every token of the shorter name is matched to its
-    best-fitting token of the longer name (minimum normalized distance,
-    each candidate pairing normalized by its own max token length), and
-    those minima average; with one token against two this is exactly the
-    min over the two tokens. An exact token match therefore yields 0.
-    """
-    ta, tb = a.split(), b.split()
-    if not ta or not tb:
-        return normalized_levenshtein(a, b)
-    if len(ta) == len(tb):
-        if len(ta) == 1:
-            return normalized_levenshtein(a, b)
-        return sum(normalized_levenshtein(x, y) for x, y in zip(ta, tb)) / len(ta)
-    short, long_ = (ta, tb) if len(ta) < len(tb) else (tb, ta)
-    return sum(min(normalized_levenshtein(s, t) for t in long_)
-               for s in short) / len(short)
 
 
 def absolute_difference(x: int, y: int) -> int:
@@ -134,26 +81,9 @@ class LevelSpec:
     def n_levels(self) -> int:
         return len(self.cut_points)
 
-    @property
-    def top_level(self) -> int:
-        return len(self.cut_points) - 1
-
 
 def binary_spec(field: str) -> LevelSpec:
     return LevelSpec(field, "binary", (0.0, 1.0))
-
-
-def bin_level(similarity: float, spec: LevelSpec) -> int:
-    """Discretize a similarity value: smallest l with s <= cut_points[l]."""
-    if similarity < 0:
-        raise ConfigError(
-            f"{spec.field!r}: similarity {similarity} is negative")
-    lv = bisect_left(spec.cut_points, similarity)
-    if lv >= spec.n_levels:
-        raise ConfigError(
-            f"{spec.field!r}: similarity {similarity} exceeds the last cut point "
-            f"{spec.cut_points[-1]}")
-    return lv
 
 
 class PairComparisons:
@@ -179,12 +109,6 @@ class PairComparisons:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def field_index(self, name: str) -> int:
-        try:
-            return self.fields.index(name)
-        except ValueError:
-            raise ConfigError(f"unknown compared field {name!r}") from None
 
     def write_csv(self, path) -> None:
         """Export as a delimited matrix: i, j, then one level column per
@@ -224,7 +148,8 @@ def _distinct_pairs(x: np.ndarray, y: np.ndarray, n: int):
 
 def _normalized_distances(strings: list[str], x: np.ndarray,
                           y: np.ndarray) -> np.ndarray:
-    """normalized_levenshtein(strings[x[k]], strings[y[k]]) for every k.
+    """Edit distance of strings[x[k]] and strings[y[k]], scaled by the
+    longer length, for every k.
 
     The strings become one code-point matrix. Pairs are put shorter
     string first and grouped by their length signature; each group runs
@@ -272,7 +197,7 @@ def _normalized_distances(strings: list[str], x: np.ndarray,
 
 def _token_similarities(values: list[str], a: np.ndarray,
                         b: np.ndarray) -> np.ndarray:
-    """token_min_levenshtein(values[a[k]], values[b[k]]) for every k.
+    """Token-tolerant distance of values[a[k]] and values[b[k]] for every k.
 
     Each value pair becomes rows of token pairs, scored as the mean over
     rows of the row's minimum distance; every distinct token pair goes
@@ -341,26 +266,15 @@ def _compare_columns(factors: list, pairs: np.ndarray,
 
 def compare_pairs(df: DataFile, pairs: np.ndarray, specs: list[LevelSpec],
                   n_workers: int = 1) -> PairComparisons:
-    """Compare every listed pair on every spec'd field.
+    """Compare every listed pair on every spec'd field, in this process.
 
-    With n_workers > 1 the pair list is chunked across worker processes;
-    chunks are reassembled in order, so the output is identical to the
-    single-process run.
+    n_workers is ignored; it remains only for callers that still pass it.
     """
     pairs = np.ascontiguousarray(np.asarray(pairs, dtype=np.int32).reshape(-1, 2))
     if len(pairs) and (pairs.min() < 0 or pairs.max() >= df.r):
         raise DataError("pair indices out of range for this file")
     factors = [_factorize(df.column(s.field)) for s in specs]
-    if n_workers <= 1 or len(pairs) < 2 * n_workers:
-        levels = _compare_columns(factors, pairs, specs)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [c for c in np.array_split(pairs, n_workers * 4) if len(c)]
-        with ProcessPoolExecutor(max_workers=n_workers) as ex:
-            parts = list(ex.map(_compare_columns, repeat(factors), chunks,
-                                repeat(specs)))
-        levels = np.concatenate(parts, axis=0)
     return PairComparisons(
         r=df.r, fields=tuple(s.field for s in specs),
-        n_levels=tuple(s.n_levels for s in specs), pairs=pairs, levels=levels)
+        n_levels=tuple(s.n_levels for s in specs), pairs=pairs,
+        levels=_compare_columns(factors, pairs, specs))

@@ -47,7 +47,6 @@ from math import exp
 import numpy as np
 from scipy.special import betainc, betaincc, betainccinv, betaincinv
 
-from . import model
 from .candidates import CandidateGraph, connected_components
 from .comparison import PairComparisons
 from .config import SamplerConfig
@@ -144,13 +143,6 @@ def _tbeta_vec(rng: np.random.Generator, a: np.ndarray, b: np.ndarray,
     return x
 
 
-def sample_truncated_beta(rng: np.random.Generator, alpha: float, beta: float,
-                          lam: float) -> float:
-    """One draw from Beta(alpha, beta) truncated to [lam, 1)."""
-    return float(_tbeta_vec(rng, np.array([alpha]), np.array([beta]),
-                            np.array([lam]))[0])
-
-
 # --- parameter block --------------------------------------------------------
 
 # Per parameter, in field order: its Beta hyperparameters and truncation
@@ -233,8 +225,77 @@ def _too_many_partitions(edges: list) -> bool:
     return 1 << (len(matched) // 2) > P_MAX
 
 
-class SamplerContext:
-    """Data-side constants shared by all sweeps of all chains of a run.
+class LevelContext:
+    """Level-side constants of the candidate pairs: their records, their
+    observed levels as level bins, and the level counts of all compared
+    pairs. Enough to turn parameters into log ratios and links into
+    level counts; the mixture baseline needs no more.
+    """
+
+    def __init__(self, comps: PairComparisons, graph: CandidateGraph):
+        if len(comps) != len(graph.pairs) or comps.r != graph.r:
+            raise ConfigError("comparison data and candidate graph are misaligned")
+        cand_idx = np.flatnonzero(graph.candidate_mask)
+        self.n_candidates = len(cand_idx)
+        self.cand_i = comps.pairs[cand_idx, 0].astype(np.int64)
+        self.cand_j = comps.pairs[cand_idx, 1].astype(np.int64)
+
+        # observed candidate levels as (pair, bin) entries in field order,
+        # where a field's bins are its levels after the earlier fields' bins
+        n_fields = len(comps.n_levels)
+        bin_bounds = np.cumsum([0] + list(comps.n_levels))
+        cand_levels = comps.levels[cand_idx]
+        field, pair = np.nonzero(cand_levels.T >= 0)
+        self.obs_pair = pair
+        self.obs_bin = bin_bounds[field] + cand_levels[pair, field]
+        self.n_bins = int(bin_bounds[-1])
+        # a0 = observed levels of all compared pairs - a1; shifting by one
+        # puts the missing level (-1) in a bin of its own, dropped after
+        self.a0_base = _concat([
+            np.bincount(comps.levels[:, f] + 1, minlength=n + 1)[1:]
+            for f, n in enumerate(comps.n_levels)])
+        # a bin's log star probability is the log of its own parameter (none
+        # for a field's top level) plus the log1p(-parameter) of every level
+        # below it in its field: gathers from a log vector padded with 0 and
+        # from an exclusive cumsum, less that cumsum at the field's start
+        bin_field = np.repeat(np.arange(n_fields), comps.n_levels)
+        self._bin_past = np.arange(self.n_bins) - bin_field
+        top = np.zeros(self.n_bins, dtype=bool)
+        top[bin_bounds[1:] - 1] = True
+        self._bin_own = np.where(top, self.n_bins - n_fields, self._bin_past)
+        self._bin_first = (bin_bounds[:-1] - np.arange(n_fields))[bin_field]
+
+    def flat_log_ratios(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Per-candidate-pair log likelihood ratios from flat m and u."""
+        own = np.log(m) - np.log(u)
+        past = np.empty(len(m) + 1)
+        past[0] = 0.0
+        np.cumsum(np.log1p(-m) - np.log1p(-u), out=past[1:])
+        lr = np.append(own, 0.0)[self._bin_own] + (past[self._bin_past]
+                                                   - past[self._bin_first])
+        return np.bincount(self.obs_pair, weights=lr[self.obs_bin],
+                           minlength=self.n_candidates)
+
+    def log_ratios(self, params: ModelParams) -> np.ndarray:
+        """flat_log_ratios from per-field parameters."""
+        return self.flat_log_ratios(_concat(params.m), _concat(params.u))
+
+    def link_counts(self, linked: np.ndarray) -> np.ndarray:
+        """Level counts of shape (2, bins), a1 then a0, when exactly the
+        candidate pairs flagged in linked are coreferent."""
+        a1 = np.bincount(self.obs_bin[linked[self.obs_pair]],
+                         minlength=self.n_bins)
+        return np.stack((a1, self.a0_base - a1))
+
+    def recount(self, z: np.ndarray) -> np.ndarray:
+        """Level counts of labeling z, counted from scratch."""
+        return self.link_counts(z[self.cand_i] == z[self.cand_j])
+
+
+class SamplerContext(LevelContext):
+    """Data-side constants shared by all sweeps of all chains of a run:
+    the level side, the candidate adjacency lists, and which components
+    are drawn whole.
 
     Candidate components with at most P_MAX valid partitions are drawn
     whole (block_records, by component in order of smallest member); the
@@ -247,46 +308,16 @@ class SamplerContext:
     """
 
     def __init__(self, comps: PairComparisons, graph: CandidateGraph):
-        if len(comps) != len(graph.pairs) or comps.r != graph.r:
-            raise ConfigError("comparison data and candidate graph are misaligned")
+        super().__init__(comps, graph)
         self.comps = comps
         self.graph = graph
         self.r = comps.r
-        cand_idx = np.flatnonzero(graph.candidate_mask)
-        self.n_candidates = len(cand_idx)
-        self.cand_i = comps.pairs[cand_idx, 0].astype(np.int64)
-        self.cand_j = comps.pairs[cand_idx, 1].astype(np.int64)
         ci, cj = self.cand_i.tolist(), self.cand_j.tolist()
         adj: list = [[] for _ in range(self.r)]
         for c, (i, j) in enumerate(zip(ci, cj)):
             adj[i].append((j, c))
             adj[j].append((i, c))
         self.adj = adj
-
-        # observed candidate levels as (pair, bin) entries in field order,
-        # where a field's bins are its levels after the earlier fields' bins
-        n_fields = len(comps.n_levels)
-        bin_bounds = np.cumsum([0] + list(comps.n_levels))
-        cand_levels = comps.levels[cand_idx]
-        field, pair = np.nonzero(cand_levels.T >= 0)
-        self.obs_pair = pair
-        self.obs_bin = bin_bounds[field] + cand_levels[pair, field]
-        self.n_bins = int(bin_bounds[-1])
-        fixed = model.fixed_pair_stats(graph, comps)
-        # a0 = fixed-pair counts + candidate counts - a1
-        self.a0_base = _concat(fixed) + np.bincount(self.obs_bin,
-                                                    minlength=self.n_bins)
-        # a bin's log star probability is the log of its own parameter (none
-        # for a field's top level) plus the log1p(-parameter) of every level
-        # below it in its field: gathers from a log vector padded with 0 and
-        # from an exclusive cumsum, less that cumsum at the field's start
-        bin_field = np.repeat(np.arange(n_fields), comps.n_levels)
-        self._bin_past = np.arange(self.n_bins) - bin_field
-        top = np.zeros(self.n_bins, dtype=bool)
-        top[bin_bounds[1:] - 1] = True
-        self._bin_own = np.where(top, self.n_bins - n_fields, self._bin_past)
-        self._bin_first = (bin_bounds[:-1] - np.arange(n_fields))[bin_field]
-
         components = graph.components or connected_components(self.r, zip(ci, cj))
         self._admit([comp for comp in components if len(comp) > 1])
 
@@ -341,32 +372,6 @@ class SamplerContext:
         self.part_comp = np.repeat(np.arange(len(blocks)), per_comp)
         width = sizes[self.part_comp]
         self.label_at = np.cumsum(width) - width
-
-    def flat_log_ratios(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Per-candidate-pair log likelihood ratios from flat m and u."""
-        own = np.log(m) - np.log(u)
-        past = np.empty(len(m) + 1)
-        past[0] = 0.0
-        np.cumsum(np.log1p(-m) - np.log1p(-u), out=past[1:])
-        lr = np.append(own, 0.0)[self._bin_own] + (past[self._bin_past]
-                                                   - past[self._bin_first])
-        return np.bincount(self.obs_pair, weights=lr[self.obs_bin],
-                           minlength=self.n_candidates)
-
-    def log_ratios(self, params: ModelParams) -> np.ndarray:
-        """flat_log_ratios from per-field parameters."""
-        return self.flat_log_ratios(_concat(params.m), _concat(params.u))
-
-    def link_counts(self, linked: np.ndarray) -> np.ndarray:
-        """Level counts of shape (2, bins), a1 then a0, when exactly the
-        candidate pairs flagged in linked are coreferent."""
-        a1 = np.bincount(self.obs_bin[linked[self.obs_pair]],
-                         minlength=self.n_bins)
-        return np.stack((a1, self.a0_base - a1))
-
-    def recount(self, z: np.ndarray) -> np.ndarray:
-        """Level counts of labeling z, counted from scratch."""
-        return self.link_counts(z[self.cand_i] == z[self.cand_j])
 
 
 def component_summary(ctx: SamplerContext) -> dict:

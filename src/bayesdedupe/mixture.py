@@ -18,7 +18,7 @@ import numpy as np
 from .candidates import CandidateGraph
 from .comparison import PairComparisons
 from .config import SamplerConfig
-from .gibbs import SamplerContext, draw_flat_params, flatten_prior
+from .gibbs import LevelContext, draw_flat_params, flatten_prior
 from .model import PriorSpec
 
 
@@ -38,12 +38,6 @@ def count_nontransitive_triplets(r: int, pos_pairs) -> int:
     for i, j in pos_pairs:
         closed += len(adj[i] & adj[j])
     return paths - closed
-
-
-def delta_from_labeling(z, pairs: np.ndarray) -> np.ndarray:
-    """Pairwise link indicators implied by a partition labeling."""
-    z = np.asarray(z)
-    return (z[pairs[:, 0]] == z[pairs[:, 1]]).astype(np.int8)
 
 
 @dataclass
@@ -73,7 +67,7 @@ def run_mixture(comps: PairComparisons, graph: CandidateGraph,
     the level parameters; retention follows the partition sampler.
     """
     start = time.perf_counter()
-    ctx = SamplerContext(comps, graph)
+    ctx = LevelContext(comps, graph)
     flat = flatten_prior(prior)
     rng = np.random.default_rng(config.seed)
 

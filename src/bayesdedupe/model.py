@@ -19,7 +19,7 @@ labeling with n cells, which marginalizes back to the flat partition
 prior.
 
 This module holds what the sampler evaluates: the parameter and prior
-containers, the star probabilities and the sufficient statistics. The
+containers and the sufficient statistics. The star probabilities and the
 exact densities that the sampler is tested against are in
 tests/oracles.py.
 """
@@ -108,22 +108,6 @@ class PriorSpec:
         return PriorSpec.from_lambdas(lams, **hyper)
 
 
-def star_probs(m_f: np.ndarray) -> np.ndarray:
-    """Level probabilities induced by one field's sequential parameters.
-
-    Length is len(m_f) + 1 and the result sums to 1 exactly as a
-    telescoping product.
-    """
-    m_f = np.asarray(m_f, dtype=np.float64)
-    rest = np.cumprod(1.0 - m_f)
-    out = np.empty(len(m_f) + 1)
-    out[0] = m_f[0] if len(m_f) else 1.0
-    if len(m_f) > 1:
-        out[1:-1] = m_f[1:] * rest[:-1]
-    out[-1] = rest[-1] if len(m_f) else 1.0
-    return out
-
-
 @dataclass
 class SufficientStats:
     """Observed-level counts split by coreference status.
@@ -152,13 +136,6 @@ class SufficientStats:
         field's levels after the earlier fields' levels."""
         cat = lambda arrs: np.concatenate(arrs) if len(arrs) else np.empty(0)
         return np.array([cat(self.a1), cat(self.a0)])
-
-    def equals(self, other: "SufficientStats") -> bool:
-        return (len(self.a1) == len(other.a1)
-                and all(np.array_equal(np.asarray(x), np.asarray(y))
-                        for x, y in zip(self.a1, other.a1))
-                and all(np.array_equal(np.asarray(x), np.asarray(y))
-                        for x, y in zip(self.a0, other.a0)))
 
 
 def check_valid_labeling(z, graph: CandidateGraph) -> None:
@@ -195,17 +172,3 @@ def sufficient_stats(z, graph: CandidateGraph,
         stats.a0[f] = np.bincount(col[obs & ~coref],
                                   minlength=comps.n_levels[f]).astype(np.int64)
     return stats
-
-
-def fixed_pair_stats(graph: CandidateGraph, comps: PairComparisons) -> list:
-    """Per-field observed-level counts over the fixed pairs only.
-
-    This is the labeling-independent share of a0, precomputed once.
-    """
-    fixed = ~graph.candidate_mask
-    out = []
-    for f in range(len(comps.fields)):
-        col = comps.levels[:, f]
-        obs = (col >= 0) & fixed
-        out.append(np.bincount(col[obs], minlength=comps.n_levels[f]).astype(np.int64))
-    return out

@@ -24,22 +24,6 @@ def labeling_to_partition(z) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(c) for c in sorted(cells.values(), key=lambda c: c[0]))
 
 
-def partition_to_labeling(cells) -> list[int]:
-    """Inverse of labeling_to_partition, producing canonical labels."""
-    size = sum(len(c) for c in cells)
-    z = [-1] * size
-    for lab, cell in enumerate(sorted(cells, key=min)):
-        for i in cell:
-            if not 0 <= i < size:
-                raise ValueError(f"record id {i} out of range")
-            if z[i] != -1:
-                raise ValueError(f"record {i} appears in two cells")
-            z[i] = lab
-    if -1 in z:
-        raise ValueError("cells do not cover 0..r-1")
-    return z
-
-
 def format_partition(z) -> str:
     """Render a labeling's partition as e.g. '0,1,2/3,4'."""
     return "/".join(",".join(str(i) for i in cell)
@@ -82,9 +66,6 @@ def canonicalize_label_rows(rows: np.ndarray) -> np.ndarray:
         cell = np.cumsum(first == cols, axis=1, dtype=np.int32) - 1
         out[lo:lo + step] = np.take_along_axis(cell, first, axis=1)
     return out
-
-
-_ENUMERATION_LIMIT = 10
 
 
 def valid_partitions(lower, cap: float = math.inf) -> np.ndarray | None:
@@ -135,23 +116,3 @@ def valid_partitions(lower, cap: float = math.inf) -> np.ndarray | None:
         if len(out) > limit:
             return None
     return np.frombuffer(out, dtype=np.int64).reshape(-1, n)
-
-
-def enumerate_valid_partitions(r: int, candidate_pairs) -> list[tuple[tuple[int, ...], ...]]:
-    """All partitions of 0..r-1 in which every within-cell pair is a
-    candidate pair (i, j), i < j, each cell ascending. Guarded to
-    r <= 10: the tests enumerate whole small files with it.
-    """
-    if r > _ENUMERATION_LIMIT:
-        raise ValueError(f"exact enumeration is limited to r <= {_ENUMERATION_LIMIT}")
-    lower: list[list[int]] = [[] for _ in range(r)]
-    for i, j in set(candidate_pairs):
-        if 0 <= i < j < r:
-            lower[j].append(i)
-    out = []
-    for heads in valid_partitions(lower).tolist():
-        cells: dict = {}
-        for k, h in enumerate(heads):
-            cells.setdefault(h, []).append(k)
-        out.append(tuple(tuple(c) for c in cells.values()))
-    return out

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .records import DataFile, FieldSchema, Record
+from .textio import write_int_rows
 
 log = logging.getLogger(__name__)
 
@@ -443,10 +444,8 @@ def generate(config: GeneratorConfig) -> GenerationResult:
 
 
 def write_truth(path, truth: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("record_id,entity_id\n")
-        for rid, ent in enumerate(truth):
-            fh.write(f"{rid},{int(ent)}\n")
+    write_int_rows(path, (np.arange(len(truth)), truth),
+                   header="record_id,entity_id")
 
 
 def default_fields() -> list:

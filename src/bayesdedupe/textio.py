@@ -1,7 +1,7 @@
 """Block-wise text rendering of integer matrices.
 
-The comparison, edge and labeling files are integer matrices written as
-delimited text. write_int_rows renders them with numpy, a bounded block
+The comparison, edge, labeling, truth and nontransitive-count files are
+integer matrices written as delimited text. write_int_rows renders them with numpy, a bounded block
 of rows at a time, into the same bytes as joining str(int(v)) with the
 separator, one row per line.
 """

@@ -5,16 +5,19 @@ layer are what the block-wise numpy code in bayesdedupe replaced; tests
 require the production code to produce the same bytes and the same
 numbers as these. The one-pair, one-parameter and exact-density
 references of the comparison, likelihood and sampler layers follow:
-compare_pair against compare_pairs, the sequential-form likelihood
-against the star-probability tables, the per-field parameter block
-(level counts and log likelihood ratios) against the flat one, the
-exact joint and marginal densities behind the enumeration and
-quadrature checks, and single-site Gibbs updates. Last come the small partition helpers that
-the tests count and check labelings with, and fix rules evaluated on one
-pair. No subcommand runs any of them.
+the scalar string comparators, bin_level and compare_pair against
+compare_pairs, the sequential-form likelihood against the
+star-probability tables, the per-field parameter block (level counts and
+log likelihood ratios) against the flat one, the exact joint and
+marginal densities behind the enumeration and quadrature checks, and
+one-at-a-time truncated-Beta draws and single-site Gibbs updates. Last
+come the small partition helpers that the tests count, enumerate and
+check labelings with, and fix rules evaluated on one pair. No
+subcommand runs any of them.
 """
 
 import csv
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import factorial
 
@@ -22,12 +25,10 @@ import numpy as np
 from scipy.special import betainc, betaln
 
 from bayesdedupe import gibbs
-from bayesdedupe.comparison import (absolute_difference, bin_level,
-                                    binary_disagreement,
-                                    normalized_levenshtein,
-                                    token_min_levenshtein)
-from bayesdedupe.errors import DataError
-from bayesdedupe.model import star_probs, sufficient_stats
+from bayesdedupe.comparison import absolute_difference, binary_disagreement
+from bayesdedupe.errors import ConfigError, DataError
+from bayesdedupe.model import sufficient_stats
+from bayesdedupe.partition import valid_partitions
 
 
 def write_comparisons_csv(path, comps) -> None:
@@ -171,6 +172,77 @@ def partition_frequency_table(labelings) -> list:
 
 # --- comparison, one pair at a time -----------------------------------------
 
+def levenshtein(a: str, b: str) -> int:
+    """Edit distance: minimum insertions, deletions, substitutions."""
+    if a == b:
+        return 0
+    la, lb = len(a), len(b)
+    if la == 0:
+        return lb
+    if lb == 0:
+        return la
+    prev = list(range(lb + 1))
+    for i in range(la):
+        ca = a[i]
+        cur = [i + 1]
+        append = cur.append
+        for j in range(lb):
+            cost = prev[j] if ca == b[j] else prev[j] + 1
+            d = prev[j + 1] + 1
+            if d < cost:
+                cost = d
+            e = cur[j] + 1
+            if e < cost:
+                cost = e
+            append(cost)
+        prev = cur
+    return prev[lb]
+
+
+def normalized_levenshtein(a: str, b: str) -> float:
+    """Edit distance scaled by the longer length, in [0, 1]."""
+    m = max(len(a), len(b))
+    if m == 0:
+        return 0.0
+    return levenshtein(a, b) / m
+
+
+def token_min_levenshtein(a: str, b: str) -> float:
+    """Name comparison tolerant of differing token counts.
+
+    Single-token names compare directly. When token counts are equal,
+    tokens compare positionally and the normalized distances average.
+    When they differ, every token of the shorter name is matched to its
+    best-fitting token of the longer name (minimum normalized distance,
+    each candidate pairing normalized by its own max token length), and
+    those minima average; with one token against two this is exactly the
+    min over the two tokens. An exact token match therefore yields 0.
+    """
+    ta, tb = a.split(), b.split()
+    if not ta or not tb:
+        return normalized_levenshtein(a, b)
+    if len(ta) == len(tb):
+        if len(ta) == 1:
+            return normalized_levenshtein(a, b)
+        return sum(normalized_levenshtein(x, y) for x, y in zip(ta, tb)) / len(ta)
+    short, long_ = (ta, tb) if len(ta) < len(tb) else (tb, ta)
+    return sum(min(normalized_levenshtein(s, t) for t in long_)
+               for s in short) / len(short)
+
+
+def bin_level(similarity: float, spec) -> int:
+    """Discretize a similarity value: smallest l with s <= cut_points[l]."""
+    if similarity < 0:
+        raise ConfigError(
+            f"{spec.field!r}: similarity {similarity} is negative")
+    lv = bisect_left(spec.cut_points, similarity)
+    if lv >= spec.n_levels:
+        raise ConfigError(
+            f"{spec.field!r}: similarity {similarity} exceeds the last cut point "
+            f"{spec.cut_points[-1]}")
+    return lv
+
+
 _SIMILARITY_FUNCS = {
     "levenshtein": normalized_levenshtein,
     "token_levenshtein": token_min_levenshtein,
@@ -248,6 +320,31 @@ def log_likelihood_ratio(vec, params) -> float:
 
 
 # --- parameter block, one field at a time -----------------------------------
+
+def star_probs(m_f: np.ndarray) -> np.ndarray:
+    """Level probabilities induced by one field's sequential parameters.
+
+    Length is len(m_f) + 1 and the result sums to 1 exactly as a
+    telescoping product.
+    """
+    m_f = np.asarray(m_f, dtype=np.float64)
+    rest = np.cumprod(1.0 - m_f)
+    out = np.empty(len(m_f) + 1)
+    out[0] = m_f[0] if len(m_f) else 1.0
+    if len(m_f) > 1:
+        out[1:-1] = m_f[1:] * rest[:-1]
+    out[-1] = rest[-1] if len(m_f) else 1.0
+    return out
+
+
+def stats_equal(s, t) -> bool:
+    """Whether two SufficientStats hold the same counts, field by field."""
+    return (len(s.a1) == len(t.a1)
+            and all(np.array_equal(np.asarray(x), np.asarray(y))
+                    for x, y in zip(s.a1, t.a1))
+            and all(np.array_equal(np.asarray(x), np.asarray(y))
+                    for x, y in zip(s.a0, t.a0)))
+
 
 def log_level_tables(params) -> tuple[list, list]:
     """Log star-probability lookup tables (per field, indexed by level)."""
@@ -371,6 +468,13 @@ def marginal_log_likelihood(z, prior, graph, comps) -> float:
 
 # --- single-site Gibbs updates ----------------------------------------------
 
+def sample_truncated_beta(rng, alpha: float, beta: float, lam: float) -> float:
+    """One draw from Beta(alpha, beta) truncated to [lam, 1), through the
+    sampler's vector draw."""
+    return float(gibbs._tbeta_vec(rng, np.array([alpha]), np.array([beta]),
+                                  np.array([lam]))[0])
+
+
 def _field_slices(prior, f: int) -> tuple[int, slice]:
     """Field f's first flat parameter index and its slice of level bins."""
     first = sum(len(v) for v in prior.lam[:f])
@@ -383,7 +487,7 @@ def update_m(state, f: int, l: int, prior, rng) -> float:
     counts = state.stats[0, bins]
     a = float(prior.alpha1[f][l]) + float(counts[l])
     b = float(prior.beta1[f][l]) + float(counts[l + 1:].sum())
-    x = gibbs.sample_truncated_beta(rng, a, b, float(prior.lam[f][l]))
+    x = sample_truncated_beta(rng, a, b, float(prior.lam[f][l]))
     state.m[first + l] = x
     return x
 
@@ -442,6 +546,52 @@ def canonical_labels(z) -> tuple[int, ...]:
             seen[lab] = c
         out.append(c)
     return tuple(out)
+
+
+def partition_to_labeling(cells) -> list[int]:
+    """Inverse of partition.labeling_to_partition, producing canonical
+    labels."""
+    size = sum(len(c) for c in cells)
+    z = [-1] * size
+    for lab, cell in enumerate(sorted(cells, key=min)):
+        for i in cell:
+            if not 0 <= i < size:
+                raise ValueError(f"record id {i} out of range")
+            if z[i] != -1:
+                raise ValueError(f"record {i} appears in two cells")
+            z[i] = lab
+    if -1 in z:
+        raise ValueError("cells do not cover 0..r-1")
+    return z
+
+
+_ENUMERATION_LIMIT = 10
+
+
+def enumerate_valid_partitions(r: int, candidate_pairs) -> list[tuple[tuple[int, ...], ...]]:
+    """All partitions of 0..r-1 in which every within-cell pair is a
+    candidate pair (i, j), i < j, each cell ascending. Guarded to
+    r <= 10: the tests enumerate whole small files with it.
+    """
+    if r > _ENUMERATION_LIMIT:
+        raise ValueError(f"exact enumeration is limited to r <= {_ENUMERATION_LIMIT}")
+    lower: list[list[int]] = [[] for _ in range(r)]
+    for i, j in set(candidate_pairs):
+        if 0 <= i < j < r:
+            lower[j].append(i)
+    out = []
+    for heads in valid_partitions(lower).tolist():
+        cells: dict = {}
+        for k, h in enumerate(heads):
+            cells.setdefault(h, []).append(k)
+        out.append(tuple(tuple(c) for c in cells.values()))
+    return out
+
+
+def delta_from_labeling(z, pairs: np.ndarray) -> np.ndarray:
+    """Pairwise link indicators implied by a partition labeling."""
+    z = np.asarray(z)
+    return (z[pairs[:, 0]] == z[pairs[:, 1]]).astype(np.int8)
 
 
 def n_cells(z) -> int:

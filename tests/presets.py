@@ -1,15 +1,16 @@
-"""The built-in five-record worked example: its records, level specs,
-fix rules and four prior regimes."""
+"""The five-record worked example behind acceptance check A1: its
+records, level specs, fix rules and four prior regimes."""
 
 from __future__ import annotations
 
 import math
 
-from .candidates import FixRule
-from .comparison import LevelSpec, binary_spec
-from .errors import ConfigError
-from .model import PriorSpec
-from .records import DataFile, FieldSchema, Record
+from bayesdedupe import candidates, comparison
+from bayesdedupe.candidates import FixRule
+from bayesdedupe.comparison import LevelSpec, binary_spec
+from bayesdedupe.errors import ConfigError
+from bayesdedupe.model import PriorSpec
+from bayesdedupe.records import DataFile, FieldSchema, Record
 
 TOY_FIELDS = ("given_name", "family_name", "year", "month", "day",
               "municipality")
@@ -83,8 +84,6 @@ def toy_prior(case: int) -> PriorSpec:
 
 def toy_comparisons():
     """Comparison data and candidate structure for the worked example."""
-    from . import candidates, comparison
-
     df = toy_records()
     pairs = candidates.all_pairs(df.r)
     comps = comparison.compare_pairs(df, pairs, toy_level_specs())

@@ -26,24 +26,23 @@ import mpmath
 import numpy as np
 
 from bayesdedupe.candidates import FixRule, all_pairs, fix_noncoreferent
-from bayesdedupe.comparison import (LevelSpec, bin_level, binary_spec,
-                                    compare_pairs, levenshtein)
-from bayesdedupe.gibbs import SamplerConfig, run_chain, sample_truncated_beta
-from bayesdedupe.mixture import (count_nontransitive_triplets,
-                                 delta_from_labeling, run_mixture)
-from bayesdedupe.model import ModelParams, PriorSpec, star_probs
-from bayesdedupe.partition import (enumerate_valid_partitions,
-                                   format_partition, partition_to_labeling)
+from bayesdedupe.comparison import LevelSpec, binary_spec, compare_pairs
+from bayesdedupe.gibbs import SamplerConfig, run_chain
+from bayesdedupe.mixture import count_nontransitive_triplets, run_mixture
+from bayesdedupe.model import ModelParams, PriorSpec
+from bayesdedupe.partition import format_partition
 from bayesdedupe.posterior import duplicate_distribution, metric_summary
-from bayesdedupe.presets import (toy_comparisons, toy_fix_rules,
-                                 toy_level_specs, toy_prior, toy_schema)
 from bayesdedupe.records import DataFile, FieldSchema, Record
 from bayesdedupe.synthgen import (GeneratorConfig, default_fields, generate,
                                   sample_duplicate_count,
                                   truncated_poisson_pmf)
 
 from conftest import compared_setup
-from oracles import log_posterior_unnormalized
+from oracles import (bin_level, delta_from_labeling, enumerate_valid_partitions,
+                     levenshtein, log_posterior_unnormalized,
+                     partition_to_labeling, sample_truncated_beta, star_probs)
+from presets import (toy_comparisons, toy_fix_rules, toy_level_specs,
+                     toy_prior, toy_schema)
 
 
 def report(capsys, label: str, ok: bool, detail: str) -> None:

@@ -16,8 +16,9 @@ from bayesdedupe.candidates import connected_components
 from bayesdedupe.cli import main
 from bayesdedupe.config import load_config
 from bayesdedupe.errors import ConfigError
-from bayesdedupe.partition import enumerate_valid_partitions
 from bayesdedupe.synthgen import data_path
+
+from oracles import enumerate_valid_partitions
 
 BASE_CONFIG = {
     "input": {"path": "records.csv", "missing_token": "NA"},
@@ -203,7 +204,7 @@ class TestCliDedupe:
         cfg_path.write_text(
             synth_config_text(synth_run / "data" / "records.csv",
                               synth_run / "cmp_out"), encoding="utf-8")
-        rc = main(["compare", "--config", str(cfg_path), "--threads", "1"])
+        rc = main(["compare", "--config", str(cfg_path)])
         assert rc == 0
         out = synth_run / "cmp_out"
         assert (out / "comparisons.csv").is_file()
@@ -217,7 +218,7 @@ class TestCliDedupe:
             synth_config_text(synth_run / "data" / "records.csv",
                               synth_run / "base_out", iterations=150,
                               burn_in=30), encoding="utf-8")
-        rc = main(["baseline", "--config", str(cfg_path), "--threads", "1"])
+        rc = main(["baseline", "--config", str(cfg_path)])
         assert rc == 0
         out = synth_run / "base_out"
         for name in ("pairwise_probabilities.csv", "p_trace.csv",
@@ -429,7 +430,7 @@ d = sys.argv[1]
 codes = [
     main(["synth", "--output-dir", d + "/data", "--originals", "6",
           "--duplicates", "2"]),
-    main(["compare", "--config", d + "/cmp.yaml", "--threads", "1"]),
+    main(["compare", "--config", d + "/cmp.yaml"]),
     main(["evaluate", "--labelings", d + "/lab.txt", "--truth",
           d + "/data/truth.csv", "--output", d + "/m.json"]),
 ]
@@ -441,8 +442,8 @@ print(json.dumps({"codes": codes, "loaded": [
 
 
 def test_scipy_loads_only_for_sampling_commands(tmp_path):
-    """synth, compare and evaluate never import the sampler or scipy,
-    and on one thread not the process pool either."""
+    """synth, compare and evaluate never import the sampler, scipy or
+    the process pool."""
     (tmp_path / "cmp.yaml").write_text(synth_config_text(
         tmp_path / "data" / "records.csv", tmp_path / "out"), encoding="utf-8")
     (tmp_path / "lab.txt").write_text("0 1 2 3 4 5 6 7\n", encoding="utf-8")

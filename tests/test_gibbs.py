@@ -35,24 +35,22 @@ from bayesdedupe.gibbs import (
     init_state,
     run_chain,
     run_chains,
-    sample_truncated_beta,
     sweep,
 )
 from bayesdedupe.model import (ModelParams, PriorSpec, SufficientStats,
                                sufficient_stats)
-from bayesdedupe.partition import (
-    enumerate_valid_partitions,
-    partition_to_labeling,
-)
 
 from conftest import compared_setup, random_file, small_specs
 from oracles import (
     bell_number,
     canonical_labels,
     comparison_vector,
+    enumerate_valid_partitions,
     is_valid_labeling,
     log_likelihood_ratio,
     log_posterior_unnormalized,
+    partition_to_labeling,
+    sample_truncated_beta,
     update_label,
     update_m,
     update_u,

@@ -6,14 +6,11 @@ import numpy as np
 import pytest
 
 from bayesdedupe.gibbs import SamplerConfig, run_chain
-from bayesdedupe.mixture import (
-    count_nontransitive_triplets,
-    delta_from_labeling,
-    run_mixture,
-)
+from bayesdedupe.mixture import count_nontransitive_triplets, run_mixture
 from bayesdedupe.model import PriorSpec
 
 from conftest import compared_setup
+from oracles import delta_from_labeling
 
 
 def brute_nontransitive(r, pos_pairs):

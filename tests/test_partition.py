@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 from bayesdedupe import partition
 from bayesdedupe.partition import (
     canonicalize_label_rows,
-    enumerate_valid_partitions,
     format_partition,
     labeling_to_partition,
-    partition_to_labeling,
     valid_partitions,
 )
 
@@ -22,9 +20,11 @@ from oracles import (
     bell_number,
     canonical_labels,
     coreferent,
+    enumerate_valid_partitions,
     is_valid_labeling,
     labeling_count,
     n_cells,
+    partition_to_labeling,
 )
 
 

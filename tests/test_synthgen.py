@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from bayesdedupe.comparison import levenshtein
 from bayesdedupe.errors import ConfigError, DataError
 from bayesdedupe.records import write_delimited
 from bayesdedupe.synthgen import (
@@ -25,6 +24,8 @@ from bayesdedupe.synthgen import (
     truncated_poisson_pmf,
     write_truth,
 )
+
+from oracles import levenshtein
 
 
 class TestDuplicateCountLaw:
