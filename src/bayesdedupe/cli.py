@@ -138,6 +138,7 @@ def cmd_dedupe(args) -> int:
         "runtime_s": round(time.perf_counter() - t0, 3),
         "outputs": [os.path.basename(p) for p in outputs],
         **gibbs.component_summary(ctx),
+        "single_site_passes": pooled.single_site_passes,
     })
     posterior.write_json(os.path.join(out_dir, "manifest.json"), manifest)
     print(f"dedupe: {df.r} records, {graph.n_candidates} candidate pairs, "

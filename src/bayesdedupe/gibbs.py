@@ -7,31 +7,44 @@ every component and then all level parameters from their conjugate full
 conditionals. Records outside every candidate pair stay singletons by
 construction and are never visited.
 
-A component is drawn exactly as a whole when it has at most P_MAX valid
-partitions, those whose every cell is a clique of the candidate graph.
-They are enumerated once per run and stored flat: per partition, the
-candidate pairs it puts in one cell and the label of each member, the
-record id of its cell's first member. A sweep scores every partition of
-every such component with one bincount over the candidate log likelihood
-ratios and draws all components with one searchsorted on the cumulative
-weights, so its numpy calls do not depend on the number of components.
+Every label is the record id of a member of its cell. A component is
+drawn exactly as a whole when it has at most P_MAX valid partitions,
+those whose every cell is a clique of the candidate graph. They are
+enumerated once per run and stored flat: per partition, the candidate
+pairs it puts in one cell and the label of each member, the record id of
+its cell's first member. A sweep scores every partition of every such
+component with one bincount over the candidate log likelihood ratios and
+draws all components with one searchsorted on the cumulative weights, so
+its numpy calls do not depend on the number of components.
 
 Records of the other components get single-site updates, in ascending
 id order or, with random_scan, in a fresh random order each sweep. The
 full conditional for record i gives each existing cell weight equal to
 the product of likelihood ratios against the cell's members - zero if
 any member is not a candidate partner of i - and gives unit total weight
-to opening a new cell, realized by drawing one of the unused labels of
-the single-site records uniformly. That uniform split is what makes the
-labeling-level chain marginalize to a flat prior over the permitted
-partitions.
+to opening a new cell, which takes i's own id as its label. That unit
+weight, one per new cell rather than one per unused label, is what
+makes the chain's law a flat prior over the permitted partitions. When
+a cell's label holder leaves, the remaining members take the smallest
+of their own ids.
+
+The scan is prefetched (Brockwell 2006, JCGS 15(1)): one numpy pass
+evaluates every single-site record's full conditional against the
+current labeling and draws each with its own uniform. Scanning the draws
+in visiting order, every record up to the first whose draw changes the
+partition keeps its cell, so the conditionals computed for the records
+after it are still exact; that one move is applied, and the next pass
+resumes after it. A sweep takes one pass more than its moves at most.
+Given the same uniforms, the partitions visited are those of the
+one-record-at-a-time scan, up to the rounding of the weights.
 
 The parameter block is flat: the level counts of all fields form one
 vector over their level bins, recounted from the labeling once per sweep
 with one bincount, and m and u are single vectors over all fields' free
 parameters. Given a seed and a config the trajectory is bit-reproducible:
 random draws happen in a fixed order. Each sweep draws one batch of
-uniforms, two per single-site record (in visiting order) and then one
+uniforms, two per single-site record (in visiting order; the first picks
+the record's option and the second is drawn but unused) and then one
 per block component (by smallest member); with random_scan the visiting
 order is drawn next; then come the m draws and then the u draws.
 """
@@ -42,7 +55,6 @@ import math
 import time
 from collections import Counter, namedtuple
 from dataclasses import dataclass
-from math import exp
 
 import numpy as np
 from scipy.special import betainc, betaincc, betainccinv, betaincinv
@@ -305,6 +317,14 @@ class SamplerContext(LevelContext):
     candidate pairs pair_cand[pair_part == p] in one cell, and
     part_labels[label_at[p]:] labels the members of its component, in
     member order.
+
+    Single-site records are the rows of a CSR table of their (neighbour,
+    candidate) entries, site_nbr and site_cand: row k is single_site[k],
+    its entries are in adjacency order, and site_row gives each entry's
+    row. A draw lays the rows out flat as slots, each row's entries and
+    then one slot for a new cell: entry e sits at slot site_slot[e] and
+    row k's new cell at site_new[k]; site_start[k] is the row's first
+    slot and slot_row the row of every slot.
     """
 
     def __init__(self, comps: PairComparisons, graph: CandidateGraph):
@@ -341,6 +361,18 @@ class SamplerContext(LevelContext):
                 blocks.append((comp, heads, edges))
         self.single_site = sorted(single)
         self.single_idx = np.array(self.single_site, dtype=np.int64)
+        entries = [e for i in self.single_site for e in self.adj[i]]
+        self.site_nbr, self.site_cand = np.array(
+            entries, dtype=np.int64).reshape(-1, 2).T
+        degree = np.array([len(self.adj[i]) for i in self.single_site],
+                          dtype=np.int64)
+        rows = np.arange(len(degree))
+        ptr = np.concatenate(([0], np.cumsum(degree)))
+        self.site_row = np.repeat(rows, degree)
+        self.site_slot = np.arange(len(entries)) + self.site_row
+        self.site_new = ptr[1:] + rows
+        self.site_start = ptr[:-1] + rows
+        self.slot_row = np.repeat(rows, degree + 1)
 
         # per component: every partition's labels, and (partition, candidate)
         # for the candidate pairs within its cells
@@ -389,18 +421,28 @@ def component_summary(ctx: SamplerContext) -> dict:
 
 # --- chain state and label updates ------------------------------------------
 
+# Per single-site record, the cells its neighbours lie in, as of one
+# labeling: group numbers every entry's (row, label) pair; the cells the
+# record may join (every member other than itself a neighbour) are the
+# groups options, each with its row and, in slots, the slot of its first
+# entry. label and stay give, per slot, the label a draw there takes (a
+# new cell takes the record's own id) and whether that keeps the
+# partition.
+SiteCells = namedtuple("SiteCells", "group options rows slots label stay")
+
+
 @dataclass
 class ChainState:
     """Mutable Gibbs state: labeling, flat parameters with their candidate
-    log ratios, level counts, and the labels and cell bookkeeping of the
-    single-site records.
+    log ratios, level counts, the cell sizes of the single-site records
+    and a count of single-site passes.
 
     stats (a1 and a0 over all bins) are recounted from z before every
-    parameter draw. site_z mirrors z as a list for the single-site
-    records, which write their labels back to z after each sweep's loop;
-    its other entries are unused. cell_sizes and free_labels cover only
-    labels held by single-site records; block draws label a cell with
-    its first member's record id, which no single-site record ever holds.
+    parameter draw. Every label is the record id of a member of its cell;
+    sizes[q] is the size of the single-site cell labelled q, 0 for a
+    label no single-site cell holds, and is not kept for block records.
+    cells caches the SiteCells of z until a single-site record moves;
+    block draws and parameter draws leave it valid.
     """
 
     z: np.ndarray
@@ -408,9 +450,9 @@ class ChainState:
     u: np.ndarray
     loglr: np.ndarray
     stats: np.ndarray
-    site_z: list
-    cell_sizes: dict
-    free_labels: list
+    sizes: np.ndarray
+    passes: int = 0
+    cells: SiteCells | None = None
 
 
 def init_state(ctx: SamplerContext, prior: PriorSpec,
@@ -423,69 +465,113 @@ def init_state(ctx: SamplerContext, prior: PriorSpec,
         m, u = draw_flat_params(rng, flatten_prior(prior), zero)
     else:
         m, u = _concat(params.m), _concat(params.u)
+    sizes = np.zeros(ctx.r, dtype=np.int64)
+    sizes[ctx.single_idx] = 1
     return ChainState(z=z, m=m, u=u, loglr=ctx.flat_log_ratios(m, u),
-                      stats=ctx.recount(z), site_z=z.tolist(),
-                      cell_sizes={i: 1 for i in ctx.single_site},
-                      free_labels=[])
+                      stats=ctx.recount(z), sizes=sizes)
 
 
-def _update_record(i, z, cell_sizes, free_labels, adj_i, loglr, u1, u2):
-    """Redraw record i's label in place. u1 picks the option, u2 picks
-    the concrete unused label if a new cell opens."""
-    q_old = z[i]
-    sz = cell_sizes[q_old]
-    if sz == 1:
-        del cell_sizes[q_old]
-        free_labels.append(q_old)
-    else:
-        cell_sizes[q_old] = sz - 1
-    sums: dict = {}
-    counts: dict = {}
-    for j, c in adj_i:
-        q = z[j]
-        if q in sums:
-            sums[q] += loglr[c]
-            counts[q] += 1
-        else:
-            sums[q] = loglr[c]
-            counts[q] = 1
-    labs = []
-    ws = []
-    mx = 0.0
-    for q, s in sums.items():
-        # a cell is joinable only if every member is a candidate partner
-        if counts[q] == cell_sizes[q]:
-            labs.append(q)
-            ws.append(s)
-            if s > mx:
-                mx = s
-    total = exp(-mx)  # the new-cell option, at log weight 0
-    exps = []
-    for s in ws:
-        e = exp(s - mx)
-        exps.append(e)
-        total += e
-    t = u1 * total
-    q_new = -1
-    acc = 0.0
-    for k in range(len(exps)):
-        acc += exps[k]
-        if t < acc:
-            q_new = labs[k]
-            break
-    if q_new < 0:
-        nf = len(free_labels)
-        k = int(u2 * nf)
-        if k >= nf:
-            k = nf - 1
-        q_new = free_labels[k]
-        free_labels[k] = free_labels[nf - 1]
-        free_labels.pop()
-        cell_sizes[q_new] = 1
-    else:
-        cell_sizes[q_new] += 1
-    z[i] = q_new
-    return q_new
+def _site_cells(ctx: SamplerContext, z: np.ndarray,
+                sizes: np.ndarray) -> SiteCells:
+    """The SiteCells of labeling z, whose single-site cell sizes are
+    sizes."""
+    lab = z[ctx.site_nbr]
+    key = ctx.site_row * ctx.r + lab
+    perm = np.argsort(key, kind="stable")
+    key = key[perm]
+    head = np.empty(len(key), dtype=bool)
+    head[0] = True
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    group = np.empty(len(key), dtype=np.int64)
+    group[perm] = np.cumsum(head) - 1
+    start = np.flatnonzero(head)
+    first = perm[start]  # stable: the first entry of every group
+    cell = lab[first]
+    own = z[ctx.single_idx]
+    options = np.flatnonzero(np.diff(start, append=len(key))
+                             == sizes[cell] - (cell == own[ctx.site_row[first]]))
+    label = np.empty(len(ctx.slot_row), dtype=np.int64)
+    label[ctx.site_slot] = lab
+    label[ctx.site_new] = ctx.single_idx
+    stay = label == own[ctx.slot_row]
+    stay[ctx.site_new] = sizes[own] == 1
+    first = first[options]
+    return SiteCells(group, options, ctx.site_row[first], ctx.site_slot[first],
+                     label, stay)
+
+
+def _site_draws(ctx: SamplerContext, cells: SiteCells, lr: np.ndarray,
+                u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every single-site record's draw from its full conditional, row k
+    at uniform u[k]: the label drawn and whether it keeps the partition.
+
+    lr holds the log ratio of every CSR entry. A cell's log weight sums
+    them over the record's neighbours in it, in adjacency order, and sits
+    at the slot of the cell's first entry; a new cell has log weight 0.
+    Weights are shifted by the row's largest and drawn by one searchsorted
+    on their running sum. A draw thus picks among the joinable cells in
+    order of first appearance and then the new cell, as the one-record
+    update does; the two round exp and the running sums differently, so
+    they can disagree only when a uniform lands within rounding of a
+    boundary between options.
+    """
+    score = np.bincount(cells.group, weights=lr)[cells.options]
+    top = np.zeros(len(ctx.single_site))  # the new cell's log weight
+    np.maximum.at(top, cells.rows, score)
+    w = np.zeros(len(ctx.slot_row))
+    w[cells.slots] = np.exp(score - top[cells.rows])
+    w[ctx.site_new] = np.exp(-top)
+    cdf = np.empty(len(w) + 1)
+    cdf[0] = 0.0
+    np.cumsum(w, out=cdf[1:])
+    lo, hi = cdf[ctx.site_start], cdf[ctx.site_new + 1]
+    # the slot whose cdf interval holds the uniform point; a point rounded
+    # up to hi goes to the row's last slot, its new cell
+    slot = np.searchsorted(cdf, lo + u * (hi - lo), side="right") - 1
+    np.minimum(slot, ctx.site_new, out=slot)
+    return cells.label[slot], cells.stay[slot]
+
+
+def _move(ctx: SamplerContext, z: np.ndarray, sizes: np.ndarray, i: int,
+          q: int) -> None:
+    """Move single-site record i into the cell labelled q, or into a new
+    cell when q is i, keeping every label a member's id."""
+    old = z[i]
+    sizes[old] -= 1
+    if old == i and sizes[i]:
+        site = ctx.single_idx
+        rest = site[(z[site] == i) & (site != i)]
+        z[rest] = rest[0]
+        sizes[rest[0]] = sizes[i]
+        sizes[i] = 0
+    z[i] = q
+    sizes[q] += 1
+
+
+def _single_site_sweep(ctx: SamplerContext, state: ChainState, u: np.ndarray,
+                       order: np.ndarray) -> None:
+    """Update every single-site record once, row order[k] k-th with
+    uniform u[k], by prefetched passes: each pass draws every record
+    against the current labeling, and the first record in visiting order
+    still to come whose draw changes the partition is moved; the records
+    before it keep their cells."""
+    u_row = np.empty(len(order))
+    u_row[order] = u
+    lr = state.loglr[ctx.site_cand]
+    start = 0
+    while start < len(order):
+        state.passes += 1
+        if state.cells is None:
+            state.cells = _site_cells(ctx, state.z, state.sizes)
+        drawn, stay = _site_draws(ctx, state.cells, lr, u_row)
+        moves = np.flatnonzero(~stay[order[start:]])
+        if not len(moves):
+            return
+        start += int(moves[0])
+        row = order[start]
+        _move(ctx, state.z, state.sizes, ctx.single_site[row], int(drawn[row]))
+        state.cells = None
+        start += 1
 
 
 def _block_scores(ctx: SamplerContext, loglr: np.ndarray) -> np.ndarray:
@@ -522,22 +608,12 @@ def sweep(ctx: SamplerContext, state: ChainState, rng: np.random.Generator,
     otherwise the statistics are recounted, the parameters redrawn, and
     the flat m and u vectors returned.
     """
-    single = ctx.single_site
-    n_single = len(single)
+    n_single = len(ctx.single_site)
     us = rng.random(2 * n_single + ctx.n_block_components)
     if n_single:
-        order = rng.permutation(n_single) if random_scan else range(n_single)
-        u_single = us[:2 * n_single].tolist()
-        loglr = state.loglr.tolist()
-        site_z, cell_sizes, free_labels, adj = (state.site_z, state.cell_sizes,
-                                                state.free_labels, ctx.adj)
-        k2 = 0
-        for k in order:
-            i = single[k]
-            _update_record(i, site_z, cell_sizes, free_labels, adj[i], loglr,
-                           u_single[k2], u_single[k2 + 1])
-            k2 += 2
-        state.z[ctx.single_idx] = [site_z[i] for i in single]
+        order = (rng.permutation(n_single) if random_scan
+                 else np.arange(n_single))
+        _single_site_sweep(ctx, state, us[:2 * n_single:2], order)
     if ctx.n_block_components:
         _draw_blocks(ctx, state.loglr, us[2 * n_single:], state.z)
     if flat is None:
@@ -556,6 +632,7 @@ class PosteriorSample:
 
     labelings holds canonical (first-occurrence) labels, one row per
     retained sweep; traces are None when parameters were held fixed.
+    single_site_passes counts the prefetched passes of all sweeps.
     """
 
     labelings: np.ndarray
@@ -567,6 +644,7 @@ class PosteriorSample:
     seed: int
     config: SamplerConfig
     runtime_s: float
+    single_site_passes: int = 0
 
     @property
     def r(self) -> int:
@@ -618,7 +696,8 @@ def run_chain(comps: PairComparisons, graph: CandidateGraph, prior: PriorSpec,
         m_trace=m_trace[:kk] if m_trace is not None else None,
         u_trace=u_trace[:kk] if u_trace is not None else None,
         fields=comps.fields, n_levels=comps.n_levels, seed=config.seed,
-        config=config, runtime_s=time.perf_counter() - start)
+        config=config, runtime_s=time.perf_counter() - start,
+        single_site_passes=state.passes)
 
 
 def chain_seeds(seed: int, chains: int) -> list[int]:

@@ -55,9 +55,6 @@ class ModelParams:
             if mf.shape != uf.shape:
                 raise ConfigError("m and u shapes differ for some field")
 
-    def copy(self) -> "ModelParams":
-        return ModelParams([v.copy() for v in self.m], [v.copy() for v in self.u])
-
 
 @dataclass
 class PriorSpec:
@@ -126,10 +123,6 @@ class SufficientStats:
         return SufficientStats(
             a1=[np.zeros(n, dtype=np.int64) for n in n_levels],
             a0=[np.zeros(n, dtype=np.int64) for n in n_levels])
-
-    def copy(self) -> "SufficientStats":
-        return SufficientStats([v.copy() for v in self.a1],
-                               [v.copy() for v in self.a0])
 
     def as_counts(self) -> np.ndarray:
         """The counts as one (2, bins) array, a1 then a0, with every

@@ -10,7 +10,6 @@ why the flat prior over partitions appears as (r-n)!/r! per labeling.
 
 from __future__ import annotations
 
-import math
 from array import array
 
 import numpy as np
@@ -68,7 +67,7 @@ def canonicalize_label_rows(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def valid_partitions(lower, cap: float = math.inf) -> np.ndarray | None:
+def valid_partitions(lower, cap: float) -> np.ndarray | None:
     """Every partition of vertices 0..n-1 whose cells are cliques, as one
     row per partition giving each vertex its cell's head (the cell's
     smallest vertex); None as soon as more than cap partitions exist.

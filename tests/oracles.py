@@ -19,7 +19,7 @@ subcommand runs any of them.
 import csv
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import factorial
+from math import exp, factorial, inf
 
 import numpy as np
 from scipy.special import betainc, betaln
@@ -503,12 +503,90 @@ def update_u(state, f: int, l: int, prior, rng) -> float:
     return x
 
 
-def update_label(state, i: int, ctx, loglr: list, rng) -> int:
-    """One single-site record's label update against precomputed log
-    ratios."""
-    u1, u2 = rng.random(2)
-    return gibbs._update_record(i, state.site_z, state.cell_sizes,
-                                state.free_labels, ctx.adj[i], loglr, u1, u2)
+def update_record(i, z, cell_sizes, free_labels, adj_i, loglr, u1, u2):
+    """Redraw record i's label in place, one record at a time. u1 picks
+    the option, u2 picks the concrete unused label if a new cell opens.
+    cell_sizes maps each label in use to its cell's size, and
+    free_labels lists the unused ones."""
+    q_old = z[i]
+    sz = cell_sizes[q_old]
+    if sz == 1:
+        del cell_sizes[q_old]
+        free_labels.append(q_old)
+    else:
+        cell_sizes[q_old] = sz - 1
+    sums: dict = {}
+    counts: dict = {}
+    for j, c in adj_i:
+        q = z[j]
+        if q in sums:
+            sums[q] += loglr[c]
+            counts[q] += 1
+        else:
+            sums[q] = loglr[c]
+            counts[q] = 1
+    labs = []
+    ws = []
+    mx = 0.0
+    for q, s in sums.items():
+        # a cell is joinable only if every member is a candidate partner
+        if counts[q] == cell_sizes[q]:
+            labs.append(q)
+            ws.append(s)
+            if s > mx:
+                mx = s
+    total = exp(-mx)  # the new-cell option, at log weight 0
+    exps = []
+    for s in ws:
+        e = exp(s - mx)
+        exps.append(e)
+        total += e
+    t = u1 * total
+    q_new = -1
+    acc = 0.0
+    for k in range(len(exps)):
+        acc += exps[k]
+        if t < acc:
+            q_new = labs[k]
+            break
+    if q_new < 0:
+        nf = len(free_labels)
+        k = int(u2 * nf)
+        if k >= nf:
+            k = nf - 1
+        q_new = free_labels[k]
+        free_labels[k] = free_labels[nf - 1]
+        free_labels.pop()
+        cell_sizes[q_new] = 1
+    else:
+        cell_sizes[q_new] += 1
+    z[i] = q_new
+    return q_new
+
+
+class SequentialSites:
+    """The single-site records of a SamplerContext updated one at a time
+    by update_record, with labels drawn from a pool of unused ones: the
+    scan that gibbs.sweep's prefetched passes reproduce."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.z = list(range(ctx.r))
+        self.cell_sizes = {i: 1 for i in ctx.single_site}
+        self.free_labels: list = []
+
+    def sweep(self, loglr, rng, random_scan: bool = False) -> None:
+        """One sweep at fixed log ratios, drawing its uniforms and visiting
+        order from rng as gibbs.sweep does when no block component exists."""
+        single = self.ctx.single_site
+        us = rng.random(2 * len(single)).tolist()
+        order = (rng.permutation(len(single)) if random_scan
+                 else range(len(single)))
+        loglr = list(loglr)
+        for k, row in enumerate(order):
+            i = single[row]
+            update_record(i, self.z, self.cell_sizes, self.free_labels,
+                          self.ctx.adj[i], loglr, us[2 * k], us[2 * k + 1])
 
 
 # --- partitions and labelings -----------------------------------------------
@@ -580,7 +658,7 @@ def enumerate_valid_partitions(r: int, candidate_pairs) -> list[tuple[tuple[int,
         if 0 <= i < j < r:
             lower[j].append(i)
     out = []
-    for heads in valid_partitions(lower).tolist():
+    for heads in valid_partitions(lower, inf).tolist():
         cells: dict = {}
         for k, h in enumerate(heads):
             cells.setdefault(h, []).append(k)

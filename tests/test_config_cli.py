@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import bayesdedupe
-from bayesdedupe import cli
+from bayesdedupe import cli, gibbs
 from bayesdedupe.candidates import connected_components
 from bayesdedupe.cli import main
 from bayesdedupe.config import load_config
@@ -365,6 +365,7 @@ class TestOutputContract:
         assert sum(int(s) * n for s, n in sizes.items()) == len(active)
         assert manifest["block_records"] == len(active)
         assert manifest["single_site_records"] == 0
+        assert manifest["single_site_passes"] == 0
         # the valid partitions of every component, enumerated on its own
         assert manifest["block_partitions"] == sum(
             len(enumerate_valid_partitions(len(comp), {
@@ -421,6 +422,19 @@ class TestOutputContract:
         for name in ("precision", "recall"):
             assert set(metrics[name]) == {"median", "p01", "p99"}
             assert all(0.0 <= v <= 1.0 for v in metrics[name].values())
+
+    def test_single_site_passes(self, tmp_path, monkeypatch):
+        """With the four-record file's component updated one record at a
+        time, every sweep of every chain takes at least one pass."""
+        monkeypatch.setattr(gibbs, "P_MAX", 1)
+        p = write_config(tmp_path, {"sampler.iterations": 50,
+                                    "sampler.burn_in": 10,
+                                    "sampler.chains": 2})
+        assert main(["dedupe", "--config", str(p), "--threads", "1"]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["block_records"] == 0
+        assert manifest["single_site_records"] > 0
+        assert manifest["single_site_passes"] >= 2 * 50
 
 
 LOADED_MODULES = """

@@ -50,8 +50,8 @@ from oracles import (
     log_likelihood_ratio,
     log_posterior_unnormalized,
     partition_to_labeling,
+    SequentialSites,
     sample_truncated_beta,
-    update_label,
     update_m,
     update_u,
 )
@@ -305,7 +305,7 @@ class TestChain:
         """The statistics each parameter draw used equal a from-scratch
         count over the labeling, after every sweep of a short chain, with
         the component drawn whole and, under a lowered P_MAX, one record
-        at a time; z holds the single-site labels after every sweep."""
+        at a time; the single-site labels stay member ids throughout."""
         _, comps, graph = compared_setup(rng, 12, fix_name_level=2)
         prior = toy_prior_for(comps)
         flat = flatten_prior(prior)
@@ -318,8 +318,7 @@ class TestChain:
                 sweep(ctx, state, rng, flat)
                 scratch = sufficient_stats(state.z, graph, comps)
                 assert np.array_equal(state.stats, scratch.as_counts())
-                assert state.z[ctx.single_idx].tolist() == [
-                    state.site_z[i] for i in ctx.single_site]
+                assert_member_id_labels(ctx, state)
 
     def test_frozen_params_have_no_traces(self, rng):
         _, comps, graph = compared_setup(rng, 8)
@@ -333,23 +332,25 @@ class TestChain:
         assert sample.m_trace is None
         assert sample.u_trace is None
 
-    def test_update_label_preserves_cell_bookkeeping(self, rng):
+    def test_member_id_labels(self, rng):
         # no fix rule: one component of ten records, all single-site
         _, comps, graph = compared_setup(rng, 10, fix_name_level=None)
         prior = toy_prior_for(comps)
         ctx = SamplerContext(comps, graph)
         assert ctx.single_site == list(range(10))
         state = init_state(ctx, prior, rng)
-        loglr = state.loglr.tolist()
         for _ in range(200):
-            for i in ctx.single_site:
-                update_label(state, i, ctx, loglr, rng)
-            sizes = {}
-            for lab in state.site_z:
-                sizes[lab] = sizes.get(lab, 0) + 1
-            assert sizes == state.cell_sizes
-            assert len(state.free_labels) == ctx.r - len(sizes)
-            assert set(state.free_labels).isdisjoint(sizes)
+            sweep(ctx, state, rng, None)
+            assert_member_id_labels(ctx, state)
+
+
+def assert_member_id_labels(ctx, state):
+    """Every single-site label is the id of a member of its cell, and
+    state.sizes holds the size of every single-site cell under its label
+    and 0 under every other."""
+    labels = state.z[ctx.single_idx]
+    assert np.array_equal(state.z[labels], labels)
+    assert np.array_equal(state.sizes, np.bincount(labels, minlength=ctx.r))
 
 
 FROZEN = ModelParams(m=[[0.85, 0.6, 0.9], [0.8, 0.7], [0.9]],
@@ -511,6 +512,50 @@ class TestBlockConditional:
             else:
                 assert ctx.single_site == list(range(8))
                 assert ctx.n_block_components == 0
+
+
+class TestPrefetchedScan:
+    @pytest.mark.parametrize("random_scan", [False, True])
+    @pytest.mark.parametrize("shape", ["complete", "path", "star", "random"])
+    def test_matches_sequential_scan(self, shape, random_scan, monkeypatch):
+        """With every component single-site, sweep's prefetched passes
+        visit the partitions of the one-record-at-a-time scan by
+        oracles.update_record after every sweep, given the same uniforms
+        and visiting orders, and keep every label a member id. (The two
+        round the weights differently, which could change a draw only for
+        a uniform within rounding of a boundary between options.) On the
+        complete graphs a label holder leaves a cell of three or more
+        records; a path's or a star's cells have two records at most."""
+        monkeypatch.setattr(gibbs, "P_MAX", 1)
+        holders_left = []
+        move = gibbs._move
+
+        def spy(ctx, z, sizes, i, q):
+            if z[i] == i and sizes[i] >= 3:
+                holders_left.append(i)
+            move(ctx, z, sizes, i, q)
+
+        monkeypatch.setattr(gibbs, "_move", spy)
+        for s in (5, 8):
+            rng = np.random.default_rng(500 + s)
+            comps = compare_pairs(random_file(rng, s), all_pairs(s),
+                                  small_specs())
+            graph = graph_with_candidates(comps, GRAPHS[shape](s, rng))
+            ctx = SamplerContext(comps, graph)
+            assert ctx.n_block_components == 0
+            state = init_state(ctx, toy_prior_for(comps), rng, params=FROZEN)
+            # log ratios around 1: cells of several records form and split
+            state.loglr = rng.normal(1.0, 2.0, ctx.n_candidates)
+            oracle = SequentialSites(ctx)
+            fast, slow = np.random.default_rng(s), np.random.default_rng(s)
+            for _ in range(300):
+                sweep(ctx, state, fast, None, random_scan)
+                oracle.sweep(state.loglr, slow, random_scan)
+                assert (canonical_labels(state.z.tolist())
+                        == canonical_labels(oracle.z))
+                assert_member_id_labels(ctx, state)
+        if shape == "complete":
+            assert holders_left
 
 
 class TestChainSeeds:
