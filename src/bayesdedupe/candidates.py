@@ -11,11 +11,12 @@ candidate set C the sampler is allowed to merge within.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comparison import PairComparisons, _distinct_pairs, _factorize
+from .comparison import PairComparisons, _factorize, _bounded_runs
 from .errors import ConfigError, DataError
 from .records import DataFile
 from .textio import write_int_rows
@@ -107,46 +108,96 @@ def load_neighbors(path) -> frozenset:
     return frozenset(out)
 
 
+# Pairs per row block of the i < j grid; every pair-level temporary of
+# build_pairs is about one block long.
+_GRID_BLOCK = 1 << 16
+
+
+def _grid_rows(r: int, lo: int, hi: int) -> np.ndarray:
+    """The pairs i < j with lo <= i < hi, in lexicographic order."""
+    rows = np.arange(lo, hi, dtype=np.int64)
+    counts = r - 1 - rows
+    starts = np.cumsum(counts) - counts
+    out = np.empty((int(counts.sum()), 2), dtype=np.int32)
+    out[:, 0] = np.repeat(rows, counts)
+    # row i's j runs from i + 1, from offset starts[i] of the block on
+    out[:, 1] = (np.arange(len(out), dtype=np.int64)
+                 - np.repeat(starts - rows - 1, counts))
+    return out
+
+
+def _row_blocks(r: int) -> list[tuple[int, int]]:
+    """Row ranges [lo, hi) of the i < j grid, each of at most _GRID_BLOCK
+    pairs unless a single row has more."""
+    return _bounded_runs(np.arange(r - 1, 0, -1), _GRID_BLOCK)
+
+
 def all_pairs(r: int) -> np.ndarray:
-    i_arr, j_arr = np.triu_indices(r, k=1)
-    return np.column_stack([i_arr, j_arr]).astype(np.int32)
+    pairs = np.empty((r * (r - 1) // 2, 2), dtype=np.int32)
+    at = 0
+    for lo, hi in _row_blocks(r):
+        grid = _grid_rows(r, lo, hi)
+        pairs[at:at + len(grid)] = grid
+        at += len(grid)
+    return pairs
+
+
+def _rule_test(df: DataFile, rule: FilterRule):
+    """The rule as a function test(block, keep) that clears keep[k] for
+    each pair block[k] the rule excludes."""
+    col = df.column(rule.field)
+    if rule.kind == "categorical_block":
+        codes = _factorize(col)[1]
+
+        def test(block, keep):
+            ci, cj = codes[block[:, 0]], codes[block[:, 1]]
+            keep &= (ci == -1) | (cj == -1) | (ci == cj)
+    elif rule.kind == "integer_gap_exceeds":
+        # record i's close values are those of ranks first[i]..last[i]-1
+        # in sorted order; bisecting Python ints keeps the test exact at
+        # any magnitude
+        ordered = sorted({v for v in col if v is not None})
+        position = {v: k for k, v in enumerate(ordered)}
+        rank, first, last = np.array(
+            [(-1, 0, 0) if v is None else
+             (position[v], bisect_left(ordered, v - rule.gap),
+              bisect_right(ordered, v + rule.gap)) for v in col],
+            dtype=np.int64).reshape(-1, 3).T
+
+        def test(block, keep):
+            i, rj = block[:, 0], rank[block[:, 1]]
+            keep &= ((rank[i] < 0) | (rj < 0)
+                     | ((first[i] <= rj) & (rj < last[i])))
+    else:
+        def test(block, keep):
+            alive = np.flatnonzero(keep)
+            for k, (i, j) in zip(alive.tolist(), block[alive].tolist()):
+                if not rule.passes(col[i], col[j]):
+                    keep[k] = False
+    return test
 
 
 def build_pairs(df: DataFile, rules: list[FilterRule]) -> np.ndarray:
     """All pairs i < j passing every filter rule, in lexicographic order.
 
-    Cheap rules evaluate vectorized over the full pair grid; the overlap
-    rule runs per-pair but only on pairs still alive, so ordering rules
-    cheapest-first in the config pays off at scale.
+    The grid goes through in row blocks. Cheap rules test a whole block
+    vectorized; the overlap rule runs per pair but only on pairs still
+    alive, so ordering rules cheapest-first in the config pays off at
+    scale. Each block keeps only its passing pairs, so the scratch
+    beyond one block is at most the output.
     """
-    pairs = all_pairs(df.r)
-    keep = np.ones(len(pairs), dtype=bool)
-    for rule in rules:
-        if rule.kind == "always_compare":
-            continue
-        col = df.column(rule.field)
-        if rule.kind == "categorical_block":
-            _, codes = _factorize(col)
-            ci, cj = codes[pairs[:, 0]], codes[pairs[:, 1]]
-            keep &= (ci == -1) | (cj == -1) | (ci == cj)
-        elif rule.kind == "integer_gap_exceeds":
-            values, codes = _factorize(col)
-            ci, cj = codes[pairs[:, 0]], codes[pairs[:, 1]]
-            observed = (ci >= 0) & (cj >= 0)
-            a, b, inverse = _distinct_pairs(ci[observed], cj[observed],
-                                            len(values))
-            # Python ints, so the gap test is exact at any magnitude
-            close = np.array([abs(values[x] - values[y]) <= rule.gap
-                              for x, y in zip(a.tolist(), b.tolist())],
-                             dtype=bool)
-            keep[observed] &= close[inverse]
-        else:
-            alive = np.flatnonzero(keep)
-            for k in alive:
-                i, j = pairs[k]
-                if not rule.passes(col[i], col[j]):
-                    keep[k] = False
-    return pairs[keep]
+    tests = [_rule_test(df, rule) for rule in rules
+             if rule.kind != "always_compare"]
+    if not tests:
+        return all_pairs(df.r)
+    parts = [np.empty((0, 2), dtype=np.int32)]
+    for lo, hi in _row_blocks(df.r):
+        grid = _grid_rows(df.r, lo, hi)
+        keep = np.ones(len(grid), dtype=bool)
+        for test in tests:
+            test(grid, keep)
+        parts.append(grid[keep])
+    return np.concatenate(parts)
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,16 @@ values bin into levels through cut points: level 0 is similarity exactly
 right-closed interval up to the next cut, so a value sitting exactly on
 a cut falls on the lower-disagreement side.
 
-compare_pairs factorizes each compared column once into integer codes,
-computes one similarity per distinct unordered value pair (string
-distances through a vectorized dynamic program, the other kinds through
-their scalar functions), bins those with one searchsorted and gathers
-the levels back to the record pairs. This is the only comparison path.
+compare_pairs factorizes each compared column once into integer codes
+and makes two passes over the pairs, in blocks of _PAIR_BLOCK. The first
+collects the distinct unordered value pairs; each is then compared once
+(string distances through a vectorized dynamic program, the other kinds
+through their scalar functions) and binned with one searchsorted, in
+chunks of _SIM_CHUNK; the second gathers the levels back to the record
+pairs. No temporary is longer than a block or a chunk, apart from a
+table of one byte per pair of distinct values, which is kept no larger
+than the pairs array: a filtered pair list on a field with many values
+is compared in one pass over the whole list instead.
 
 The string similarities are edit distances scaled by the longer length,
 in [0, 1]. token_levenshtein tolerates differing token counts: equal
@@ -119,6 +124,11 @@ class PairComparisons:
 
 # --- batched comparison -----------------------------------------------------
 
+# Pairs per block of each pass over the pair list; every pair-level
+# temporary is one block long.
+_PAIR_BLOCK = 1 << 16
+# Distinct value pairs per similarity run.
+_SIM_CHUNK = 1 << 14
 # Pairs per vectorized edit-distance run: small enough that the DP rows
 # of a run stay in cache, which bounds its memory too.
 _DP_BLOCK = 1 << 13
@@ -146,25 +156,43 @@ def _distinct_pairs(x: np.ndarray, y: np.ndarray, n: int):
     return lo, hi, inverse
 
 
-def _normalized_distances(strings: list[str], x: np.ndarray,
-                          y: np.ndarray) -> np.ndarray:
-    """Edit distance of strings[x[k]] and strings[y[k]], scaled by the
-    longer length, for every k.
+def _bounded_runs(counts: np.ndarray, limit: int) -> list[tuple[int, int]]:
+    """Consecutive index ranges [lo, hi) covering counts, each with a
+    total count of at most limit unless one item alone exceeds it."""
+    ends = np.cumsum(counts)
+    runs, lo = [], 0
+    while lo < len(ends):
+        before = int(ends[lo - 1]) if lo else 0
+        hi = int(np.searchsorted(ends, before + limit, side="right"))
+        runs.append((lo, max(hi, lo + 1)))
+        lo = runs[-1][1]
+    return runs
 
-    The strings become one code-point matrix. Pairs are put shorter
-    string first and grouped by their length signature; each group runs
-    the DP one row at a time, vectorized across the group.
-    """
-    if not len(x):
-        return np.zeros(0)
+
+def _code_points(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The strings as one zero-padded code-point matrix, and their lengths."""
     lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
     flat = np.frombuffer("".join(strings).encode("utf-32-le", "surrogatepass"),
                          dtype=np.uint32)
-    width = lengths.max(initial=0)
     rows = np.repeat(np.arange(len(strings)), lengths)
     offsets = np.cumsum(lengths) - lengths
-    points = np.zeros((len(strings), width), dtype=np.uint32)
+    points = np.zeros((len(strings), lengths.max(initial=0)), dtype=np.uint32)
     points[rows, np.arange(len(flat)) - offsets[rows]] = flat
+    return points, lengths
+
+
+def _normalized_distances(points: np.ndarray, lengths: np.ndarray,
+                          x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Edit distance of strings x[k] and y[k], scaled by the longer
+    length, for every k; the strings are rows of _code_points.
+
+    Pairs are put shorter string first and grouped by their length
+    signature; each group runs the DP one row at a time, vectorized
+    across the group.
+    """
+    if not len(x):
+        return np.zeros(0)
+    width = points.shape[1]
     shorter_first = lengths[x] <= lengths[y]
     x, y = np.where(shorter_first, x, y), np.where(shorter_first, y, x)
     la, lb = lengths[x], lengths[y]
@@ -195,73 +223,144 @@ def _normalized_distances(strings: list[str], x: np.ndarray,
     return dist / np.maximum(lb, 1)
 
 
-def _token_similarities(values: list[str], a: np.ndarray,
-                        b: np.ndarray) -> np.ndarray:
-    """Token-tolerant distance of values[a[k]] and values[b[k]] for every k.
+def _token_similarity(values: list[str]):
+    """Token-tolerant distance of values[a[k]] and values[b[k]] for every
+    k, as a function of (a, b).
 
     Each value pair becomes rows of token pairs, scored as the mean over
-    rows of the row's minimum distance; every distinct token pair goes
-    through the DP once.
+    rows of the row's minimum distance; every distinct token pair of one
+    call goes through the DP once.
     """
     index = {v: k for k, v in enumerate(values)}
     tokens = [[index.setdefault(t, len(index)) for t in v.split()] for v in values]
-    plans, x, y = [], [], []
-    for i, j in zip(a.tolist(), b.tolist()):
-        ti, tj = tokens[i], tokens[j]
-        if not ti or not tj or len(ti) == len(tj) == 1:
-            rows = [[(i, j)]]
-        elif len(ti) == len(tj):
-            rows = [[p] for p in zip(ti, tj)]
-        else:
-            short, long_ = (ti, tj) if len(ti) < len(tj) else (tj, ti)
-            rows = [[(s, t) for t in long_] for s in short]
-        plans.append([len(row) for row in rows])
-        for row in rows:
-            for s, t in row:
-                x.append(s)
-                y.append(t)
-    strings = list(index)
-    lo, hi, inverse = _distinct_pairs(np.array(x, dtype=np.int64),
-                                      np.array(y, dtype=np.int64), len(strings))
-    dist = iter(_normalized_distances(strings, lo, hi)[inverse].tolist())
-    return np.array([sum(min(islice(dist, n)) for n in plan) / len(plan)
-                     for plan in plans], dtype=np.float64)
+    points, lengths = _code_points(list(index))
+
+    def similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        plans, x, y = [], [], []
+        for i, j in zip(a.tolist(), b.tolist()):
+            ti, tj = tokens[i], tokens[j]
+            if not ti or not tj or len(ti) == len(tj) == 1:
+                rows = [[(i, j)]]
+            elif len(ti) == len(tj):
+                rows = [[p] for p in zip(ti, tj)]
+            else:
+                short, long_ = (ti, tj) if len(ti) < len(tj) else (tj, ti)
+                rows = [[(s, t) for t in long_] for s in short]
+            plans.append([len(row) for row in rows])
+            for row in rows:
+                for s, t in row:
+                    x.append(s)
+                    y.append(t)
+        lo, hi, inverse = _distinct_pairs(np.array(x, dtype=np.int64),
+                                          np.array(y, dtype=np.int64),
+                                          len(lengths))
+        dist = iter(_normalized_distances(points, lengths, lo, hi)[inverse]
+                    .tolist())
+        return np.array([sum(min(islice(dist, n)) for n in plan) / len(plan)
+                         for plan in plans], dtype=np.float64)
+
+    return similarity
 
 
-def _similarities(kind: str, values: list, a: np.ndarray,
-                  b: np.ndarray) -> np.ndarray:
-    """Similarity of each distinct value pair (values[a[k]], values[b[k]])."""
+def _similarity(kind: str, values: list):
+    """The similarity of value pairs (values[a[k]], values[b[k]]), as a
+    function of the code arrays (a, b)."""
     if kind == "levenshtein":
-        return _normalized_distances(values, a, b)
+        points, lengths = _code_points(values)
+        return lambda a, b: _normalized_distances(points, lengths, a, b)
     if kind == "token_levenshtein":
-        return _token_similarities(values, a, b)
+        return _token_similarity(values)
     func = (absolute_difference if kind == "absolute_difference"
             else binary_disagreement)
     # object dtype keeps Python ints, and their comparison with the cut
     # points, exact beyond int64 and float64
-    return np.array([func(values[i], values[j])
-                     for i, j in zip(a.tolist(), b.tolist())], dtype=object)
+    return lambda a, b: np.array([func(values[i], values[j])
+                                  for i, j in zip(a.tolist(), b.tolist())],
+                                 dtype=object)
 
 
-def _compare_columns(factors: list, pairs: np.ndarray,
-                     specs: list[LevelSpec]) -> np.ndarray:
-    """Level matrix for the given pairs; factors holds each spec's
-    field as (distinct values, codes)."""
-    levels = np.full((len(pairs), len(specs)), MISSING_LEVEL, dtype=np.int8)
-    for s, (spec, (values, codes)) in enumerate(zip(specs, factors)):
-        ci, cj = codes[pairs[:, 0]], codes[pairs[:, 1]]
-        observed = (ci >= 0) & (cj >= 0)
-        a, b, inverse = _distinct_pairs(ci[observed], cj[observed], len(values))
-        sims = _similarities(spec.kind, values, a, b)
-        if len(sims) and sims.min() < 0:
+def _field_codes(spec: LevelSpec, column: list) -> tuple[list, np.ndarray]:
+    """The field's distinct values, and each record's code into them plus
+    one (0 where missing). Strings compared by edit distance are ordered
+    by length, so that a run of ascending keys spans few length
+    signatures."""
+    values, codes = _factorize(column)
+    order = list(range(len(values)))
+    if spec.kind == "levenshtein":
+        order.sort(key=lambda k: len(values[k]))
+    width = len(values) + 1
+    shifted = np.zeros(width, dtype=np.int32 if width * width < 2**31
+                       else np.int64)
+    shifted[order] = np.arange(1, width)  # shifted[-1] is a missing code's
+    return [values[k] for k in order], shifted[codes]
+
+
+def _block_keys(codes: np.ndarray, width: int, block: np.ndarray) -> np.ndarray:
+    """lo * width + hi for each pair's two codes lo <= hi; a key below
+    width has a missing side."""
+    ci, cj = codes[block[:, 0]], codes[block[:, 1]]
+    key = np.minimum(ci, cj)
+    key *= width
+    key += np.maximum(ci, cj)
+    return key
+
+
+def _level_function(spec: LevelSpec, values: list, width: int):
+    """A function from a sorted array of keys to their levels; keys
+    below width have a missing side and get MISSING_LEVEL."""
+    similarity = _similarity(spec.kind, values)
+
+    def levels(keys: np.ndarray) -> np.ndarray:
+        out = np.full(len(keys), MISSING_LEVEL, dtype=np.int8)
+        s = int(np.searchsorted(keys, width))
+        if s == len(keys):
+            return out
+        lo, hi = np.divmod(keys[s:], width)
+        sims = similarity(lo - 1, hi - 1)
+        if sims.min() < 0:
             raise ConfigError(f"{spec.field!r}: negative similarity in batch")
         lv = np.searchsorted(np.asarray(spec.cut_points, dtype=sims.dtype),
                              sims, side="left")
-        if lv.max(initial=0) >= spec.n_levels:
+        if lv.max() >= spec.n_levels:
             raise ConfigError(
                 f"{spec.field!r}: similarity exceeds the last cut point")
-        levels[observed, s] = lv.astype(np.int8)[inverse]
+        out[s:] = lv
+        return out
+
     return levels
+
+
+def _compare_field(spec: LevelSpec, column: list, pairs: np.ndarray,
+                   out: np.ndarray) -> None:
+    """Write the field's level of every pair into out.
+
+    Pass 1 marks the distinct value-pair keys block by block in a table
+    of one byte per possible key. The keys' levels follow in ascending
+    chunks of at most _SIM_CHUNK keys, each distinct value pair compared
+    once, and the table holds them in place of its marks. Pass 2 looks
+    every pair's level up by its key. A table larger than the pairs
+    array, which only a filtered pair list on a field with many values
+    can ask for, gives way to one np.unique over the whole list.
+    """
+    values, codes = _field_codes(spec, column)
+    width = len(values) + 1
+    levels = _level_function(spec, values, width)
+    if width * width > pairs.nbytes:
+        keys, inverse = np.unique(_block_keys(codes, width, pairs),
+                                  return_inverse=True)
+        out[:] = levels(keys)[inverse]
+        return
+    table = np.zeros(width * width, dtype=np.int8)
+    starts = range(0, len(pairs), _PAIR_BLOCK)
+    for s in starts:
+        table[_block_keys(codes, width, pairs[s:s + _PAIR_BLOCK])] = 1
+    per_row = np.count_nonzero(table.reshape(width, width), axis=1)
+    for lo, hi in _bounded_runs(per_row, _SIM_CHUNK):
+        keys = np.flatnonzero(table[lo * width:hi * width]) + lo * width
+        table[keys] = levels(keys)
+    for s in starts:
+        out[s:s + _PAIR_BLOCK] = table.take(
+            _block_keys(codes, width, pairs[s:s + _PAIR_BLOCK]))
 
 
 def compare_pairs(df: DataFile, pairs: np.ndarray, specs: list[LevelSpec],
@@ -273,8 +372,9 @@ def compare_pairs(df: DataFile, pairs: np.ndarray, specs: list[LevelSpec],
     pairs = np.ascontiguousarray(np.asarray(pairs, dtype=np.int32).reshape(-1, 2))
     if len(pairs) and (pairs.min() < 0 or pairs.max() >= df.r):
         raise DataError("pair indices out of range for this file")
-    factors = [_factorize(df.column(s.field)) for s in specs]
+    levels = np.empty((len(pairs), len(specs)), dtype=np.int8)
+    for f, spec in enumerate(specs):
+        _compare_field(spec, df.column(spec.field), pairs, levels[:, f])
     return PairComparisons(
         r=df.r, fields=tuple(s.field for s in specs),
-        n_levels=tuple(s.n_levels for s in specs), pairs=pairs,
-        levels=_compare_columns(factors, pairs, specs))
+        n_levels=tuple(s.n_levels for s in specs), pairs=pairs, levels=levels)

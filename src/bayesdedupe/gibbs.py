@@ -691,7 +691,7 @@ def run_chain(comps: PairComparisons, graph: CandidateGraph, prior: PriorSpec,
             kk += 1
 
     return PosteriorSample(
-        labelings=canonicalize_label_rows(kept_z[:kk]),
+        labelings=canonicalize_label_rows(kept_z[:kk], out=kept_z[:kk]),
         kept_iterations=kept_iter[:kk],
         m_trace=m_trace[:kk] if m_trace is not None else None,
         u_trace=u_trace[:kk] if u_trace is not None else None,

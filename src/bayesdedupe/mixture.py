@@ -77,7 +77,10 @@ def run_mixture(comps: PairComparisons, graph: CandidateGraph,
     m, u = draw_flat_params(rng, flat, ctx.link_counts(delta == 1))
     p = rng.beta(1.0, 1.0 + n_cand)
 
-    kept_z, kept_iter, p_tr, m_tr, u_tr, nontr = [], [], [], [], [], []
+    # retained link count per candidate; counts of 0/1 flags are exact,
+    # so count / draws is the mean of the retained flags
+    links = np.zeros(n_cand, dtype=np.int64)
+    kept_iter, p_tr, m_tr, u_tr, nontr = [], [], [], [], []
     for t in range(1, config.iterations + 1):
         loglr = ctx.flat_log_ratios(m, u)
         logit = np.log(p) - np.log1p(-p) + loglr
@@ -91,13 +94,12 @@ def run_mixture(comps: PairComparisons, graph: CandidateGraph,
             p_tr.append(p)
             m_tr.append(m)
             u_tr.append(u)
-            kept_z.append(delta.copy())
+            links += delta
             nontr.append(count_nontransitive_triplets(
                 comps.r, cand_pairs[delta == 1]))
 
-    kept = np.asarray(kept_z, dtype=np.int8)
     return MixtureSample(
-        delta_mean=kept.mean(axis=0) if len(kept) else np.zeros(n_cand),
+        delta_mean=links / len(kept_iter) if kept_iter else np.zeros(n_cand),
         nontransitive=np.asarray(nontr, dtype=np.int64),
         p_trace=np.asarray(p_tr),
         m_trace=np.asarray(m_tr) if m_tr else np.empty((0, len(flat.lam))),

@@ -35,20 +35,24 @@ def format_partition(z) -> str:
 _CANON_CELLS = 1 << 16
 
 
-def canonicalize_label_rows(rows: np.ndarray) -> np.ndarray:
+def canonicalize_label_rows(rows: np.ndarray,
+                            out: np.ndarray | None = None) -> np.ndarray:
     """Every row of a label matrix relabeled by order of first occurrence,
     so equivalent labelings map to the same row; cell ids are 0..n-1.
 
     One stable sort per row puts each label's first position at the head
     of its run; a record's cell is then the number of first positions
     before its label's first position. Rows go through in blocks of
-    bounded size; labels may be any integers.
+    bounded size; labels may be any integers. The result goes to out
+    (a new int32 matrix by default), which may be rows itself: each
+    block is written only after it has been read.
     """
     rows = np.asarray(rows)
     if rows.ndim != 2:
         raise ValueError("expected a 2-d label matrix")
     n, r = rows.shape
-    out = np.empty((n, r), dtype=np.int32)
+    if out is None:
+        out = np.empty((n, r), dtype=np.int32)
     cols = np.arange(r)
     step = max(1, _CANON_CELLS // max(r, 1))
     for lo in range(0, n, step):

@@ -1,10 +1,12 @@
 """Independent-pairs baseline and the transitivity counter."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from bayesdedupe import mixture
 from bayesdedupe.gibbs import SamplerConfig, run_chain
 from bayesdedupe.mixture import count_nontransitive_triplets, run_mixture
 from bayesdedupe.model import PriorSpec
@@ -79,6 +81,31 @@ class TestRunMixture:
         assert out.m_trace.shape == (30, sum(n - 1 for n in comps.n_levels))
         assert np.all(out.nontransitive >= 0)
         assert out.kept_iterations.tolist() == list(range(11, 41))
+
+    def test_link_frequencies_are_retained_flag_means(self, rng):
+        """delta_mean equals the mean of the retained flag vectors, read
+        back from the positive pairs each retained draw counts
+        triplets over."""
+        _, comps, graph = compared_setup(rng, 12)
+        prior = PriorSpec.from_lambdas(
+            [np.full(n - 1, 0.5) for n in comps.n_levels])
+        position = {tuple(p): k
+                    for k, p in enumerate(graph.candidate_pairs().tolist())}
+        flags = []
+
+        def spy(r, pos_pairs):
+            row = np.zeros(graph.n_candidates, dtype=np.int8)
+            row[[position[tuple(p)] for p in pos_pairs.tolist()]] = 1
+            flags.append(row)
+            return count_nontransitive_triplets(r, pos_pairs)
+
+        with mock.patch.object(mixture, "count_nontransitive_triplets", spy):
+            out = run_mixture(comps, graph, prior,
+                              SamplerConfig(iterations=70, burn_in=10, seed=4))
+        kept = np.array(flags)
+        assert len(kept) == out.n_kept == 60
+        assert 0 < kept.sum() < kept.size
+        assert np.array_equal(out.delta_mean, kept.mean(axis=0))
 
     def test_deterministic(self, rng):
         _, comps, graph = compared_setup(rng, 10)

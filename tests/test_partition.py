@@ -199,6 +199,17 @@ class TestCanonicalizeRows:
         for k in range(n):
             assert tuple(out[k]) == canonical_labels(rows[k].tolist())
 
+    @pytest.mark.parametrize("cells", [1, 37, 100, 1 << 16])
+    def test_in_place_matches_out_of_place(self, cells):
+        """Written over its own input, one block or many."""
+        rng = np.random.default_rng(cells)
+        rows = rng.integers(0, 25, size=(40, 25)).astype(np.int32)
+        expected = canonicalize_label_rows(rows)
+        with mock.patch.object(partition, "_CANON_CELLS", cells):
+            out = canonicalize_label_rows(rows, out=rows)
+        assert out is rows
+        assert np.array_equal(rows, expected)
+
     def test_wide_path(self):
         # rows wider than 32 columns
         rng = np.random.default_rng(9)
