@@ -18,7 +18,7 @@ import numpy as np
 
 from .comparison import PairComparisons, _factorize, _bounded_runs
 from .errors import ConfigError, DataError
-from .records import DataFile
+from .records import DataFile, normalize, open_text
 from .textio import write_int_rows
 
 FILTER_KINDS = ("always_compare", "categorical_block", "integer_gap_exceeds",
@@ -93,15 +93,14 @@ def load_neighbors(path) -> frozenset:
     whitespace). The relation is used symmetrically.
     """
     out = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 2:
                 raise DataError(f"{path}:{lineno}: expected two tab-separated names")
-            a = " ".join(parts[0].split()).upper()
-            b = " ".join(parts[1].split()).upper()
+            a, b = normalize(parts[0]), normalize(parts[1])
             if not a or not b:
                 raise DataError(f"{path}:{lineno}: empty place name")
             out.add((a, b))

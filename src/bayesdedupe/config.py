@@ -16,9 +16,9 @@ import yaml
 
 from .candidates import FilterRule, FixRule, load_neighbors
 from .comparison import COMPARATOR_KINDS, LevelSpec, binary_spec
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .model import PriorSpec
-from .records import FIELD_KINDS, FieldSchema
+from .records import FIELD_KINDS, FieldSchema, open_text
 
 
 @dataclass
@@ -105,6 +105,24 @@ def _cut_point(v, where) -> float:
     return float(v)
 
 
+def _boolean(mapping, key, default, where) -> bool:
+    v = mapping.get(key, default)
+    if not isinstance(v, bool):
+        raise ConfigError(f"{where}.{key}: must be a boolean")
+    return v
+
+
+def _check_fits(kind, fname, field_kinds, where) -> None:
+    """Numeric comparators and filters need an integer field, text ones
+    a non-integer one."""
+    integer = field_kinds[fname] == "integer"
+    numeric = kind in ("absolute_difference", "integer_gap_exceeds")
+    text = kind in ("levenshtein", "token_levenshtein", "custom_overlap")
+    if (numeric and not integer) or (text and integer):
+        raise ConfigError(f"{where}: {kind} cannot read the "
+                          f"{field_kinds[fname]} field {fname!r}")
+
+
 def _parse_fields(raw) -> list:
     out = []
     for k, item in enumerate(_as_list(raw, "fields")):
@@ -122,17 +140,18 @@ def _parse_fields(raw) -> list:
     return out
 
 
-def _parse_comparators(raw, field_names) -> list:
+def _parse_comparators(raw, field_kinds) -> list:
     out = []
     for k, item in enumerate(_as_list(raw, "comparators")):
         where = f"comparators[{k}]"
         item = _as_map(item, where)
         fname = _require(item, "field", where)
-        if fname not in field_names:
+        if fname not in field_kinds:
             raise ConfigError(f"{where}: unknown field {fname!r}")
         kind = _require(item, "kind", where)
         if kind not in COMPARATOR_KINDS:
             raise ConfigError(f"{where}: unknown comparator kind {kind!r}")
+        _check_fits(kind, fname, field_kinds, where)
         if kind == "binary":
             if "cut_points" in item:
                 raise ConfigError(f"{where}: binary takes no cut_points")
@@ -149,7 +168,7 @@ def _parse_comparators(raw, field_names) -> list:
     return out
 
 
-def _parse_filters(raw, field_names, base_dir) -> list:
+def _parse_filters(raw, field_kinds, base_dir) -> list:
     out = []
     for k, item in enumerate(_as_list(raw, "filters")):
         where = f"filters[{k}]"
@@ -159,8 +178,9 @@ def _parse_filters(raw, field_names, base_dir) -> list:
             out.append(FilterRule.always_compare())
             continue
         fname = _require(item, "field", where)
-        if fname not in field_names:
+        if fname not in field_kinds:
             raise ConfigError(f"{where}: unknown field {fname!r}")
+        _check_fits(kind, fname, field_kinds, where)
         if kind == "categorical_block":
             out.append(FilterRule.categorical_block(fname))
         elif kind == "integer_gap_exceeds":
@@ -250,19 +270,16 @@ def _parse_sampler(raw) -> SamplerConfig:
         if isinstance(v, bool) or not isinstance(v, int):
             raise ConfigError(f"sampler.{key}: must be an integer")
         kwargs[key] = v
-    rs = raw.get("random_scan", False)
-    if not isinstance(rs, bool):
-        raise ConfigError("sampler.random_scan: must be a boolean")
-    kwargs["random_scan"] = rs
+    kwargs["random_scan"] = _boolean(raw, "random_scan", False, "sampler")
     return SamplerConfig(**kwargs)
 
 
 def load_config(path) -> PipelineConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             raw = yaml.safe_load(fh)
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from None
+    except DataError as e:  # the config file is configuration: exit 2
+        raise ConfigError(str(e)) from None
     except yaml.YAMLError as e:
         raise ConfigError(f"invalid YAML in {path}: {e}") from None
     raw = _as_map(raw if raw is not None else {}, "config")
@@ -276,18 +293,21 @@ def load_config(path) -> PipelineConfig:
     if on_invalid not in ("drop", "error"):
         raise ConfigError("input.on_invalid: expected 'drop' or 'error'")
     schema = _parse_fields(_require(raw, "fields", "config"))
-    names = [f.name for f in schema]
+    kinds = {f.name: f.kind for f in schema}
     required = tuple(str(x) for x in inp.get("required", []))
     for f in required:
-        if f not in names:
+        if f not in kinds:
             raise ConfigError(f"input.required: unknown field {f!r}")
+    delimiter = str(inp.get("delimiter", ","))
+    if len(delimiter) != 1:
+        raise ConfigError(f"input.delimiter: {delimiter!r} is not one character")
     input_opts = InputOptions(
-        path=in_path, delimiter=str(inp.get("delimiter", ",")),
+        path=in_path, delimiter=delimiter,
         missing_token=str(inp.get("missing_token", "NA")),
         required=required, on_invalid=on_invalid)
 
-    specs = _parse_comparators(_require(raw, "comparators", "config"), names)
-    filters = _parse_filters(raw.get("filters", []), names, base_dir)
+    specs = _parse_comparators(_require(raw, "comparators", "config"), kinds)
+    filters = _parse_filters(raw.get("filters", []), kinds, base_dir)
     fixes = _parse_fix_rules(raw.get("fix_rules", []),
                              [s.field for s in specs])
     prior = _parse_prior(raw.get("prior", {}), specs)
@@ -302,8 +322,9 @@ def load_config(path) -> PipelineConfig:
     if not os.path.isabs(out_dir):
         out_dir = os.path.join(base_dir, out_dir)
     output = OutputOptions(
-        directory=out_dir, pairwise=bool(out_raw.get("pairwise", True)),
-        frequencies=bool(out_raw.get("frequencies", True)),
+        directory=out_dir,
+        pairwise=_boolean(out_raw, "pairwise", True, "output"),
+        frequencies=_boolean(out_raw, "frequencies", True, "output"),
         interval=float(interval))
 
     return PipelineConfig(input=input_opts, schema=schema, level_specs=specs,

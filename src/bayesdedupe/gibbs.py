@@ -500,35 +500,37 @@ def _site_cells(ctx: SamplerContext, z: np.ndarray,
                      label, stay)
 
 
+def _draw_segments(scores: np.ndarray, first: np.ndarray,
+                   us: np.ndarray) -> np.ndarray:
+    """One index per segment of scores, segment k (from first[k] to the
+    next segment's start) drawn at uniform us[k] with weights exp(scores).
+    Every segment's last score must be finite; scores are shifted in place.
+    """
+    end = np.append(first[1:], len(scores))
+    scores -= np.repeat(np.maximum.reduceat(scores, first), end - first)
+    cdf = np.zeros(len(scores) + 1)
+    np.cumsum(np.exp(scores), out=cdf[1:])
+    lo, hi = cdf[first], cdf[end]
+    # a point rounded up to hi goes to the segment's last entry
+    drawn = np.searchsorted(cdf, lo + us * (hi - lo), side="right") - 1
+    return np.minimum(drawn, end - 1, out=drawn)
+
+
 def _site_draws(ctx: SamplerContext, cells: SiteCells, lr: np.ndarray,
                 u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every single-site record's draw from its full conditional, row k
     at uniform u[k]: the label drawn and whether it keeps the partition.
 
-    lr holds the log ratio of every CSR entry. A cell's log weight sums
-    them over the record's neighbours in it, in adjacency order, and sits
-    at the slot of the cell's first entry; a new cell has log weight 0.
-    Weights are shifted by the row's largest and drawn by one searchsorted
-    on their running sum. A draw thus picks among the joinable cells in
-    order of first appearance and then the new cell, as the one-record
-    update does; the two round exp and the running sums differently, so
-    they can disagree only when a uniform lands within rounding of a
-    boundary between options.
+    lr holds the log ratio of every CSR entry. A joinable cell's log
+    weight sums them over the record's neighbours in it, in adjacency
+    order, at the slot of the cell's first entry; other slots score -inf
+    and the new cell 0. A draw thus picks the option the one-record
+    update picks, unless a uniform lands within rounding of a boundary.
     """
-    score = np.bincount(cells.group, weights=lr)[cells.options]
-    top = np.zeros(len(ctx.single_site))  # the new cell's log weight
-    np.maximum.at(top, cells.rows, score)
-    w = np.zeros(len(ctx.slot_row))
-    w[cells.slots] = np.exp(score - top[cells.rows])
-    w[ctx.site_new] = np.exp(-top)
-    cdf = np.empty(len(w) + 1)
-    cdf[0] = 0.0
-    np.cumsum(w, out=cdf[1:])
-    lo, hi = cdf[ctx.site_start], cdf[ctx.site_new + 1]
-    # the slot whose cdf interval holds the uniform point; a point rounded
-    # up to hi goes to the row's last slot, its new cell
-    slot = np.searchsorted(cdf, lo + u * (hi - lo), side="right") - 1
-    np.minimum(slot, ctx.site_new, out=slot)
+    scores = np.full(len(ctx.slot_row), -np.inf)
+    scores[cells.slots] = np.bincount(cells.group, weights=lr)[cells.options]
+    scores[ctx.site_new] = 0.0
+    slot = _draw_segments(scores, ctx.site_start, u)
     return cells.label[slot], cells.stay[slot]
 
 
@@ -584,18 +586,9 @@ def _block_scores(ctx: SamplerContext, loglr: np.ndarray) -> np.ndarray:
 def _draw_blocks(ctx: SamplerContext, loglr: np.ndarray, us: np.ndarray,
                  z: np.ndarray) -> None:
     """Draw every block component's partition exactly, one uniform per
-    component, and write its labels into z."""
-    scores = _block_scores(ctx, loglr)
-    first, end = ctx.comp_parts[:-1], ctx.comp_parts[1:]
-    scores -= np.maximum.reduceat(scores, first)[ctx.part_comp]
-    cdf = np.empty(ctx.n_partitions + 1)
-    cdf[0] = 0.0
-    np.cumsum(np.exp(scores), out=cdf[1:])
-    lo, hi = cdf[first], cdf[end]
-    # the partition whose cdf interval holds t; the last one of a component,
-    # all singletons and never of weight zero, also takes t rounded up to hi
-    choice = np.searchsorted(cdf, lo + us * (hi - lo), side="right") - 1
-    np.minimum(choice, end - 1, out=choice)
+    component, and write its labels into z. A component's last
+    partition, all singletons, scores 0."""
+    choice = _draw_segments(_block_scores(ctx, loglr), ctx.comp_parts[:-1], us)
     z[ctx.block_records] = ctx.part_labels[ctx.label_at[choice][ctx.record_comp]
                                            + ctx.record_pos]
 

@@ -85,10 +85,6 @@ class PriorSpec:
             if not np.all((l >= 0) & (l <= 1 - 1e-6)):
                 raise ConfigError("truncation points must lie in [0, 1 - 1e-6]")
 
-    @property
-    def n_fields(self) -> int:
-        return len(self.lam)
-
     @staticmethod
     def from_lambdas(lambdas, alpha1=1.0, beta1=1.0,
                      alpha0=1.0, beta0=1.0) -> "PriorSpec":
@@ -97,12 +93,6 @@ class PriorSpec:
         like = lambda c: [np.full(v.shape, float(c)) for v in lam]
         return PriorSpec(lam=lam, alpha1=like(alpha1), beta1=like(beta1),
                          alpha0=like(alpha0), beta0=like(beta0))
-
-    @staticmethod
-    def flat(n_levels, lam=0.0, **hyper) -> "PriorSpec":
-        """One shared truncation value per field, given level counts."""
-        lams = [np.full(n - 1, float(lam)) for n in n_levels]
-        return PriorSpec.from_lambdas(lams, **hyper)
 
 
 @dataclass

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DataError
 from .partition import canonicalize_label_rows, format_partition
+from .records import open_text, read_table
 from .textio import write_int_rows
 
 
@@ -282,8 +283,8 @@ def load_labelings(path) -> np.ndarray:
     of range, rows of different lengths and a file without labels raise
     DataError naming the file and line.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    with open_text(path) as fh:
+        data = fh.buffer.read()  # bytes: the parser checks every one
     rows, width, lines_before, pos = [], None, 0, 0
     while pos < len(data):
         cut = data.find(b"\n", pos + _PARSE_BYTES)
@@ -388,16 +389,8 @@ def save_phi_trace(path, sample) -> None:
 def load_truth(path, r: int | None = None) -> np.ndarray:
     """Ground-truth entity labels from a record_id,entity_id CSV."""
     mapping = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["record_id", "entity_id"]:
-            raise DataError(f"{path}: expected header record_id,entity_id")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}:{lineno}: expected two columns")
+    with open_text(path) as fh:
+        for lineno, row in read_table(fh, path, ["record_id", "entity_id"]):
             try:
                 rid, ent = int(row[0]), int(row[1])
             except ValueError:

@@ -6,11 +6,16 @@ load time so that comparators never see case or spacing artifacts.
 Missing values are a designated token (default "NA"); empty cells count
 as missing too. Dates are represented as three separate integer fields
 by the caller's schema; nothing here is date-aware.
+
+open_text and read_table read every text input of the package; a file
+that is missing, unreadable, not UTF-8 or malformed raises DataError
+naming it.
 """
 
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, DataError
@@ -73,16 +78,55 @@ class DataFile:
         return [rec.values[k] for rec in self.records]
 
 
-def _normalize_cell(raw: str, kind: str, missing_token: str, where: str):
-    cell = " ".join(raw.split())
-    if cell == "" or cell.upper() == missing_token.upper():
+def normalize(text: str) -> str:
+    """Uppercase with internal whitespace collapsed and ends trimmed."""
+    return " ".join(text.split()).upper()
+
+
+@contextmanager
+def open_text(path):
+    """A UTF-8 text file to read inside a with block; a failure to open
+    it or to decode what is read raises DataError naming it."""
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as e:
+        raise DataError(f"cannot open {path}: {e}") from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
+def read_table(fh, name, header: list, delimiter: str = ","):
+    """(line number, cells) of every non-blank row after the header,
+    which must equal the given column names up to spaces; a row with
+    another number of cells raises DataError naming the table and line."""
+    reader = csv.reader(fh, delimiter=delimiter)
+    found = next(reader, None)
+    if found is None:
+        raise DataError(f"{name}: empty file, expected a header row")
+    if [h.strip() for h in found] != header:
+        raise DataError(f"{name}: header {found!r} does not match {header!r}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(
+                f"{name}:{lineno}: expected {len(header)} values, got {len(row)}")
+        yield lineno, row
+
+
+def _normalize_cell(raw: str, kind: str, missing: str, where: str):
+    cell = normalize(raw)
+    if cell == "" or cell == missing:
         return None
     if kind == "integer":
         try:
             return int(cell)
         except ValueError:
             raise DataError(f"{where}: cannot parse integer from {raw!r}") from None
-    return cell.upper()
+    return cell
 
 
 def load_delimited(path, schema: list[FieldSchema], delimiter: str = ",",
@@ -93,30 +137,14 @@ def load_delimited(path, schema: list[FieldSchema], delimiter: str = ",",
     order. Row arity mismatches and unparseable integers raise DataError
     with the offending line number.
     """
-    expected = [f.name for f in schema]
+    missing = missing_token.upper()
     records: list[Record] = []
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as e:
-        raise DataError(f"cannot open {path}: {e}") from None
-    with fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        if [h.strip() for h in header] != expected:
-            raise DataError(
-                f"{path}: header {header!r} does not match schema fields {expected!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(schema):
-                raise DataError(
-                    f"{path}:{lineno}: expected {len(schema)} values, got {len(row)}")
-            values = tuple(
-                _normalize_cell(cell, f.kind, missing_token, f"{path}:{lineno}")
-                for cell, f in zip(row, schema))
+    with open_text(path) as fh:
+        for lineno, row in read_table(fh, path, [f.name for f in schema],
+                                      delimiter):
+            where = f"{path}:{lineno}"
+            values = tuple(_normalize_cell(cell, f.kind, missing, where)
+                           for cell, f in zip(row, schema))
             records.append(Record(id=len(records), values=values))
     return DataFile(schema=list(schema), records=records, path=str(path))
 

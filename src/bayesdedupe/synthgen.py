@@ -15,15 +15,16 @@ regenerates the same bytes.
 
 from __future__ import annotations
 
-import csv
 import logging
+import os
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .records import DataFile, FieldSchema, Record
+from .records import (DataFile, FieldSchema, Record, normalize, open_text,
+                      read_table)
 from .textio import write_int_rows
 
 log = logging.getLogger(__name__)
@@ -178,83 +179,54 @@ def data_path(name: str):
 
 
 def _open_table(spec: str):
-    import os
-    if os.path.exists(spec):
-        return open(spec, "r", encoding="utf-8", newline="")
-    bundled = data_path(spec)
-    if bundled.is_file():
-        return bundled.open("r", encoding="utf-8", newline="")
-    raise ConfigError(f"frequency table {spec!r} not found on disk or bundled")
+    """A table by name: a bare file name is a bundled table if there is
+    one, and anything else a file on disk."""
+    path = data_path(spec)
+    if os.path.dirname(spec) or not path.is_file():
+        path = spec
+    if not os.path.exists(path):
+        raise ConfigError(f"frequency table {spec!r} not found on disk or bundled")
+    return open_text(path)
+
+
+def _load_counts(spec: str, header: list) -> tuple[list, np.ndarray]:
+    """A table whose last column counts: its other columns, normalized,
+    and the counts, which must be positive, as probabilities."""
+    columns, counts = [[] for _ in header[1:]], []
+    with _open_table(spec) as fh:
+        for lineno, row in read_table(fh, spec, header):
+            for column, cell in zip(columns, row):
+                column.append(normalize(cell))
+            try:
+                counts.append(float(row[-1]))
+            except ValueError:
+                raise DataError(f"{spec}:{lineno}: unparseable count") from None
+    if not counts:
+        raise DataError(f"{spec}: empty table")
+    probs = np.asarray(counts, dtype=np.float64)
+    if probs.min() <= 0:
+        raise DataError(f"{spec}: counts must be positive")
+    return columns, probs / probs.sum()
 
 
 def load_frequency_table(spec: str) -> tuple[list, np.ndarray]:
     """value,count rows -> (values, probabilities)."""
-    with _open_table(spec) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["value", "count"]:
-            raise DataError(f"{spec}: expected header value,count")
-        values, counts = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"{spec}:{lineno}: expected two columns")
-            values.append(" ".join(row[0].split()).upper())
-            try:
-                counts.append(float(row[1]))
-            except ValueError:
-                raise DataError(f"{spec}:{lineno}: unparseable count") from None
-    if not values:
-        raise DataError(f"{spec}: empty table")
-    probs = np.asarray(counts, dtype=np.float64)
-    if probs.min() <= 0:
-        raise DataError(f"{spec}: counts must be positive")
-    return values, probs / probs.sum()
+    (values,), probs = _load_counts(spec, ["value", "count"])
+    return values, probs
 
 
 def load_joint_table(spec: str) -> tuple[list, list, np.ndarray]:
     """row,col,count rows -> (row values, col values, probabilities)."""
-    with _open_table(spec) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["row", "col", "count"]:
-            raise DataError(f"{spec}: expected header row,col,count")
-        rows, cols, counts = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(f"{spec}:{lineno}: expected three columns")
-            rows.append(" ".join(row[0].split()).upper())
-            cols.append(" ".join(row[1].split()).upper())
-            try:
-                counts.append(float(row[2]))
-            except ValueError:
-                raise DataError(f"{spec}:{lineno}: unparseable count") from None
-    if not rows:
-        raise DataError(f"{spec}: empty table")
-    probs = np.asarray(counts, dtype=np.float64)
-    if probs.min() <= 0:
-        raise DataError(f"{spec}: counts must be positive")
-    return rows, cols, probs / probs.sum()
+    (rows, cols), probs = _load_counts(spec, ["row", "col", "count"])
+    return rows, cols, probs
 
 
 def load_misspellings(spec: str) -> dict:
     """value,variant rows -> value -> tuple of variants."""
     out: dict = {}
     with _open_table(spec) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["value", "variant"]:
-            raise DataError(f"{spec}: expected header value,variant")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"{spec}:{lineno}: expected two columns")
-            key = " ".join(row[0].split()).upper()
-            out.setdefault(key, []).append(" ".join(row[1].split()).upper())
+        for _, (value, variant) in read_table(fh, spec, ["value", "variant"]):
+            out.setdefault(normalize(value), []).append(normalize(variant))
     return {k: tuple(v) for k, v in out.items()}
 
 

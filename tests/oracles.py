@@ -426,7 +426,7 @@ def log_posterior_unnormalized(z, params, prior, graph, comps) -> float:
         return -np.inf
     stats = sufficient_stats(z, graph, comps)
     total = log_likelihood(stats, params)
-    for f in range(prior.n_fields):
+    for f in range(len(prior.lam)):
         for l in range(len(prior.lam[f])):
             total += truncated_beta_logpdf(
                 float(params.m[f][l]), float(prior.alpha1[f][l]),
@@ -449,7 +449,7 @@ def marginal_log_likelihood(z, prior, graph, comps) -> float:
     """
     stats = sufficient_stats(z, graph, comps)
     total = 0.0
-    for f in range(prior.n_fields):
+    for f in range(len(prior.lam)):
         c1 = np.asarray(stats.a1[f], dtype=np.float64)
         c0 = np.asarray(stats.a0[f], dtype=np.float64)
         L = len(prior.lam[f])

@@ -82,6 +82,12 @@ def toy_prior(case: int) -> PriorSpec:
     return PriorSpec.from_lambdas(lambdas)
 
 
+def flat_prior(n_levels, lam=0.0, **hyper) -> PriorSpec:
+    """One shared truncation value per field, given level counts."""
+    return PriorSpec.from_lambdas(
+        [[float(lam)] * (n - 1) for n in n_levels], **hyper)
+
+
 def toy_comparisons():
     """Comparison data and candidate structure for the worked example."""
     df = toy_records()

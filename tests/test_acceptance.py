@@ -41,8 +41,8 @@ from conftest import compared_setup
 from oracles import (bin_level, delta_from_labeling, enumerate_valid_partitions,
                      levenshtein, log_posterior_unnormalized,
                      partition_to_labeling, sample_truncated_beta, star_probs)
-from presets import (toy_comparisons, toy_fix_rules, toy_level_specs,
-                     toy_prior, toy_schema)
+from presets import (flat_prior, toy_comparisons, toy_fix_rules,
+                     toy_level_specs, toy_prior, toy_schema)
 
 
 def report(capsys, label: str, ok: bool, detail: str) -> None:
@@ -111,7 +111,7 @@ def test_a1_worked_example_posterior_shape(capsys):
 
 def test_a2_frozen_parameter_chain_matches_enumeration(capsys):
     t0 = time.perf_counter()
-    prior = PriorSpec.flat([4, 3, 2])
+    prior = flat_prior([4, 3, 2])
     worst = 0.0
     for k in range(20):
         rng = np.random.default_rng(1000 + k)

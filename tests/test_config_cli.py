@@ -46,6 +46,15 @@ RECORDS = ("name,year,city\n"
            "LUIS,1999,NORTE\n"
            "MARTA,NA,SUR\n")
 
+# a records file, labelings, ground truth and a neighbour list that the
+# commands accept together
+INPUT_FILES = {
+    "records.csv": RECORDS,
+    "lab.txt": "0 0 1 2\n",
+    "truth.csv": "record_id,entity_id\n0,0\n1,0\n2,1\n3,2\n",
+    "nb.tsv": "SUR\tNORTE\n",
+}
+
 
 def write_config(tmp_path, overrides=None, records=RECORDS):
     cfg = json.loads(json.dumps(BASE_CONFIG))  # deep copy
@@ -289,6 +298,60 @@ class TestCliErrors:
         rc = main(["dedupe", "--config", str(p), "--threads", "1"])
         assert rc == 2
         assert "prior.lambdas.name" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"comparators.1": {"field": "year", "kind": "levenshtein",
+                            "cut_points": [0, 0.5, 1]}}, "comparators[1]"),
+        ({"comparators.1": {"field": "year", "kind": "token_levenshtein",
+                            "cut_points": [0, 0.5, 1]}}, "comparators[1]"),
+        ({"comparators.0": {"field": "name", "kind": "absolute_difference",
+                            "cut_points": [0, 1, "inf"]}}, "comparators[0]"),
+        ({"filters": [{"kind": "integer_gap_exceeds", "field": "city",
+                       "gap": 1}]}, "filters[0]"),
+        ({"filters": [{"kind": "custom_overlap", "field": "year"}]},
+         "filters[0]"),
+        ({"input.delimiter": ";;"}, "input.delimiter"),
+        ({"input.delimiter": ""}, "input.delimiter"),
+        ({"output.pairwise": "false"}, "output.pairwise"),
+        ({"output.frequencies": 0}, "output.frequencies"),
+    ], ids=["levenshtein-integer", "token-levenshtein-integer",
+            "difference-string", "gap-categorical", "overlap-integer",
+            "long-delimiter", "empty-delimiter", "pairwise-string",
+            "frequencies-integer"])
+    def test_config_boundary(self, tmp_path, capsys, overrides, key):
+        p = write_config(tmp_path, overrides)
+        assert main(["compare", "--config", str(p)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        p = write_config(tmp_path)
+        p.write_bytes(p.read_bytes() + b"# caf\xe9\n")
+        assert main(["compare", "--config", str(p)]) == 2
+        assert "pipeline.yaml" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["missing", "directory", "not-utf8"])
+    @pytest.mark.parametrize("name", list(INPUT_FILES))
+    def test_bad_input_file(self, tmp_path, capsys, name, fault):
+        """Every input file a command reads exits 3, naming the file."""
+        p = write_config(tmp_path, {"filters": [
+            {"kind": "custom_overlap", "field": "city", "neighbors": "nb.tsv"}]})
+        for good, text in INPUT_FILES.items():
+            (tmp_path / good).write_text(text, encoding="utf-8")
+        bad = tmp_path / name
+        if fault == "not-utf8":
+            bad.write_bytes(INPUT_FILES[name].encode() + b"\xc1\n")
+        else:
+            bad.unlink()
+            if fault == "directory":
+                bad.mkdir()
+        if name in ("lab.txt", "truth.csv"):
+            argv = ["evaluate", "--labelings", str(tmp_path / "lab.txt"),
+                    "--truth", str(tmp_path / "truth.csv"),
+                    "--output", str(tmp_path / "m.json")]
+        else:
+            argv = ["compare", "--config", str(p)]
+        assert main(argv) == 3
+        assert name in capsys.readouterr().err
 
     def test_internal_error_traceback_only_when_verbose(self, monkeypatch,
                                                         capsys):

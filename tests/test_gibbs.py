@@ -26,6 +26,7 @@ from bayesdedupe.gibbs import (
     SamplerConfig,
     SamplerContext,
     _block_scores,
+    _draw_segments,
     _level_counts,
     _tbeta_vec,
     chain_seeds,
@@ -41,6 +42,7 @@ from bayesdedupe.model import (ModelParams, PriorSpec, SufficientStats,
                                sufficient_stats)
 
 from conftest import compared_setup, random_file, small_specs
+from presets import flat_prior
 from oracles import (
     bell_number,
     canonical_labels,
@@ -235,7 +237,7 @@ class TestFlatParameterBlock:
         against the per-field references."""
         comps, graph, z, m, u = setup
         ctx = SamplerContext(comps, graph)
-        flat = flatten_prior(PriorSpec.flat(comps.n_levels, lam=0.5))
+        flat = flatten_prior(flat_prior(comps.n_levels, lam=0.5))
         scratch = sufficient_stats(z.tolist(), graph, comps)
         counts = ctx.recount(z)
         at, above = _level_counts(flat, counts)
@@ -417,6 +419,22 @@ class TestExactPosteriorSmall:
         assert ctx.block_records.tolist() == [7, 8]
         tv = chain_tv(df, comps, graph, 29, random_scan)
         assert tv < 0.05, f"TV distance {tv:.4f}"
+
+
+def test_draw_segments_follows_weights():
+    """Three segments drawn at a grid of uniforms: every entry takes its
+    share of the grid, an entry scoring -inf none, and a uniform of 1 goes
+    to each segment's last entry."""
+    scores = np.array([0.5, -np.inf, 2.0, 0.0, 1.0, -np.inf, -3.0, 0.0])
+    first = np.array([0, 4, 5])
+    n = 1000
+    drawn = np.array([_draw_segments(scores.copy(), first, np.full(3, u))
+                      for u in (np.arange(n) + 0.5) / n])
+    for k, (lo, hi) in enumerate(zip(first, [4, 5, 8])):
+        w = np.exp(scores[lo:hi] - scores[lo:hi].max())
+        counts = np.bincount(drawn[:, k] - lo, minlength=hi - lo)
+        assert np.all(np.abs(counts - n * w / w.sum()) <= 1)
+    assert _draw_segments(scores.copy(), first, np.ones(3)).tolist() == [3, 4, 7]
 
 
 def block_probabilities(ctx, loglr) -> list:

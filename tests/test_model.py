@@ -26,6 +26,7 @@ from bayesdedupe.model import (
 )
 
 from conftest import compared_setup
+from presets import flat_prior
 from oracles import (
     ComparisonVector,
     _log_beta_tail,
@@ -127,7 +128,7 @@ class TestParamContainers:
                       beta0=[np.array([1.0])])
 
     def test_flat_builder(self):
-        prior = PriorSpec.flat([4, 2], lam=0.9)
+        prior = flat_prior([4, 2], lam=0.9)
         assert [len(v) for v in prior.lam] == [3, 1]
         assert all(np.all(v == 0.9) for v in prior.lam)
         assert all(np.all(v == 1.0) for v in prior.alpha1)

@@ -4,9 +4,10 @@ Every module-level function and class and every method under
 src/bayesdedupe must be referenced by name somewhere under src/ outside
 its own definition, or in perfbench/*.py. Names that only tests use
 belong in tests/ (oracles.py, presets.py). References are matched by
-name: a Name, an attribute or an imported name, so a method counts as
-used when any attribute of that name is read. Dunder methods are called
-by the interpreter and are exempt.
+name. A function or class counts as used when a plain name, an attribute
+or an imported name matches; a method only when an attribute of its
+name is read, so that a local variable of the same name does not hide
+it. Dunder methods are called by the interpreter and are exempt.
 """
 
 import ast
@@ -28,33 +29,33 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item
 
 
-def _references(tree: ast.AST, skip: ast.AST | None = None) -> set:
-    """Names read, as plain names, attributes or imported names, anywhere
-    in tree except inside skip."""
-    found: set = set()
+def _references(tree: ast.AST, skip: ast.AST | None = None) -> tuple:
+    """(names, attributes) read anywhere in tree except inside skip:
+    names holds plain names, attributes and imported names, attributes
+    only the attributes."""
+    names: set = set()
+    attributes: set = set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
         if isinstance(node, ast.Name):
-            found.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
-            found.add(node.name.rsplit(".", 1)[-1])
+            names.add(node.name.rsplit(".", 1)[-1])
         stack.extend(ast.iter_child_nodes(node))
-    return found
+    return names | attributes, attributes
 
 
 def unreferenced() -> list:
     src = {p: ast.parse(p.read_text(encoding="utf-8"))
            for p in sorted((ROOT / "src").rglob("*.py"))}
-    bench: set = set()
+    refs = {p: _references(t) for p, t in src.items()}
     for p in sorted((ROOT / "perfbench").glob("*.py")):
-        bench |= _references(ast.parse(p.read_text(encoding="utf-8")))
-    elsewhere = {p: set().union(*(_references(t) for q, t in src.items() if q != p))
-                 for p in src}
+        refs[p] = _references(ast.parse(p.read_text(encoding="utf-8")))
     out = []
     for path, tree in src.items():
         if path.parent != PACKAGE:
@@ -63,8 +64,10 @@ def unreferenced() -> list:
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if (name in bench or name in elsewhere[path]
-                    or name in _references(tree, skip=node)):
+            kind = 1 if "." in qualname else 0  # a method: attributes only
+            others = [r[kind] for q, r in refs.items() if q != path]
+            if any(name in seen for seen in
+                   [_references(tree, skip=node)[kind], *others]):
                 continue
             out.append(f"{path.stem}.{qualname}")
     return out

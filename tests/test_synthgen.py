@@ -158,6 +158,27 @@ class TestTables:
         with pytest.raises(ConfigError):
             load_frequency_table("no_such_table.csv")
 
+    def test_unreadable_disk_table(self, tmp_path):
+        folder = tmp_path / "table.csv"
+        folder.mkdir()
+        with pytest.raises(DataError, match="table.csv"):
+            load_frequency_table(str(folder))
+        latin = tmp_path / "latin.csv"
+        latin.write_bytes(b"value,count\nJOS\xc9,1\n")
+        with pytest.raises(DataError, match="latin.csv"):
+            load_frequency_table(str(latin))
+
+    def test_bundled_table_wins_over_working_directory(self, tmp_path,
+                                                         monkeypatch):
+        bundled = load_frequency_table("family_names.csv")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "family_names.csv").write_text("value,count\nZZZ,1\n",
+                                                   encoding="utf-8")
+        values, probs = load_frequency_table("family_names.csv")
+        assert values == bundled[0]
+        assert probs.tolist() == bundled[1].tolist()
+        assert load_frequency_table("./family_names.csv")[0] == ["ZZZ"]
+
 
 class TestFieldAndConfigValidation:
     def test_synth_field_validation(self):
