@@ -77,6 +77,16 @@ def _manifest(args, extra: dict) -> dict:
     return out
 
 
+def _make_output_dir(path) -> None:
+    """Create the output directory; a path that cannot be one is a data
+    error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise DataError(f"{path}: cannot create output directory "
+                        f"({e.strerror})") from None
+
+
 def _resolve_threads(args) -> int:
     if args.threads is not None:
         if args.threads < 1:
@@ -92,7 +102,7 @@ def cmd_dedupe(args) -> int:
     _apply_overrides(cfg, args)
     threads = _resolve_threads(args)
     out_dir = cfg.output.directory
-    os.makedirs(out_dir, exist_ok=True)
+    _make_output_dir(out_dir)
     t0 = time.perf_counter()
     df, comps, graph, dropped = _load_and_prepare(cfg)
     outputs = _write_comparison_outputs(out_dir, comps, graph)
@@ -151,7 +161,7 @@ def cmd_compare(args) -> int:
     if args.output_dir is not None:
         cfg.output.directory = args.output_dir
     out_dir = cfg.output.directory
-    os.makedirs(out_dir, exist_ok=True)
+    _make_output_dir(out_dir)
     t0 = time.perf_counter()
     df, comps, graph, dropped = _load_and_prepare(cfg)
     outputs = _write_comparison_outputs(out_dir, comps, graph)
@@ -169,7 +179,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    os.makedirs(args.output_dir, exist_ok=True)
+    _make_output_dir(args.output_dir)
     gen_cfg = synthgen.GeneratorConfig(
         n_originals=args.originals, n_duplicates=args.duplicates,
         errors_per_duplicate=args.errors, seed=args.seed,
@@ -202,7 +212,10 @@ def cmd_evaluate(args) -> int:
     summary["truth_duplicates"] = truth_dups
     summary["truth_percent"] = posterior.duplicate_percentage(
         len(truth), len(set(truth.tolist())))
-    posterior.write_json(args.output, summary)
+    try:
+        posterior.write_json(args.output, summary)
+    except OSError as e:
+        raise DataError(f"{args.output}: cannot write ({e.strerror})") from None
     print(f"evaluate: recall median {summary['recall']['median']:.4f}, "
           f"precision median {summary['precision']['median']:.4f} "
           f"-> {args.output}")
@@ -215,7 +228,7 @@ def cmd_baseline(args) -> int:
     cfg = config_mod.load_config(args.config)
     _apply_overrides(cfg, args)
     out_dir = cfg.output.directory
-    os.makedirs(out_dir, exist_ok=True)
+    _make_output_dir(out_dir)
     t0 = time.perf_counter()
     df, comps, graph, dropped = _load_and_prepare(cfg)
     outputs = _write_comparison_outputs(out_dir, comps, graph)

@@ -64,7 +64,8 @@ from .comparison import PairComparisons
 from .config import SamplerConfig
 from .errors import ConfigError
 from .model import ModelParams, PriorSpec, SufficientStats
-from .partition import canonicalize_label_rows, valid_partitions
+from .partition import (canonicalize_label_rows, expand_label_rows,
+                        label_dtype, valid_partitions)
 
 
 # --- truncated-Beta sampling ------------------------------------------------
@@ -404,6 +405,8 @@ class SamplerContext(LevelContext):
         self.part_comp = np.repeat(np.arange(len(blocks)), per_comp)
         width = sizes[self.part_comp]
         self.label_at = np.cumsum(width) - width
+        self.active = np.sort(np.concatenate((self.block_records,
+                                              self.single_idx)))
 
 
 def component_summary(ctx: SamplerContext) -> dict:
@@ -623,12 +626,18 @@ def sweep(ctx: SamplerContext, state: ChainState, rng: np.random.Generator,
 class PosteriorSample:
     """Retained draws from one chain.
 
-    labelings holds canonical (first-occurrence) labels, one row per
-    retained sweep; traces are None when parameters were held fixed.
-    single_site_passes counts the prefetched passes of all sweeps.
+    Only the active records, those with a candidate pair (active, sorted
+    record ids), can share a cell; every other record is a singleton in
+    every draw. labels holds one row per retained sweep over the active
+    records: canonical (first-occurrence) labels in the smallest unsigned
+    type that holds them. r is the file's record count. Traces are None
+    when parameters were held fixed. single_site_passes counts the
+    prefetched passes of all sweeps.
     """
 
-    labelings: np.ndarray
+    labels: np.ndarray
+    active: np.ndarray
+    r: int
     kept_iterations: np.ndarray
     m_trace: np.ndarray | None
     u_trace: np.ndarray | None
@@ -640,12 +649,16 @@ class PosteriorSample:
     single_site_passes: int = 0
 
     @property
-    def r(self) -> int:
-        return self.labelings.shape[1]
+    def n_kept(self) -> int:
+        return self.labels.shape[0]
 
     @property
-    def n_kept(self) -> int:
-        return self.labelings.shape[0]
+    def labelings(self) -> np.ndarray:
+        """Canonical labels of all r records, one row per retained sweep,
+        built on every access. No subcommand reads it: it serves the
+        traced benchmark run and the tests, and goes when the benchmark
+        change of ROADMAP item 2 stops reading it."""
+        return expand_label_rows(self.labels, self.active, self.r)
 
 
 def run_chain(comps: PairComparisons, graph: CandidateGraph, prior: PriorSpec,
@@ -658,6 +671,9 @@ def run_chain(comps: PairComparisons, graph: CandidateGraph, prior: PriorSpec,
     validating the partition chain against exact enumeration); otherwise
     parameters are redrawn each sweep after the labels. ctx, when given,
     is the SamplerContext of comps and graph, built once for all chains.
+    A retained sweep stores the labels of the active records only, each
+    as the active position of its label's record, and the rows are
+    canonicalized in place at the end.
     """
     start = time.perf_counter()
     if ctx is None:
@@ -667,7 +683,12 @@ def run_chain(comps: PairComparisons, graph: CandidateGraph, prior: PriorSpec,
     flat = flatten_prior(prior) if fixed_params is None else None
 
     n_kept = config.n_kept
-    kept_z = np.empty((n_kept, ctx.r), dtype=np.int32)
+    active = ctx.active
+    dtype = label_dtype(len(active))
+    # an active record's label is the id of an active member of its cell
+    pos_of = np.zeros(ctx.r, dtype=dtype)
+    pos_of[active] = np.arange(len(active))
+    kept = np.empty((n_kept, len(active)), dtype=dtype)
     kept_iter = np.empty(n_kept, dtype=np.int64)
     n_params = len(flat.lam) if flat is not None else 0
     m_trace = np.empty((n_kept, n_params)) if flat is not None else None
@@ -677,14 +698,15 @@ def run_chain(comps: PairComparisons, graph: CandidateGraph, prior: PriorSpec,
     for t in range(1, config.iterations + 1):
         drawn = sweep(ctx, state, rng, flat, config.random_scan)
         if t > config.burn_in and (t - config.burn_in - 1) % config.thinning == 0:
-            kept_z[kk] = state.z
+            kept[kk] = pos_of[state.z[active]]
             kept_iter[kk] = t
             if drawn is not None:
                 m_trace[kk], u_trace[kk] = drawn
             kk += 1
 
     return PosteriorSample(
-        labelings=canonicalize_label_rows(kept_z[:kk], out=kept_z[:kk]),
+        labels=canonicalize_label_rows(kept[:kk], out=kept[:kk]),
+        active=active, r=ctx.r,
         kept_iterations=kept_iter[:kk],
         m_trace=m_trace[:kk] if m_trace is not None else None,
         u_trace=u_trace[:kk] if u_trace is not None else None,

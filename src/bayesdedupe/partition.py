@@ -29,9 +29,10 @@ def format_partition(z) -> str:
                     for cell in labeling_to_partition(z))
 
 
-# Label-matrix cells handled per block by canonicalize_label_rows. A block
-# takes about 40 bytes of scratch per cell; at 2**18 cells that scratch
-# raised the peak RSS of dedupe on a 500-record file by 10 MB.
+# Label-matrix cells handled per block by canonicalize_label_rows (and
+# output cells by expand_label_rows). A block takes about 40 bytes of
+# scratch per cell; at 2**18 cells that scratch raised the peak RSS of
+# dedupe on a 500-record file by 10 MB.
 _CANON_CELLS = 1 << 16
 
 
@@ -68,6 +69,52 @@ def canonicalize_label_rows(rows: np.ndarray,
                           np.take_along_axis(order, head, axis=1), axis=1)
         cell = np.cumsum(first == cols, axis=1, dtype=np.int32) - 1
         out[lo:lo + step] = np.take_along_axis(cell, first, axis=1)
+    return out
+
+
+def label_dtype(n_labels: int) -> np.dtype:
+    """The smallest unsigned integer type that holds labels 0..n_labels-1."""
+    return np.min_scalar_type(max(n_labels - 1, 0))
+
+
+def expand_label_rows(labels: np.ndarray, active: np.ndarray,
+                      r: int) -> np.ndarray:
+    """Canonical labelings of records 0..r-1 from canonical rows over the
+    active records (sorted record ids); every other record is a singleton.
+
+    A cell of active records keeps its label plus the number of inactive
+    records before its first member. An inactive record's label is the
+    number of inactive records before it plus the number of active cells
+    begun before it, which is one more than the largest label among the
+    active records below it. Rows go through in blocks of bounded size
+    into a new int32 matrix. With every record active the rows are
+    returned as they are.
+    """
+    labels = np.asarray(labels)
+    n, a = labels.shape
+    if a == r:
+        return labels
+    out = np.empty((n, r), dtype=np.int32)
+    inactive = np.ones(r, dtype=bool)
+    inactive[active] = False
+    inactive = np.flatnonzero(inactive)
+    below = np.searchsorted(active, inactive)  # active records before each
+    gap = active - np.arange(a)                # inactive records before each
+    step = max(1, _CANON_CELLS // max(r, 1))
+    for lo in range(0, n, step):
+        block = labels[lo:lo + step]
+        # begun[:, p]: cells begun among the first p active records
+        begun = np.zeros((len(block), a + 1), dtype=np.int64)
+        np.maximum.accumulate(block, axis=1, out=begun[:, 1:])
+        begun[:, 1:] += 1
+        out[lo:lo + step, inactive] = inactive - below + begun[:, below]
+        # a cell's first member is where its label equals the cells begun
+        # before it; first members come out row by row in cell order, so
+        # cell c of row k is entry cells_before[k] + c
+        first = np.nonzero(block == begun[:, :-1])[1]
+        cells_before = np.cumsum(begun[:, -1]) - begun[:, -1]
+        shift = gap[first][block + cells_before[:, None]]
+        out[lo:lo + step, active] = block + shift
     return out
 
 

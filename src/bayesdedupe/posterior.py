@@ -8,7 +8,10 @@ b11/(b11+b01), precision b11/(b11+b10), and an empty denominator scores
 
 The summaries read only the retained label matrix, from a sample or
 given directly, and treat all draws at once in row blocks of bounded
-size.
+size. A sample holds labels over its active records only (see
+gibbs.PosteriorSample); the summaries work on those, and the full-width
+labels of all records are built only for distinct rows or for a block of
+rows being written.
 """
 
 from __future__ import annotations
@@ -20,21 +23,33 @@ import json
 import numpy as np
 
 from .errors import DataError
-from .partition import canonicalize_label_rows, format_partition
+from .partition import (canonicalize_label_rows, expand_label_rows,
+                        format_partition)
 from .records import open_text, read_table
-from .textio import write_int_rows
+from .textio import block_rows, write_int_blocks
 
 
 def _label_matrix(sample) -> np.ndarray:
-    """The retained label matrix of a sample, or the matrix itself."""
+    """The full-width retained label matrix of a sample, or the matrix
+    itself."""
     return sample if isinstance(sample, np.ndarray) else sample.labelings
+
+
+def _active_labels(sample) -> tuple[np.ndarray, np.ndarray, int]:
+    """(labels, active, r): a sample's label rows over its active records,
+    or a full-width label matrix over all of its records."""
+    if hasattr(sample, "active"):
+        return sample.labels, sample.active, sample.r
+    L = _label_matrix(sample)
+    return L, np.arange(L.shape[1]), L.shape[1]
 
 
 def pairwise_probabilities(sample, graph) -> np.ndarray:
     """Posterior coreference probability for every candidate pair, with
-    the equal-label counts accumulated over row blocks of bounded size."""
-    pairs = graph.candidate_pairs()
-    L = _label_matrix(sample)
+    the equal-label counts accumulated over row blocks of bounded size.
+    Both records of a candidate pair are active."""
+    L, active, _ = _active_labels(sample)
+    pairs = np.searchsorted(active, graph.candidate_pairs())
     if len(L) == 0:
         return np.zeros(len(pairs))
     equal = np.zeros(len(pairs), dtype=np.int64)
@@ -55,16 +70,17 @@ def write_pairwise_csv(path, graph, probs: np.ndarray) -> None:
 
 def duplicate_distribution(sample, interval: float = 0.90) -> dict:
     """Posterior summary of the duplicate count r - n(Z), from canonical
-    label rows (a row's cell count is its largest label plus one).
+    label rows (a row's cell count is its largest label plus one). Only
+    active records have duplicates: over A active records a row's count
+    is A - 1 minus its largest label.
 
     The central interval at the given level uses integer-conservative
     endpoints (lower interpolation below, higher above). Percentages are
     relative to the file's record count.
     """
-    L = _label_matrix(sample)
-    r = L.shape[1]
-    if r:
-        dups = r - 1 - L.max(axis=1).astype(np.int64)
+    L, _, r = _active_labels(sample)
+    if L.shape[1]:
+        dups = L.shape[1] - 1 - L.max(axis=1).astype(np.int64)
     else:
         dups = np.zeros(len(L), dtype=np.int64)
     lo_q, hi_q = (1.0 - interval) / 2.0, (1.0 + interval) / 2.0
@@ -194,12 +210,11 @@ def _row_hashes(L: np.ndarray) -> np.ndarray:
 
 
 def _distinct_rows(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows in lexicographic order, with their counts.
+    """Distinct rows, with their counts, in no set order.
 
     Rows are grouped by hash, and every row is checked against its
-    group's first row, so the grouping is exact; only the distinct rows
-    are sorted. If two distinct rows ever share a hash, all rows are
-    sorted instead.
+    group's first row, so the grouping is exact. If two distinct rows
+    ever share a hash, all rows are sorted instead.
     """
     _, first, inverse, counts = np.unique(
         _row_hashes(L), return_index=True, return_inverse=True,
@@ -208,8 +223,7 @@ def _distinct_rows(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for rows in _row_blocks(L):
         if not np.array_equal(L[rows], reps[inverse[rows]]):
             return np.unique(L, axis=0, return_counts=True)
-    lex = np.unique(reps, axis=0, return_index=True)[1]
-    return reps[lex], counts[lex]
+    return reps, counts
 
 
 def partition_frequency_table(sample) -> list:
@@ -217,12 +231,20 @@ def partition_frequency_table(sample) -> list:
     in lexicographic order of their labels.
 
     Rows of the sample are canonical labelings, so identical rows mean
-    identical partitions. Each entry is (labels_tuple, count, frequency).
+    identical partitions. Each entry is (labels_tuple, count, frequency),
+    with the labels of all records: only the distinct rows are expanded.
+    Expansion keeps the lexicographic order of canonical rows, so the
+    rows over the active records are ordered before it. Two rows that
+    first differ at active position p agree on every record before it,
+    and at p the larger label is the later cell, whose first member has
+    at least as many inactive records before it, so it stays larger.
     """
-    L = _label_matrix(sample)
+    L, active, r = _active_labels(sample)
     if len(L) == 0:
         return []
-    uniq, counts = _distinct_rows(L)
+    reps, counts = _distinct_rows(L)
+    lex = np.unique(reps, axis=0, return_index=True)[1]
+    uniq, counts = expand_label_rows(reps[lex], active, r), counts[lex]
     order = np.argsort(-counts, kind="stable")
     total = counts.sum()
     return [(tuple(uniq[k].tolist()), int(counts[k]), counts[k] / total)
@@ -248,11 +270,14 @@ def pool_samples(samples: list):
         raise ValueError("nothing to pool")
     if len(samples) == 1:
         return samples[0]
-    if len({s.r for s in samples}) != 1:
+    first = samples[0]
+    if any(s.r != first.r or not np.array_equal(s.active, first.active)
+           for s in samples):
         raise ValueError("cannot pool samples over different files")
     has_trace = all(s.m_trace is not None for s in samples)
     return PosteriorSample(
-        labelings=np.concatenate([s.labelings for s in samples]),
+        labels=np.concatenate([s.labels for s in samples]),
+        active=first.active, r=first.r,
         kept_iterations=np.concatenate([s.kept_iterations for s in samples]),
         m_trace=np.concatenate([s.m_trace for s in samples]) if has_trace else None,
         u_trace=np.concatenate([s.u_trace for s in samples]) if has_trace else None,
@@ -265,12 +290,19 @@ def pool_samples(samples: list):
 # --- serialization ----------------------------------------------------------
 
 def save_labelings(path, sample) -> None:
-    """One retained labeling per line: space-separated canonical cell ids."""
-    write_int_rows(path, (_label_matrix(sample),), sep=" ")
+    """One retained labeling per line: space-separated canonical cell ids
+    of all records, expanded one block of rows at a time."""
+    L, active, r = _active_labels(sample)
+    step = block_rows(r)
+    write_int_blocks(path, (expand_label_rows(L[lo:lo + step], active, r)
+                            for lo in range(0, len(L), step)), sep=" ")
 
 
-# Bytes parsed per block by load_labelings (cut after a newline).
-_PARSE_BYTES = 1 << 20
+# Bytes parsed per block by load_labelings (cut after a newline). A
+# block's scratch is about 20 times its size and is freed after each
+# block; at 1 MB blocks that churn cost evaluate 0.1 s in page faults on
+# the grid_r1000 labelings (5.4 million labels) and 20 MB of peak RSS.
+_PARSE_BYTES = 1 << 17
 _MAX_LABEL = 2**31 - 1  # labels load as int32
 
 
@@ -282,29 +314,39 @@ def load_labelings(path) -> np.ndarray:
     lines may end in \\n, \\r\\n or \\r. Any other character, a label out
     of range, rows of different lengths and a file without labels raise
     DataError naming the file and line.
+
+    The labels go into one int32 array with a row for every line
+    terminator and one more, allocated once the first row gives the
+    width; the result is a view of the rows filled.
     """
     with open_text(path) as fh:
         data = fh.buffer.read()  # bytes: the parser checks every one
-    rows, width, lines_before, pos = [], None, 0, 0
+    max_rows = data.count(b"\n") + 1
+    if b"\r" in data:
+        max_rows += data.count(b"\r") - data.count(b"\r\n")
+    out, filled, lines_before, pos = None, 0, 0, 0
     while pos < len(data):
         cut = data.find(b"\n", pos + _PARSE_BYTES)
         end = len(data) if cut < 0 else cut + 1
         values, counts, n_lines = _parse_labeling_block(
-            path, data, pos, end, lines_before, width)
-        if width is None and len(counts):
-            width = int(counts[0])
-        rows.append(values)
+            path, data, pos, end, lines_before,
+            None if out is None else out.shape[1])
+        if out is None and len(counts):
+            out = np.empty((max_rows, int(counts[0])), dtype=np.int32)
+        if len(counts):
+            out[filled:filled + len(counts)] = values.reshape(len(counts), -1)
+            filled += len(counts)
         lines_before += n_lines
         pos = end
-    if width is None:
+    if out is None:
         raise DataError(f"{path}: no labelings found")
-    return np.concatenate(rows).reshape(-1, width)
+    return out[:filled]
 
 
 def _parse_labeling_block(path, data: bytes, start: int, end: int,
                           lines_before: int, width: int | None):
-    """Labels of the lines in data[start:end]; returns (labels as int32,
-    labels per non-blank line, line terminators in the block)."""
+    """Labels of the lines in data[start:end]; returns (labels, labels per
+    non-blank line, line terminators in the block)."""
     b = np.frombuffer(data, dtype=np.uint8, count=end - start, offset=start)
     lf = b == ord("\n")
     cr = b == ord("\r")
@@ -312,12 +354,12 @@ def _parse_labeling_block(path, data: bytes, start: int, end: int,
     crlf[:-1] &= lf[1:]
     crlf[-1] = False
     newline = lf | (cr & ~crlf)
-    digit = (b - ord("0")) < 10
+    digits = b - ord("0")
+    digit = digits < 10
     breaks = np.flatnonzero(newline)
     edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
     starts, lengths = edges[0::2], edges[1::2] - edges[0::2]
     values = np.empty(len(starts), dtype=np.int64)
-    digits = b - ord("0")
     for size in np.flatnonzero(np.bincount(lengths)):
         which = np.flatnonzero(lengths == size)
         at = starts[which]
@@ -350,7 +392,7 @@ def _parse_labeling_block(path, data: bytes, start: int, end: int,
     if errors:
         line, _, message = min(errors)
         raise DataError(f"{path}:{lines_before + 1 + int(line)}: {message}")
-    return values.astype(np.int32), rows, len(breaks)
+    return values, rows, len(breaks)
 
 
 # Draws formatted per write by save_phi_trace. A scratch array for all

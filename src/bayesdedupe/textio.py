@@ -1,9 +1,10 @@
 """Block-wise text rendering of integer matrices.
 
 The comparison, edge, labeling, truth and nontransitive-count files are
-integer matrices written as delimited text. write_int_rows renders them with numpy, a bounded block
-of rows at a time, into the same bytes as joining str(int(v)) with the
-separator, one row per line.
+integer matrices written as delimited text. write_int_blocks renders them
+with numpy, a bounded block of rows at a time, into the same bytes as
+joining str(int(v)) with the separator, one row per line; write_int_rows
+cuts the blocks from whole matrices.
 """
 
 from __future__ import annotations
@@ -42,27 +43,43 @@ def _render(block: np.ndarray, sep: int, na: bool) -> bytes:
     return buf.tobytes()
 
 
-def write_int_rows(path, columns, *, sep: str = ",", na: bool = False,
-                   header: str | None = None) -> None:
-    """Write integer matrices side by side as delimited text.
+def block_rows(width: int) -> int:
+    """Rows per rendered block at the given row width."""
+    return max(1, _BLOCK_CELLS // max(width, 1))
 
-    columns is a sequence of 1-d (one column) or 2-d arrays with one row
-    per output line. Each value is written as str(int(v)); with na set,
-    negative values are written as NA. sep is a single ASCII character.
-    The header, when given, is written first as its own line.
+
+def write_int_blocks(path, blocks, *, sep: str = ",", na: bool = False,
+                     header: str | None = None) -> None:
+    """Write an iterable of 2-d integer blocks, one line per row.
+
+    Each value is written as str(int(v)); with na set, negative values
+    are written as NA. sep is a single ASCII character. The header, when
+    given, is written first as its own line.
     """
-    parts = [np.asarray(c) for c in columns]
-    parts = [c.reshape(-1, 1) if c.ndim == 1 else c for c in parts]
-    n = len(parts[0])
-    width = sum(c.shape[1] for c in parts)
-    step = max(1, _BLOCK_CELLS // max(width, 1))
     sep_byte = ord(sep)
     with open(path, "wb") as fh:
         if header is not None:
             fh.write(header.encode("utf-8") + b"\n")
-        if width == 0:
-            fh.write(b"\n" * n)
-            return
-        for lo in range(0, n, step):
-            block = np.hstack([c[lo:lo + step].astype(np.int64) for c in parts])
-            fh.write(_render(block, sep_byte, na))
+        for block in blocks:
+            if block.shape[1] == 0:
+                fh.write(b"\n" * len(block))
+            elif len(block):
+                fh.write(_render(block.astype(np.int64, copy=False),
+                                 sep_byte, na))
+
+
+def write_int_rows(path, columns, *, sep: str = ",", na: bool = False,
+                   header: str | None = None) -> None:
+    """Write integer matrices side by side as delimited text, a bounded
+    block of rows at a time (see write_int_blocks).
+
+    columns is a sequence of 1-d (one column) or 2-d arrays with one row
+    per output line.
+    """
+    parts = [np.asarray(c) for c in columns]
+    parts = [c.reshape(-1, 1) if c.ndim == 1 else c for c in parts]
+    step = block_rows(sum(c.shape[1] for c in parts))
+    write_int_blocks(
+        path, (np.hstack([c[lo:lo + step].astype(np.int64) for c in parts])
+               for lo in range(0, len(parts[0]), step)),
+        sep=sep, na=na, header=header)

@@ -28,7 +28,7 @@ from bayesdedupe import gibbs
 from bayesdedupe.comparison import absolute_difference, binary_disagreement
 from bayesdedupe.errors import ConfigError, DataError
 from bayesdedupe.model import sufficient_stats
-from bayesdedupe.partition import valid_partitions
+from bayesdedupe.partition import label_dtype, valid_partitions
 
 
 def write_comparisons_csv(path, comps) -> None:
@@ -624,6 +624,25 @@ def canonical_labels(z) -> tuple[int, ...]:
             seen[lab] = c
         out.append(c)
     return tuple(out)
+
+
+def narrow_rows(labelings, active=None) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, active): the store run_chain keeps for full-width label
+    rows, one row at a time. active lists the records that may share a
+    cell, by default those that share one in some row; labels holds each
+    row's canonical labels over them, in the smallest unsigned type that
+    holds them."""
+    L = np.asarray(labelings)
+    if active is None:
+        shared = np.zeros(L.shape[1], dtype=bool)
+        for row in L:
+            _, inverse, counts = np.unique(row, return_inverse=True,
+                                           return_counts=True)
+            shared |= counts[inverse] > 1
+        active = np.flatnonzero(shared)
+    labels = np.array([canonical_labels(row[active]) for row in L],
+                      dtype=label_dtype(len(active)))
+    return labels.reshape(len(L), len(active)), active
 
 
 def partition_to_labeling(cells) -> list[int]:

@@ -353,6 +353,29 @@ class TestCliErrors:
         assert main(argv) == 3
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        "evaluate", "synth", "compare", "dedupe", "baseline"])
+    def test_unwritable_output(self, tmp_path, capsys, command):
+        """An output path that cannot be written (a directory for
+        evaluate's file, a file for an output directory) exits 3, naming
+        the path."""
+        p = write_config(tmp_path)
+        for name, text in INPUT_FILES.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        taken = tmp_path / "taken"
+        if command == "evaluate":
+            taken.mkdir()
+            argv = ["evaluate", "--labelings", str(tmp_path / "lab.txt"),
+                    "--truth", str(tmp_path / "truth.csv"),
+                    "--output", str(taken)]
+        else:
+            taken.write_text("", encoding="utf-8")
+            argv = [command, "--output-dir", str(taken)]
+            if command != "synth":
+                argv += ["--config", str(p)]
+        assert main(argv) == 3
+        assert f"{taken}: cannot" in capsys.readouterr().err
+
     def test_internal_error_traceback_only_when_verbose(self, monkeypatch,
                                                         capsys):
         def fail(args):
@@ -485,6 +508,22 @@ class TestOutputContract:
         for name in ("precision", "recall"):
             assert set(metrics[name]) == {"median", "p01", "p99"}
             assert all(0.0 <= v <= 1.0 for v in metrics[name].values())
+
+    def test_dedupe_never_builds_full_width_labelings(self, tmp_path,
+                                                      monkeypatch):
+        """Every dedupe output comes from the labels of the active
+        records; the full-width matrix is never built."""
+        def refuse(sample):
+            raise AssertionError("full-width labelings built")
+
+        monkeypatch.setattr(gibbs.PosteriorSample, "labelings",
+                            property(refuse))
+        p = write_config(tmp_path, {"sampler.chains": 2})
+        assert main(["dedupe", "--config", str(p), "--threads", "1"]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert 0 < manifest["block_records"] < 4
+        for name in manifest["outputs"]:
+            assert (tmp_path / "out" / name).is_file()
 
     def test_single_site_passes(self, tmp_path, monkeypatch):
         """With the four-record file's component updated one record at a

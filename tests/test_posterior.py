@@ -29,14 +29,20 @@ from bayesdedupe.posterior import (
 )
 
 from conftest import compared_setup
+from oracles import narrow_rows
 
 
-def fake_sample(labelings, m_trace=None, u_trace=None):
+def fake_sample(labelings, m_trace=None, u_trace=None, active=None):
+    """A sample of canonical label rows, stored as run_chain stores them:
+    over the active records, by default those that share a cell in some
+    row."""
     labelings = np.asarray(labelings, dtype=np.int32)
+    labels, active = narrow_rows(labelings, active)
     n, r = labelings.shape
     cfg = SamplerConfig(iterations=max(n, 1))
     return PosteriorSample(
-        labelings=labelings, kept_iterations=np.arange(1, n + 1),
+        labels=labels, active=active, r=r,
+        kept_iterations=np.arange(1, n + 1),
         m_trace=m_trace, u_trace=u_trace, fields=("f",), n_levels=(2,),
         seed=0, config=cfg, runtime_s=0.0)
 
@@ -154,7 +160,8 @@ class TestPairwiseProbabilities:
         _, comps, graph = compared_setup(rng, 6, fix_name_level=None)
         sample = fake_sample([[0, 0, 1, 2, 3, 4],
                               [0, 0, 0, 1, 2, 3],
-                              [0, 1, 2, 3, 4, 5]])
+                              [0, 1, 2, 3, 4, 5]],
+                             active=np.unique(graph.candidate_pairs()))
         probs = pairwise_probabilities(sample, graph)
         pairs = graph.candidate_pairs()
         for (i, j), p in zip(pairs, probs):
