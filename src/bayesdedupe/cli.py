@@ -20,7 +20,7 @@ import traceback
 from . import __version__, candidates, comparison, config as config_mod
 from . import posterior, records, synthgen
 from .errors import ConfigError, DataError
-from .textio import write_int_rows
+from .textio import open_output, write_int_rows
 
 log = logging.getLogger("bayesdedupe")
 
@@ -204,18 +204,16 @@ def cmd_synth(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    labelings = posterior.load_labelings(args.labelings)
-    truth = posterior.load_truth(args.truth, r=labelings.shape[1])
-    summary = posterior.metric_summary(labelings, truth)
-    summary.update(posterior.duplicate_distribution(labelings))
+    # every summary is computed once per distinct row and gathered by index
+    rows, index = posterior.load_distinct_labelings(args.labelings)
+    truth = posterior.load_truth(args.truth, r=rows.shape[1])
+    summary = posterior.metric_summary(rows, truth, index=index)
+    summary.update(posterior.duplicate_distribution(rows, index=index))
     truth_dups = len(truth) - len(set(truth.tolist()))
     summary["truth_duplicates"] = truth_dups
     summary["truth_percent"] = posterior.duplicate_percentage(
         len(truth), len(set(truth.tolist())))
-    try:
-        posterior.write_json(args.output, summary)
-    except OSError as e:
-        raise DataError(f"{args.output}: cannot write ({e.strerror})") from None
+    posterior.write_json(args.output, summary)
     print(f"evaluate: recall median {summary['recall']['median']:.4f}, "
           f"precision median {summary['precision']['median']:.4f} "
           f"-> {args.output}")
@@ -238,7 +236,7 @@ def cmd_baseline(args) -> int:
     posterior.write_pairwise_csv(pw_path, graph, sample.delta_mean)
     outputs.append(pw_path)
     p_path = os.path.join(out_dir, "p_trace.csv")
-    with open(p_path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(p_path) as fh:
         fh.write("iteration,p\n")
         for it, p in zip(sample.kept_iterations, sample.p_trace):
             fh.write(f"{int(it)},{p:.8f}\n")

@@ -9,14 +9,16 @@ b11/(b11+b01), precision b11/(b11+b10), and an empty denominator scores
 The summaries read only the retained label matrix, from a sample or
 given directly, and treat all draws at once in row blocks of bounded
 size. A sample holds labels over its active records only (see
-gibbs.PosteriorSample); the summaries work on those, and the full-width
-labels of all records are built only for distinct rows or for a block of
-rows being written.
+gibbs.PosteriorSample); the summaries work on those. A chain revisits
+the same few partitions, so the per-row work that needs the labels of
+all records (scoring against a reference, writing and reading the
+labelings file) is done once per distinct row and gathered to the draws.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 
@@ -26,21 +28,17 @@ from .errors import DataError
 from .partition import (canonicalize_label_rows, expand_label_rows,
                         format_partition)
 from .records import open_text, read_table
-from .textio import block_rows, write_int_blocks
-
-
-def _label_matrix(sample) -> np.ndarray:
-    """The full-width retained label matrix of a sample, or the matrix
-    itself."""
-    return sample if isinstance(sample, np.ndarray) else sample.labelings
+from .textio import block_rows, open_output, render_rows
 
 
 def _active_labels(sample) -> tuple[np.ndarray, np.ndarray, int]:
     """(labels, active, r): a sample's label rows over its active records,
-    or a full-width label matrix over all of its records."""
+    or a full-width label matrix over all of its records: given directly,
+    or as the labelings of a view without active records (the traced
+    benchmark run passes one)."""
     if hasattr(sample, "active"):
         return sample.labels, sample.active, sample.r
-    L = _label_matrix(sample)
+    L = sample if isinstance(sample, np.ndarray) else sample.labelings
     return L, np.arange(L.shape[1]), L.shape[1]
 
 
@@ -62,17 +60,19 @@ def pairwise_probabilities(sample, graph) -> np.ndarray:
 
 def write_pairwise_csv(path, graph, probs: np.ndarray) -> None:
     pairs = graph.candidate_pairs()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path) as fh:
         fh.write("i,j,probability\n")
         for (i, j), p in zip(pairs, probs):
             fh.write(f"{i},{j},{p:.6f}\n")
 
 
-def duplicate_distribution(sample, interval: float = 0.90) -> dict:
+def duplicate_distribution(sample, interval: float = 0.90,
+                           index=None) -> dict:
     """Posterior summary of the duplicate count r - n(Z), from canonical
     label rows (a row's cell count is its largest label plus one). Only
     active records have duplicates: over A active records a row's count
-    is A - 1 minus its largest label.
+    is A - 1 minus its largest label. With index, the rows are distinct
+    rows and draw k is row index[k].
 
     The central interval at the given level uses integer-conservative
     endpoints (lower interpolation below, higher above). Percentages are
@@ -83,6 +83,8 @@ def duplicate_distribution(sample, interval: float = 0.90) -> dict:
         dups = L.shape[1] - 1 - L.max(axis=1).astype(np.int64)
     else:
         dups = np.zeros(len(L), dtype=np.int64)
+    if index is not None:
+        dups = dups[index]
     lo_q, hi_q = (1.0 - interval) / 2.0, (1.0 + interval) / 2.0
     lo = float(np.quantile(dups, lo_q, method="lower"))
     hi = float(np.quantile(dups, hi_q, method="higher"))
@@ -185,12 +187,22 @@ def precision_recall_arrays(labelings, ref) -> tuple[np.ndarray, np.ndarray]:
     return _ratio_or_one(b11, b11 + b10), _ratio_or_one(b11, b11 + b01)
 
 
-def metric_summary(sample, ref) -> dict:
+def metric_summary(sample, ref, index=None) -> dict:
     """Median and 1st/99th percentiles of pairwise metrics across the
-    retained samples."""
-    precs, recs = precision_recall_arrays(_label_matrix(sample), ref)
+    retained samples.
+
+    Each distinct row is expanded to all records and scored once, and
+    the scores are gathered to the draws. With index, sample is a
+    full-width matrix of distinct rows and draw k is row index[k].
+    """
+    if index is None:
+        L, active, r = _active_labels(sample)
+        reps, index = _distinct_rows(L)
+        sample = expand_label_rows(reps, active, r)
+    precs, recs = precision_recall_arrays(sample, ref)
 
     def summarize(x: np.ndarray) -> dict:
+        x = x[index]
         return {"median": float(np.median(x)),
                 "p01": float(np.percentile(x, 1)),
                 "p99": float(np.percentile(x, 99))}
@@ -198,11 +210,18 @@ def metric_summary(sample, ref) -> dict:
     return {"precision": summarize(precs), "recall": summarize(recs)}
 
 
+@functools.lru_cache(maxsize=4)
+def _hash_weights(width: int) -> np.ndarray:
+    """Fixed odd 64-bit weights, one per column. Drawing them takes about
+    0.16 ms, as long as hashing a write block of save_labelings."""
+    return np.random.default_rng(0x9E3779B9).integers(
+        0, 2**63, size=width, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+
+
 def _row_hashes(L: np.ndarray) -> np.ndarray:
     """A 64-bit hash of every row: a wrapping dot product with fixed odd
     weights."""
-    weights = np.random.default_rng(0x9E3779B9).integers(
-        0, 2**63, size=L.shape[1], dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+    weights = _hash_weights(L.shape[1])
     out = np.empty(len(L), dtype=np.uint64)
     for rows in _row_blocks(L):
         out[rows] = L[rows].astype(np.uint64) @ weights
@@ -210,20 +229,25 @@ def _row_hashes(L: np.ndarray) -> np.ndarray:
 
 
 def _distinct_rows(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows, with their counts, in no set order.
+    """(reps, inverse): the distinct rows of L in order of first
+    occurrence, and for every row of L its position in reps, so L equals
+    reps[inverse]. With no row repeated, reps is L and inverse counts up.
 
     Rows are grouped by hash, and every row is checked against its
     group's first row, so the grouping is exact. If two distinct rows
     ever share a hash, all rows are sorted instead.
     """
-    _, first, inverse, counts = np.unique(
-        _row_hashes(L), return_index=True, return_inverse=True,
-        return_counts=True)
-    reps = L[first]
-    for rows in _row_blocks(L):
-        if not np.array_equal(L[rows], reps[inverse[rows]]):
-            return np.unique(L, axis=0, return_counts=True)
-    return reps, counts
+    _, first, inverse = np.unique(_row_hashes(L), return_index=True,
+                                  return_inverse=True)
+    if not all(np.array_equal(L[rows], L[first[inverse[rows]]])
+               for rows in _row_blocks(L)):
+        _, first, inverse = np.unique(L, axis=0, return_index=True,
+                                      return_inverse=True)
+        inverse = inverse.reshape(-1)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return L[first[order]], rank[inverse]
 
 
 def partition_frequency_table(sample) -> list:
@@ -242,7 +266,8 @@ def partition_frequency_table(sample) -> list:
     L, active, r = _active_labels(sample)
     if len(L) == 0:
         return []
-    reps, counts = _distinct_rows(L)
+    reps, inverse = _distinct_rows(L)
+    counts = np.bincount(inverse, minlength=len(reps))
     lex = np.unique(reps, axis=0, return_index=True)[1]
     uniq, counts = expand_label_rows(reps[lex], active, r), counts[lex]
     order = np.argsort(-counts, kind="stable")
@@ -252,7 +277,7 @@ def partition_frequency_table(sample) -> list:
 
 
 def write_frequency_csv(path, table) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path) as fh:
         fh.write("partition,count,frequency\n")
         for labels, count, freq in table:
             fh.write(f"{format_partition(labels)},{count},{freq:.6f}\n")
@@ -291,69 +316,99 @@ def pool_samples(samples: list):
 
 def save_labelings(path, sample) -> None:
     """One retained labeling per line: space-separated canonical cell ids
-    of all records, expanded one block of rows at a time."""
+    of all records. Rows go in blocks of bounded size; each distinct row
+    of a block is expanded and rendered once, and the block's lines are
+    gathered from those."""
     L, active, r = _active_labels(sample)
     step = block_rows(r)
-    write_int_blocks(path, (expand_label_rows(L[lo:lo + step], active, r)
-                            for lo in range(0, len(L), step)), sep=" ")
+    with open_output(path, binary=True) as fh:
+        for lo in range(0, len(L), step):
+            reps, inverse = _distinct_rows(L[lo:lo + step])
+            text = render_rows(expand_label_rows(reps, active, r), sep=" ")
+            if len(reps) < len(inverse):
+                lines = text.split(b"\n")
+                text = b"\n".join([lines[k] for k in inverse.tolist()]) + b"\n"
+            fh.write(text)
 
 
-# Bytes parsed per block by load_labelings (cut after a newline). A
-# block's scratch is about 20 times its size and is freed after each
-# block; at 1 MB blocks that churn cost evaluate 0.1 s in page faults on
-# the grid_r1000 labelings (5.4 million labels) and 20 MB of peak RSS.
+# Bytes per block in load_distinct_labelings, both of the file split into
+# lines and of distinct lines parsed. A parsed block's scratch is about
+# 20 times its size and is freed after each block; at 1 MB blocks that
+# churn cost evaluate 0.1 s in page faults on the grid_r1000 labelings
+# (5.4 million labels) and 20 MB of peak RSS. Splitting the whole file at
+# once held a second copy of it, 21 MB there.
 _PARSE_BYTES = 1 << 17
 _MAX_LABEL = 2**31 - 1  # labels load as int32
 
 
-def load_labelings(path) -> np.ndarray:
-    """Label matrix of a labelings file, one labeling per line.
+def load_distinct_labelings(path) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, index): the distinct labelings of a labelings file, one
+    labeling per line, and the row in rows of each labeling line.
 
     Labels are non-negative decimal integers in ASCII digits, at most
-    2**31 - 1, separated by spaces or tabs. Blank lines are skipped, and
-    lines may end in \\n, \\r\\n or \\r. Any other character, a label out
-    of range, rows of different lengths and a file without labels raise
-    DataError naming the file and line.
+    2**31 - 1, separated by spaces or tabs. Lines end in \\n, \\r\\n or
+    \\r, as bytes.splitlines splits them, so lines that differ only in
+    their terminator are the same line; blank lines are skipped. Any
+    other character, a label out of range, rows of different lengths and
+    a file without labels raise DataError naming the file and line.
 
-    The labels go into one int32 array with a row for every line
-    terminator and one more, allocated once the first row gives the
-    width; the result is a view of the rows filled.
+    Each distinct non-blank line is parsed once, in order of first
+    occurrence, into one int32 row. An error names the first file line
+    of the first offending distinct line, which is the first offending
+    line of the file: first occurrences come in file order.
     """
     with open_text(path) as fh:
         data = fh.buffer.read()  # bytes: the parser checks every one
-    max_rows = data.count(b"\n") + 1
-    if b"\r" in data:
-        max_rows += data.count(b"\r") - data.count(b"\r\n")
-    out, filled, lines_before, pos = None, 0, 0, 0
-    while pos < len(data):
+    seen: dict = {}  # line -> its id, in order of first occurrence
+    ids, pos = [], 0
+    while pos < len(data):  # blocks cut after a \n, so no \r\n is split
         cut = data.find(b"\n", pos + _PARSE_BYTES)
         end = len(data) if cut < 0 else cut + 1
-        values, counts, n_lines = _parse_labeling_block(
-            path, data, pos, end, lines_before,
-            None if out is None else out.shape[1])
-        if out is None and len(counts):
-            out = np.empty((max_rows, int(counts[0])), dtype=np.int32)
-        if len(counts):
-            out[filled:filled + len(counts)] = values.reshape(len(counts), -1)
-            filled += len(counts)
-        lines_before += n_lines
+        ids += [seen.setdefault(line, len(seen))
+                for line in data[pos:end].splitlines()]
         pos = end
-    if out is None:
+    ids = np.array(ids, dtype=np.int64)
+    distinct = list(seen)
+    line_of = np.unique(ids, return_index=True)[1] + 1  # first file line
+    labeled = np.array([bool(line.strip(b" \t")) for line in distinct],
+                       dtype=bool)
+    todo = np.flatnonzero(labeled)
+    if not len(todo):
         raise DataError(f"{path}: no labelings found")
-    return out[:filled]
+    rows, lo = None, 0
+    while lo < len(todo):
+        hi, size = lo, 0
+        while hi < len(todo) and size < _PARSE_BYTES:
+            size += len(distinct[todo[hi]]) + 1
+            hi += 1
+        block = _parse_labeling_block(
+            path, b"\n".join([distinct[k] for k in todo[lo:hi]]) + b"\n",
+            line_of[todo[lo:hi]], None if rows is None else rows.shape[1])
+        if rows is None:
+            rows = np.empty((len(todo), block.shape[1]), dtype=np.int32)
+        rows[lo:hi] = block
+        lo = hi
+    row_of = np.cumsum(labeled) - 1  # the row of each labeled distinct line
+    return rows, row_of[ids[labeled[ids]]]
 
 
-def _parse_labeling_block(path, data: bytes, start: int, end: int,
-                          lines_before: int, width: int | None):
-    """Labels of the lines in data[start:end]; returns (labels, labels per
-    non-blank line, line terminators in the block)."""
-    b = np.frombuffer(data, dtype=np.uint8, count=end - start, offset=start)
-    lf = b == ord("\n")
-    cr = b == ord("\r")
-    crlf = cr.copy()
-    crlf[:-1] &= lf[1:]
-    crlf[-1] = False
-    newline = lf | (cr & ~crlf)
+def load_labelings(path) -> np.ndarray:
+    """The label matrix of a labelings file, one row per labeling line
+    (see load_distinct_labelings). No subcommand calls it; the
+    benchmark's output checks do, until the benchmark change of ROADMAP
+    item 2 reads the distinct rows instead."""
+    rows, index = load_distinct_labelings(path)
+    return rows[index]
+
+
+def _parse_labeling_block(path, data: bytes, line_of: np.ndarray,
+                          width: int | None) -> np.ndarray:
+    """The labels of the lines of data, each ending in \\n and none of
+    them blank, one int32 row per line; line k is file line line_of[k].
+    Rows must be width labels long, or as long as the first when width
+    is None."""
+    b = np.frombuffer(data, dtype=np.uint8)
+    newline = b == ord("\n")
     digits = b - ord("0")
     digit = digits < 10
     breaks = np.flatnonzero(newline)
@@ -364,21 +419,18 @@ def _parse_labeling_block(path, data: bytes, start: int, end: int,
         which = np.flatnonzero(lengths == size)
         at = starts[which]
         if size > 10:  # may not fit int64; leading zeros are allowed
-            values[which] = [min(int(data[start + a:start + a + size]),
-                                 _MAX_LABEL + 1) for a in at]
+            values[which] = [min(int(data[a:a + size]), _MAX_LABEL + 1)
+                             for a in at]
             continue
         v = digits[at].astype(np.int64)
         for k in range(1, size):
             v = v * 10 + digits[at + k]
         values[which] = v
 
-    # labels per line; line i of the block is file line lines_before + 1 + i
-    counts = np.diff(np.searchsorted(starts, breaks), prepend=0,
-                     append=len(starts))
-    rows = counts[counts > 0]
-    expect = width if width is not None else (rows[0] if len(rows) else 0)
+    counts = np.diff(np.searchsorted(starts, breaks), prepend=0)
+    expect = counts[0] if width is None else width
     # the first offending line, in the order a line-by-line reader meets them
-    stray = ~(digit | newline | crlf | (b == ord(" ")) | (b == ord("\t")))
+    stray = ~(digit | newline | (b == ord(" ")) | (b == ord("\t")))
     errors = []
     if stray.any():
         errors.append((np.searchsorted(breaks, np.argmax(stray)), 0,
@@ -386,13 +438,13 @@ def _parse_labeling_block(path, data: bytes, start: int, end: int,
     if (values > _MAX_LABEL).any():
         errors.append((np.searchsorted(breaks, starts[np.argmax(
             values > _MAX_LABEL)]), 0, "label out of range"))
-    ragged = (counts > 0) & (counts != expect)
+    ragged = counts != expect
     if ragged.any():
         errors.append((np.argmax(ragged), 1, "ragged labeling row"))
     if errors:
         line, _, message = min(errors)
-        raise DataError(f"{path}:{lines_before + 1 + int(line)}: {message}")
-    return values, rows, len(breaks)
+        raise DataError(f"{path}:{line_of[line]}: {message}")
+    return values.astype(np.int32).reshape(len(counts), -1)
 
 
 # Draws formatted per write by save_phi_trace. A scratch array for all
@@ -418,7 +470,7 @@ def save_phi_trace(path, sample) -> None:
     # one draw's rows; iterations are exact in float64, as %d needs
     template = "".join(f"%d,{c},%.8f,%.8f\n" for c in cells)
     n, k = sample.m_trace.shape
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path) as fh:
         fh.write("iteration,field,level,m,u\n")
         for lo in range(0, n, _TRACE_DRAWS):
             rows = slice(lo, lo + _TRACE_DRAWS)
@@ -449,6 +501,6 @@ def load_truth(path, r: int | None = None) -> np.ndarray:
 
 
 def write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -19,6 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, DataError
+from .textio import open_output
 
 FIELD_KINDS = ("string", "categorical", "integer")
 
@@ -151,7 +152,7 @@ def load_delimited(path, schema: list[FieldSchema], delimiter: str = ",",
 
 def write_delimited(df: DataFile, path, delimiter: str = ",",
                     missing_token: str = "NA") -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
         writer.writerow(df.field_names)
         for rec in df.records:

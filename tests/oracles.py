@@ -75,18 +75,19 @@ def save_phi_trace(path, sample) -> None:
 
 
 def load_labelings(path) -> np.ndarray:
-    """load_labelings, one line at a time through int(); it accepts any
-    token int() does, which the production parser narrows."""
+    """load_labelings, one line at a time through int(). A token must be
+    ASCII digits, as the documented format says: int() alone would also
+    take a sign, underscores and non-ASCII digits."""
     rows = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                row = [int(tok) for tok in line.split()]
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: unparseable label") from None
+            tokens = line.split()
+            if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+                raise DataError(f"{path}:{lineno}: unparseable label")
+            row = [int(tok) for tok in tokens]
             if width is None:
                 width = len(row)
             elif len(row) != width:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayesdedupe import partition
+from bayesdedupe import partition, posterior, textio
 from bayesdedupe.candidates import (CandidateGraph, FixRule, all_pairs,
                                     fix_noncoreferent)
 from bayesdedupe.comparison import compare_pairs
@@ -81,6 +81,7 @@ def assert_same_summaries(sample, full, graph, tmp_path):
     assert duplicate_distribution(sample) == duplicate_distribution(full)
     assert (partition_frequency_table(sample)
             == oracles.partition_frequency_table(full))
+    tmp_path.mkdir(exist_ok=True)
     save_labelings(tmp_path / "store.txt", sample)
     oracles.save_labelings(tmp_path / "full.txt", full)
     assert ((tmp_path / "store.txt").read_bytes()
@@ -128,6 +129,48 @@ def test_uint8_boundary(tmp_path, n_active, dtype):
     assert labels.dtype == dtype
     assert_same_summaries(sample_of(labels, active, 300), full,
                           graph_over(active[:40], 300, rng), tmp_path)
+
+
+@pytest.mark.parametrize("case", ["repeated", "distinct", "one_row"])
+@pytest.mark.parametrize("block", [1 << 16, 1000])
+def test_repeated_and_distinct_rows(tmp_path, case, block):
+    """The labelings file and the summaries when rows repeat heavily, when
+    no row repeats, and when every row of a write block is one row; with
+    1,000 cells per write block, 300 records take three rows a block."""
+    rng = np.random.default_rng(12)
+    r = 300
+    if case == "distinct":
+        full, labels, active = draw_store(rng, r, 120, 400, n_cells=60)
+        assert len(np.unique(labels, axis=0)) == 400
+    else:
+        full, labels, active = draw_store(
+            rng, r, 120, 5 if case == "repeated" else 1, n_cells=40)
+        pick = (rng.integers(0, 5, size=400) if case == "repeated"
+                else np.zeros(400, dtype=int))
+        full, labels = full[pick], labels[pick]
+    graph = graph_over(active[:40], r, rng)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(textio, "_BLOCK_CELLS", block)
+        assert_same_summaries(sample_of(labels, active, r), full, graph,
+                              tmp_path / "hashed")
+        # every row hashing alike must not merge distinct rows
+        mp.setattr(posterior, "_row_hashes",
+                   lambda M: np.zeros(len(M), np.uint64))
+        assert_same_summaries(sample_of(labels, active, r), full, graph,
+                              tmp_path / "colliding")
+
+
+def test_metric_summary_never_builds_the_full_width_matrix(rng):
+    """metric_summary of a sample scores its distinct rows, expanded on
+    their own; it never reads the sample's full-width labelings."""
+    full, labels, active = draw_store(rng, 50, 20, 30, n_cells=3)
+    ref = rng.integers(0, 30, size=50)
+    want = oracles.metric_summary(full, ref)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PosteriorSample, "labelings", property(
+            lambda self: pytest.fail("full-width labelings read")))
+        assert posterior.metric_summary(sample_of(labels, active, 50),
+                                        ref) == want
 
 
 @pytest.mark.parametrize("n_active, dtype", [

@@ -357,7 +357,8 @@ class TestCliErrors:
         "evaluate", "synth", "compare", "dedupe", "baseline"])
     def test_unwritable_output(self, tmp_path, capsys, command):
         """An output path that cannot be written (a directory for
-        evaluate's file, a file for an output directory) exits 3, naming
+        evaluate's file, a file for an output directory, a directory for
+        an output file of dedupe, compare or baseline) exits 3, naming
         the path."""
         p = write_config(tmp_path)
         for name, text in INPUT_FILES.items():
@@ -375,6 +376,17 @@ class TestCliErrors:
                 argv += ["--config", str(p)]
         assert main(argv) == 3
         assert f"{taken}: cannot" in capsys.readouterr().err
+        if command in ("evaluate", "synth"):
+            return
+        # an output file inside a usable output directory that is itself
+        # an existing directory
+        name = {"dedupe": "posterior_labelings.txt",
+                "compare": "comparisons.csv", "baseline": "p_trace.csv"}[command]
+        blocked = tmp_path / "out2" / name
+        blocked.mkdir(parents=True)
+        argv = [command, "--output-dir", str(blocked.parent), "--config", str(p)]
+        assert main(argv) == 3
+        assert f"{blocked}: cannot write" in capsys.readouterr().err
 
     def test_internal_error_traceback_only_when_verbose(self, monkeypatch,
                                                         capsys):
@@ -508,6 +520,15 @@ class TestOutputContract:
         for name in ("precision", "recall"):
             assert set(metrics[name]) == {"median", "p01", "p99"}
             assert all(0.0 <= v <= 1.0 for v in metrics[name].values())
+        # a line's terminator is not part of it: a CRLF copy with blank
+        # lines between the draws scores the same, byte for byte
+        crlf = tmp_path / "crlf.txt"
+        crlf.write_bytes(b"".join(
+            line + b"\r\n \r\n" for line in
+            (out / "posterior_labelings.txt").read_bytes().splitlines()))
+        assert main(["evaluate", "--labelings", str(crlf), "--truth",
+                     str(truth), "--output", str(tmp_path / "crlf.json")]) == 0
+        assert (tmp_path / "crlf.json").read_bytes() == metrics_path.read_bytes()
 
     def test_dedupe_never_builds_full_width_labelings(self, tmp_path,
                                                       monkeypatch):

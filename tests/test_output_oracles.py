@@ -139,6 +139,23 @@ class TestMetrics:
             assert (posterior.metric_summary(L, ref)
                     == oracles.metric_summary(L, ref))
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), cells=st.sampled_from([1, 5, 1 << 18]))
+    def test_summaries_of_distinct_rows(self, data, cells):
+        """Scored once per row of a pool and gathered by index, every
+        number equals the summary of the gathered matrix."""
+        pool = data.draw(label_matrices(max_rows=5))
+        index = np.array(data.draw(st.lists(
+            st.integers(0, len(pool) - 1), min_size=1, max_size=30)))
+        r = pool.shape[1]
+        ref = np.array(data.draw(st.lists(st.integers(-2, 4), min_size=r,
+                                          max_size=r)), dtype=np.int64)
+        with mock.patch.object(posterior, "_SUMMARY_CELLS", cells):
+            assert (posterior.metric_summary(pool, ref, index=index)
+                    == oracles.metric_summary(pool[index], ref))
+            assert (posterior.duplicate_distribution(pool, index=index)
+                    == posterior.duplicate_distribution(pool[index]))
+
     def test_special_cases(self):
         r = 30
         rng = np.random.default_rng(4)
@@ -208,24 +225,36 @@ class TestFrequencyTable:
 def labeling_files(draw):
     """Labeling text with the freedoms the parser documents: leading
     zeros, runs of spaces and tabs, blank lines, LF, CRLF and CR endings,
-    a missing final newline, and now and then a row of another length."""
+    a missing final newline, and now and then a row of another length or
+    with a stray token. Lines are drawn from a small pool, so most of
+    them repeat, each time with its own line end."""
     width = draw(st.integers(1, 5))
-    lines = []
-    for _ in range(draw(st.integers(0, 8))):
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
         if draw(st.integers(0, 3)) == 0:
-            lines.append(draw(st.sampled_from(["", " ", "\t "])))
+            pool.append(draw(st.sampled_from(["", " ", "\t "])))
             continue
         n = width if draw(st.integers(0, 5)) else draw(st.integers(1, 6))
         tokens = [str(draw(st.integers(0, 10**9))).zfill(draw(st.integers(1, 12)))
                   for _ in range(n)]
+        if draw(st.integers(0, 7)) == 0:
+            tokens[draw(st.integers(0, n - 1))] = draw(st.sampled_from(["x", "-1"]))
         gaps = [draw(st.sampled_from(["", " ", "\t", "  "])) for _ in range(2)]
         sep = draw(st.sampled_from([" ", "\t", " \t "]))
-        lines.append(gaps[0] + sep.join(tokens) + gaps[1])
+        pool.append(gaps[0] + sep.join(tokens) + gaps[1])
+    lines = draw(st.lists(st.sampled_from(pool), max_size=12))
     text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"]))
                    for line in lines)
     if lines and draw(st.booleans()):
         text = text.rstrip("\r\n")
     return text.encode("ascii")
+
+
+def load_matrix(path):
+    """The label matrix of a labelings file, gathered from its distinct
+    rows."""
+    rows, index = posterior.load_distinct_labelings(path)
+    return rows[index]
 
 
 def load_or_error(load, path):
@@ -243,12 +272,29 @@ class TestLoadLabelings:
         p.write_bytes(text)
         want = load_or_error(oracles.load_labelings, p)
         with mock.patch.object(posterior, "_PARSE_BYTES", parse):
-            got = load_or_error(posterior.load_labelings, p)
+            got = load_or_error(load_matrix, p)
         if isinstance(want, str):
             assert got == want
         else:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=labeling_files(), parse=st.sampled_from([1, 3, 1 << 20]))
+    def test_one_row_per_distinct_line(self, tmp_path_factory, text, parse):
+        """One row per distinct non-blank line, whatever its line end, in
+        order of first occurrence."""
+        p = tmp_path_factory.mktemp("d") / "labelings.txt"
+        p.write_bytes(text)
+        with mock.patch.object(posterior, "_PARSE_BYTES", parse):
+            got = load_or_error(posterior.load_distinct_labelings, p)
+        assume(not isinstance(got, str))
+        rows, index = got
+        lines = [line for line in text.splitlines() if line.strip(b" \t")]
+        assert len(rows) == len(set(lines))
+        first = np.unique(index, return_index=True)[1]
+        assert np.array_equal(np.sort(first), first)
+        assert np.array_equal(np.unique(index), np.arange(len(rows)))
 
     @settings(max_examples=30, deadline=None)
     @given(L=label_matrices(), parse=st.sampled_from([1, 3, 1 << 20]))
@@ -258,4 +304,4 @@ class TestLoadLabelings:
         p = tmp_path_factory.mktemp("s") / "labelings.txt"
         posterior.save_labelings(p, L)
         with mock.patch.object(posterior, "_PARSE_BYTES", parse):
-            assert np.array_equal(posterior.load_labelings(p), L)
+            assert np.array_equal(load_matrix(p), L)

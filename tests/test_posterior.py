@@ -1,12 +1,14 @@
 """Posterior summaries, pairwise metrics, and serialization."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bayesdedupe import posterior
 from bayesdedupe.errors import DataError
 from bayesdedupe.gibbs import PosteriorSample, SamplerConfig, run_chain
 from bayesdedupe.model import PriorSpec
@@ -14,6 +16,7 @@ from bayesdedupe.posterior import (
     confusion_arrays,
     duplicate_distribution,
     duplicate_percentage,
+    load_distinct_labelings,
     load_labelings,
     load_truth,
     metric_summary,
@@ -223,29 +226,63 @@ class TestSerialization:
         sample = fake_sample([[0, 0, 1, 2], [0, 1, 2, 3]])
         p = tmp_path / "labelings.txt"
         save_labelings(p, sample)
-        back = load_labelings(p)
-        assert np.array_equal(back, sample.labelings)
+        rows, index = load_distinct_labelings(p)
+        assert np.array_equal(rows[index], sample.labelings)
+        # the full matrix, as the benchmark's output checks read it
+        assert np.array_equal(load_labelings(p), sample.labelings)
 
     def test_load_labelings_errors(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("0 0 1\n0 1\n", encoding="utf-8")
         with pytest.raises(DataError, match="ragged"):
-            load_labelings(p)
+            load_distinct_labelings(p)
         p.write_text("0 x 1\n", encoding="utf-8")
         with pytest.raises(DataError, match="unparseable"):
-            load_labelings(p)
-        p.write_text("", encoding="utf-8")
-        with pytest.raises(DataError, match="no labelings"):
-            load_labelings(p)
+            load_distinct_labelings(p)
+        for text in ("", "\n \t\r\n\r"):
+            p.write_text(text, encoding="utf-8")
+            with pytest.raises(DataError, match="no labelings"):
+                load_distinct_labelings(p)
+        # a repeated bad line is reported where it first occurs, and the
+        # first bad line of the file wins
+        for text, where in [
+                (b"0 1\n0 x\n0 1\n0 x\n", "2: unparseable"),
+                (b"0 1\r\n\n0 1\r0 1 2\n0 1\n0 1 2\n", "4: ragged"),
+                (b"0 1\n9 9\n0 2147483648\n9 9\n0 2147483648", "3: label out"),
+                (b"\n0 1\n0 1 2\n0 x\n0 1 2\n", "3: ragged")]:
+            p.write_bytes(text)
+            with pytest.raises(DataError, match=rf"bad\.txt:{where}"):
+                load_distinct_labelings(p)
 
     def test_load_labelings_accepts(self, tmp_path):
         p = tmp_path / "labelings.txt"
-        p.write_bytes(b"0 0\t1\r\n\r\n  0 1 2  \n\n000 001 0002")
-        assert load_labelings(p).tolist() == [[0, 0, 1], [0, 1, 2], [0, 1, 2]]
-        p.write_bytes(b"0 1\r0 0\r")  # a lone CR ends a line
-        assert load_labelings(p).tolist() == [[0, 1], [0, 0]]
-        p.write_bytes(b"2147483647 000000000002147483647\n")
-        assert load_labelings(p).tolist() == [[2**31 - 1, 2**31 - 1]]
+        def load(text):
+            p.write_bytes(text)
+            rows, index = load_distinct_labelings(p)
+            return rows.tolist(), index.tolist()
+
+        # lines are keyed by their bytes, so equal labels in other spelling
+        # make a row of their own
+        assert load(b"0 0\t1\r\n\r\n  0 1 2  \n\n000 001 0002") == (
+            [[0, 0, 1], [0, 1, 2], [0, 1, 2]], [0, 1, 2])
+        assert load(b"0 1\r0 0\r") == ([[0, 1], [0, 0]], [0, 1])  # lone CR
+        assert load(b"2147483647 000000000002147483647\n") == (
+            [[2**31 - 1, 2**31 - 1]], [0])
+        # lines that differ only in their terminator are one row
+        assert load(b"0 1\r\n0 1\n\n0 0\r0 1\r\n0 0") == (
+            [[0, 1], [0, 0]], [0, 0, 1, 0, 1])
+
+    def test_each_distinct_line_parsed_once(self, tmp_path):
+        p = tmp_path / "labelings.txt"
+        p.write_bytes(b"0 1 1\n\n0 1 1\r\n0 0 0\r0 1 1\n \n0 0 0\n" * 50)
+        parse = posterior._parse_labeling_block
+        with mock.patch.object(posterior, "_parse_labeling_block",
+                               wraps=parse) as spy:
+            rows, index = load_distinct_labelings(p)
+        assert rows.tolist() == [[0, 1, 1], [0, 0, 0]]
+        assert index.tolist() == [0, 0, 1, 0, 1] * 50
+        assert sum(call.args[1].count(b"\n")
+                   for call in spy.call_args_list) == 2
 
     @pytest.mark.parametrize("token", [
         "+1", "-1", "1_0", "1.0", "0x1", "1e3", "\u0661", "\u00a0", "\x0c"])
@@ -255,13 +292,13 @@ class TestSerialization:
         p = tmp_path / "labelings.txt"
         p.write_text(f"0 1\r\n\n0 {token}\n", encoding="utf-8")
         with pytest.raises(DataError, match=r"labelings\.txt:3: unparseable"):
-            load_labelings(p)
+            load_distinct_labelings(p)
 
     def test_load_labelings_rejects_labels_beyond_int32(self, tmp_path):
         p = tmp_path / "labelings.txt"
         p.write_text("0 1\n0 2147483648\n", encoding="utf-8")
         with pytest.raises(DataError, match=r"labelings\.txt:2: label out of"):
-            load_labelings(p)
+            load_distinct_labelings(p)
 
     def test_summaries_take_the_label_matrix(self):
         sample = fake_sample([[0, 0, 1], [0, 1, 2], [0, 1, 1]])
