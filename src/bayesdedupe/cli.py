@@ -17,8 +17,7 @@ import sys
 import time
 import traceback
 
-from . import __version__, candidates, comparison, config as config_mod
-from . import posterior, records, synthgen
+from . import __version__, posterior, records
 from .errors import ConfigError, DataError
 from .textio import open_output, write_int_rows
 
@@ -34,7 +33,16 @@ def _apply_overrides(cfg, args) -> None:
         cfg.output.directory = args.output_dir
 
 
+def _load_config(path):
+    # PyYAML and the comparison layer load only for the commands that
+    # read a pipeline config
+    from .config import load_config
+    return load_config(path)
+
+
 def _load_and_prepare(cfg):
+    from . import candidates, comparison
+
     df = records.load_delimited(
         cfg.input.path, cfg.schema, delimiter=cfg.input.delimiter,
         missing_token=cfg.input.missing_token)
@@ -98,7 +106,7 @@ def _resolve_threads(args) -> int:
 def cmd_dedupe(args) -> int:
     from . import gibbs  # loads scipy, which only the sampling commands need
 
-    cfg = config_mod.load_config(args.config)
+    cfg = _load_config(args.config)
     _apply_overrides(cfg, args)
     threads = _resolve_threads(args)
     out_dir = cfg.output.directory
@@ -108,7 +116,10 @@ def cmd_dedupe(args) -> int:
     outputs = _write_comparison_outputs(out_dir, comps, graph)
 
     ctx = gibbs.SamplerContext(comps, graph)
-    chains = gibbs.run_chains(comps, graph, cfg.prior, cfg.sampler,
+    # the context holds what the chains read; dropping the comparisons
+    # frees their level table, one byte per compared pair and field
+    del comps
+    chains = gibbs.run_chains(None, None, cfg.prior, cfg.sampler,
                               n_workers=threads, ctx=ctx)
     pooled = posterior.pool_samples(chains)
 
@@ -157,7 +168,7 @@ def cmd_dedupe(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = config_mod.load_config(args.config)
+    cfg = _load_config(args.config)
     if args.output_dir is not None:
         cfg.output.directory = args.output_dir
     out_dir = cfg.output.directory
@@ -179,6 +190,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import synthgen
+
     _make_output_dir(args.output_dir)
     gen_cfg = synthgen.GeneratorConfig(
         n_originals=args.originals, n_duplicates=args.duplicates,
@@ -223,7 +236,7 @@ def cmd_evaluate(args) -> int:
 def cmd_baseline(args) -> int:
     from . import mixture  # loads scipy, which only the sampling commands need
 
-    cfg = config_mod.load_config(args.config)
+    cfg = _load_config(args.config)
     _apply_overrides(cfg, args)
     out_dir = cfg.output.directory
     _make_output_dir(out_dir)

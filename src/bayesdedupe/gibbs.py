@@ -64,8 +64,8 @@ from .comparison import PairComparisons
 from .config import SamplerConfig
 from .errors import ConfigError
 from .model import ModelParams, PriorSpec, SufficientStats
-from .partition import (canonicalize_label_rows, expand_label_rows,
-                        label_dtype, valid_partitions)
+from .partition import (canonicalize_label_rows, distinct_rows,
+                        expand_label_rows, label_dtype, valid_partitions)
 
 
 # --- truncated-Beta sampling ------------------------------------------------
@@ -310,6 +310,11 @@ class SamplerContext(LevelContext):
     the level side, the candidate adjacency lists, and which components
     are drawn whole.
 
+    It holds candidate-sized data only, no reference to the comparisons
+    or the graph it was built from: a chain needs the fields and their
+    level counts (fields, n_levels), and the manifest the sizes of the
+    components of two or more records (component_sizes).
+
     Candidate components with at most P_MAX valid partitions are drawn
     whole (block_records, by component in order of smallest member); the
     records of the others are updated one at a time (single_site,
@@ -330,17 +335,20 @@ class SamplerContext(LevelContext):
 
     def __init__(self, comps: PairComparisons, graph: CandidateGraph):
         super().__init__(comps, graph)
-        self.comps = comps
-        self.graph = graph
         self.r = comps.r
+        self.fields = comps.fields
+        self.n_levels = comps.n_levels
         ci, cj = self.cand_i.tolist(), self.cand_j.tolist()
         adj: list = [[] for _ in range(self.r)]
         for c, (i, j) in enumerate(zip(ci, cj)):
             adj[i].append((j, c))
             adj[j].append((i, c))
         self.adj = adj
-        components = graph.components or connected_components(self.r, zip(ci, cj))
-        self._admit([comp for comp in components if len(comp) > 1])
+        components = [comp for comp in graph.components
+                      or connected_components(self.r, zip(ci, cj))
+                      if len(comp) > 1]
+        self.component_sizes = [len(comp) for comp in components]
+        self._admit(components)
 
     def _admit(self, components: list) -> None:
         """Enumerate the valid partitions of every component, keep those
@@ -413,9 +421,8 @@ def component_summary(ctx: SamplerContext) -> dict:
     """Sizes of the candidate components with two or more records (size:
     number of components), how many records each label path draws, and
     how many valid partitions the block path enumerated."""
-    sizes = [len(comp) for comp in ctx.graph.components if len(comp) > 1]
     return {
-        "component_sizes": dict(sorted(Counter(sizes).items())),
+        "component_sizes": dict(sorted(Counter(ctx.component_sizes).items())),
         "block_records": len(ctx.block_records),
         "single_site_records": len(ctx.single_site),
         "block_partitions": ctx.n_partitions,
@@ -624,18 +631,21 @@ def sweep(ctx: SamplerContext, state: ChainState, rng: np.random.Generator,
 
 @dataclass
 class PosteriorSample:
-    """Retained draws from one chain.
+    """Retained draws from one chain, each distinct partition stored once.
 
     Only the active records, those with a candidate pair (active, sorted
     record ids), can share a cell; every other record is a singleton in
-    every draw. labels holds one row per retained sweep over the active
-    records: canonical (first-occurrence) labels in the smallest unsigned
-    type that holds them. r is the file's record count. Traces are None
-    when parameters were held fixed. single_site_passes counts the
-    prefetched passes of all sweeps.
+    every draw. rows holds each distinct retained partition once, in order
+    of first retention, as canonical (first-occurrence) labels of the
+    active records in the smallest unsigned type that holds them; index
+    holds the row of every retained sweep, so the retained draws are
+    rows[index]. r is the file's record count. Traces are None when
+    parameters were held fixed. single_site_passes counts the prefetched
+    passes of all sweeps.
     """
 
-    labels: np.ndarray
+    rows: np.ndarray
+    index: np.ndarray
     active: np.ndarray
     r: int
     kept_iterations: np.ndarray
@@ -650,7 +660,7 @@ class PosteriorSample:
 
     @property
     def n_kept(self) -> int:
-        return self.labels.shape[0]
+        return len(self.index)
 
     @property
     def labelings(self) -> np.ndarray:
@@ -658,11 +668,11 @@ class PosteriorSample:
         built on every access. No subcommand reads it: it serves the
         traced benchmark run and the tests, and goes when the benchmark
         change of ROADMAP item 2 stops reading it."""
-        return expand_label_rows(self.labels, self.active, self.r)
+        return expand_label_rows(self.rows, self.active, self.r)[self.index]
 
 
-def run_chain(comps: PairComparisons, graph: CandidateGraph, prior: PriorSpec,
-              config: SamplerConfig, *,
+def run_chain(comps: PairComparisons | None, graph: CandidateGraph | None,
+              prior: PriorSpec, config: SamplerConfig, *,
               fixed_params: ModelParams | None = None,
               ctx: SamplerContext | None = None) -> PosteriorSample:
     """Run one chain and return its retained samples.
@@ -670,10 +680,15 @@ def run_chain(comps: PairComparisons, graph: CandidateGraph, prior: PriorSpec,
     With fixed_params the parameter block never updates (useful for
     validating the partition chain against exact enumeration); otherwise
     parameters are redrawn each sweep after the labels. ctx, when given,
-    is the SamplerContext of comps and graph, built once for all chains.
-    A retained sweep stores the labels of the active records only, each
-    as the active position of its label's record, and the rows are
-    canonicalized in place at the end.
+    is the SamplerContext of comps and graph, built once for all chains;
+    comps and graph are then not read.
+
+    A retained sweep's labels of the active records, each the active
+    position of its label's record, are keyed by their bytes: a row is
+    stored only when it is new, and every sweep records the row it is.
+    At the end only the distinct rows are canonicalized; two of them can
+    be one partition when a cell's label holder has changed, so rows
+    that canonicalize alike are merged and the index remapped.
     """
     start = time.perf_counter()
     if ctx is None:
@@ -688,7 +703,8 @@ def run_chain(comps: PairComparisons, graph: CandidateGraph, prior: PriorSpec,
     # an active record's label is the id of an active member of its cell
     pos_of = np.zeros(ctx.r, dtype=dtype)
     pos_of[active] = np.arange(len(active))
-    kept = np.empty((n_kept, len(active)), dtype=dtype)
+    seen: dict = {}  # the bytes of each distinct row -> its position
+    index = np.empty(n_kept, dtype=np.int64)
     kept_iter = np.empty(n_kept, dtype=np.int64)
     n_params = len(flat.lam) if flat is not None else 0
     m_trace = np.empty((n_kept, n_params)) if flat is not None else None
@@ -698,19 +714,23 @@ def run_chain(comps: PairComparisons, graph: CandidateGraph, prior: PriorSpec,
     for t in range(1, config.iterations + 1):
         drawn = sweep(ctx, state, rng, flat, config.random_scan)
         if t > config.burn_in and (t - config.burn_in - 1) % config.thinning == 0:
-            kept[kk] = pos_of[state.z[active]]
+            index[kk] = seen.setdefault(pos_of[state.z[active]].tobytes(),
+                                        len(seen))
             kept_iter[kk] = t
             if drawn is not None:
                 m_trace[kk], u_trace[kk] = drawn
             kk += 1
 
+    raw = np.frombuffer(bytearray().join(seen), dtype=dtype).reshape(
+        len(seen), len(active))
+    seen.clear()
+    rows, merged = distinct_rows(canonicalize_label_rows(raw, out=raw))
     return PosteriorSample(
-        labels=canonicalize_label_rows(kept[:kk], out=kept[:kk]),
-        active=active, r=ctx.r,
+        rows=rows, index=merged[index[:kk]], active=active, r=ctx.r,
         kept_iterations=kept_iter[:kk],
         m_trace=m_trace[:kk] if m_trace is not None else None,
         u_trace=u_trace[:kk] if u_trace is not None else None,
-        fields=comps.fields, n_levels=comps.n_levels, seed=config.seed,
+        fields=ctx.fields, n_levels=ctx.n_levels, seed=config.seed,
         config=config, runtime_s=time.perf_counter() - start,
         single_site_passes=state.passes)
 
@@ -730,14 +750,16 @@ def chain_seeds(seed: int, chains: int) -> list[int]:
 
 def _chain_job(args):
     ctx, prior, config = args
-    return run_chain(ctx.comps, ctx.graph, prior, config, ctx=ctx)
+    return run_chain(None, None, prior, config, ctx=ctx)
 
 
-def run_chains(comps: PairComparisons, graph: CandidateGraph, prior: PriorSpec,
-               config: SamplerConfig, n_workers: int = 1,
+def run_chains(comps: PairComparisons | None, graph: CandidateGraph | None,
+               prior: PriorSpec, config: SamplerConfig, n_workers: int = 1,
                ctx: SamplerContext | None = None) -> list[PosteriorSample]:
     """Run config.chains independent chains, optionally across processes,
-    on one SamplerContext (ctx, or one built here).
+    on one SamplerContext: ctx, or one built here from comps and graph,
+    which are not read when ctx is given. A worker process receives the
+    context, which holds candidate-sized data only.
 
     Output is deterministic for a given master seed regardless of
     worker count.

@@ -72,6 +72,19 @@ def canonicalize_label_rows(rows: np.ndarray,
     return out
 
 
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, inverse): the distinct rows of a 2-d array in order of
+    first occurrence, and the position in distinct of every row, so that
+    rows equals distinct[inverse]. Rows are keyed by their bytes, so
+    the grouping is exact. With no row repeated, distinct is rows."""
+    seen: dict = {}
+    inverse = np.fromiter((seen.setdefault(row.tobytes(), len(seen))
+                           for row in rows), dtype=np.int64, count=len(rows))
+    if len(seen) == len(rows):
+        return rows, inverse
+    return rows[np.unique(inverse, return_index=True)[1]], inverse
+
+
 def label_dtype(n_labels: int) -> np.dtype:
     """The smallest unsigned integer type that holds labels 0..n_labels-1."""
     return np.min_scalar_type(max(n_labels - 1, 0))

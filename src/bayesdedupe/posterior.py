@@ -6,56 +6,64 @@ only in the estimate, b01 only in the reference. Recall is
 b11/(b11+b01), precision b11/(b11+b10), and an empty denominator scores
 1 (nothing to miss, or nothing asserted falsely).
 
-The summaries read only the retained label matrix, from a sample or
-given directly, and treat all draws at once in row blocks of bounded
-size. A sample holds labels over its active records only (see
-gibbs.PosteriorSample); the summaries work on those. A chain revisits
-the same few partitions, so the per-row work that needs the labels of
-all records (scoring against a reference, writing and reading the
-labelings file) is done once per distinct row and gathered to the draws.
+A chain revisits the same few partitions, so the retained draws are
+held as distinct rows plus the row of each draw: a sample stores each
+distinct partition once, over its active records only (see
+gibbs.PosteriorSample), and the labelings file is read back the same
+way. Every summary works on the distinct rows, in row blocks of bounded
+size, and weights or gathers them by the draws' index: each distinct
+row is expanded to all records, scored against a reference and
+rendered once. A label matrix given directly is first reduced to its
+distinct rows.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 
 import numpy as np
 
 from .errors import DataError
-from .partition import (canonicalize_label_rows, expand_label_rows,
-                        format_partition)
+from .partition import (canonicalize_label_rows, distinct_rows,
+                        expand_label_rows, format_partition)
 from .records import open_text, read_table
 from .textio import block_rows, open_output, render_rows
 
 
-def _active_labels(sample) -> tuple[np.ndarray, np.ndarray, int]:
-    """(labels, active, r): a sample's label rows over its active records,
-    or a full-width label matrix over all of its records: given directly,
-    or as the labelings of a view without active records (the traced
-    benchmark run passes one)."""
-    if hasattr(sample, "active"):
-        return sample.labels, sample.active, sample.r
-    L = sample if isinstance(sample, np.ndarray) else sample.labelings
-    return L, np.arange(L.shape[1]), L.shape[1]
+def _distinct_store(sample, index=None):
+    """(rows, index, active, r): the distinct label rows of a sample over
+    its active records, and the row of each draw. A label matrix covers
+    all of its records: given directly or as the labelings of a view
+    without rows (the traced benchmark run passes one), its distinct
+    rows are found; given with index, its rows are taken as they are."""
+    if index is not None:
+        rows = np.asarray(sample)
+        return rows, np.asarray(index), np.arange(rows.shape[1]), rows.shape[1]
+    if hasattr(sample, "rows"):
+        return sample.rows, sample.index, sample.active, sample.r
+    L = np.asarray(getattr(sample, "labelings", sample))
+    rows, index = distinct_rows(L)
+    return rows, index, np.arange(L.shape[1]), L.shape[1]
 
 
 def pairwise_probabilities(sample, graph) -> np.ndarray:
-    """Posterior coreference probability for every candidate pair, with
-    the equal-label counts accumulated over row blocks of bounded size.
-    Both records of a candidate pair are active."""
-    L, active, _ = _active_labels(sample)
+    """Posterior coreference probability for every candidate pair: the
+    equal-label pairs of each distinct row, weighted by its draw count,
+    summed over row blocks of bounded size. Both records of a candidate
+    pair are active."""
+    rows, index, active, _ = _distinct_store(sample)
     pairs = np.searchsorted(active, graph.candidate_pairs())
-    if len(L) == 0:
+    if len(index) == 0:
         return np.zeros(len(pairs))
+    counts = np.bincount(index, minlength=len(rows))
     equal = np.zeros(len(pairs), dtype=np.int64)
-    for rows in _row_blocks(L):
-        block = L[rows]
-        equal += np.count_nonzero(block[:, pairs[:, 0]] == block[:, pairs[:, 1]],
-                                  axis=0)
-    return equal / len(L)
+    for blk in _row_blocks(rows):
+        block = rows[blk]
+        equal += counts[blk] @ (block[:, pairs[:, 0]]
+                                == block[:, pairs[:, 1]]).astype(np.int64)
+    return equal / len(index)
 
 
 def write_pairwise_csv(path, graph, probs: np.ndarray) -> None:
@@ -71,20 +79,20 @@ def duplicate_distribution(sample, interval: float = 0.90,
     """Posterior summary of the duplicate count r - n(Z), from canonical
     label rows (a row's cell count is its largest label plus one). Only
     active records have duplicates: over A active records a row's count
-    is A - 1 minus its largest label. With index, the rows are distinct
-    rows and draw k is row index[k].
+    is A - 1 minus its largest label. Counts are taken per distinct row
+    and gathered to the draws; with index, sample is a matrix of
+    distinct rows and draw k is row index[k].
 
     The central interval at the given level uses integer-conservative
     endpoints (lower interpolation below, higher above). Percentages are
     relative to the file's record count.
     """
-    L, _, r = _active_labels(sample)
-    if L.shape[1]:
-        dups = L.shape[1] - 1 - L.max(axis=1).astype(np.int64)
+    rows, index, _, r = _distinct_store(sample, index)
+    if rows.shape[1]:
+        dups = rows.shape[1] - 1 - rows.max(axis=1).astype(np.int64)
     else:
-        dups = np.zeros(len(L), dtype=np.int64)
-    if index is not None:
-        dups = dups[index]
+        dups = np.zeros(len(rows), dtype=np.int64)
+    dups = dups[index]
     lo_q, hi_q = (1.0 - interval) / 2.0, (1.0 + interval) / 2.0
     lo = float(np.quantile(dups, lo_q, method="lower"))
     hi = float(np.quantile(dups, hi_q, method="higher"))
@@ -195,11 +203,9 @@ def metric_summary(sample, ref, index=None) -> dict:
     the scores are gathered to the draws. With index, sample is a
     full-width matrix of distinct rows and draw k is row index[k].
     """
-    if index is None:
-        L, active, r = _active_labels(sample)
-        reps, index = _distinct_rows(L)
-        sample = expand_label_rows(reps, active, r)
-    precs, recs = precision_recall_arrays(sample, ref)
+    rows, index, active, r = _distinct_store(sample, index)
+    precs, recs = precision_recall_arrays(expand_label_rows(rows, active, r),
+                                          ref)
 
     def summarize(x: np.ndarray) -> dict:
         x = x[index]
@@ -210,66 +216,26 @@ def metric_summary(sample, ref, index=None) -> dict:
     return {"precision": summarize(precs), "recall": summarize(recs)}
 
 
-@functools.lru_cache(maxsize=4)
-def _hash_weights(width: int) -> np.ndarray:
-    """Fixed odd 64-bit weights, one per column. Drawing them takes about
-    0.16 ms, as long as hashing a write block of save_labelings."""
-    return np.random.default_rng(0x9E3779B9).integers(
-        0, 2**63, size=width, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
-
-
-def _row_hashes(L: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of every row: a wrapping dot product with fixed odd
-    weights."""
-    weights = _hash_weights(L.shape[1])
-    out = np.empty(len(L), dtype=np.uint64)
-    for rows in _row_blocks(L):
-        out[rows] = L[rows].astype(np.uint64) @ weights
-    return out
-
-
-def _distinct_rows(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(reps, inverse): the distinct rows of L in order of first
-    occurrence, and for every row of L its position in reps, so L equals
-    reps[inverse]. With no row repeated, reps is L and inverse counts up.
-
-    Rows are grouped by hash, and every row is checked against its
-    group's first row, so the grouping is exact. If two distinct rows
-    ever share a hash, all rows are sorted instead.
-    """
-    _, first, inverse = np.unique(_row_hashes(L), return_index=True,
-                                  return_inverse=True)
-    if not all(np.array_equal(L[rows], L[first[inverse[rows]]])
-               for rows in _row_blocks(L)):
-        _, first, inverse = np.unique(L, axis=0, return_index=True,
-                                      return_inverse=True)
-        inverse = inverse.reshape(-1)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return L[first[order]], rank[inverse]
-
-
 def partition_frequency_table(sample) -> list:
     """Distinct retained partitions with counts, most frequent first, ties
     in lexicographic order of their labels.
 
     Rows of the sample are canonical labelings, so identical rows mean
-    identical partitions. Each entry is (labels_tuple, count, frequency),
-    with the labels of all records: only the distinct rows are expanded.
+    identical partitions; a distinct row's count is the number of draws
+    that index it. Each entry is (labels_tuple, count, frequency), with
+    the labels of all records: only the distinct rows are expanded.
     Expansion keeps the lexicographic order of canonical rows, so the
     rows over the active records are ordered before it. Two rows that
     first differ at active position p agree on every record before it,
     and at p the larger label is the later cell, whose first member has
     at least as many inactive records before it, so it stays larger.
     """
-    L, active, r = _active_labels(sample)
-    if len(L) == 0:
+    rows, index, active, r = _distinct_store(sample)
+    if len(index) == 0:
         return []
-    reps, inverse = _distinct_rows(L)
-    counts = np.bincount(inverse, minlength=len(reps))
-    lex = np.unique(reps, axis=0, return_index=True)[1]
-    uniq, counts = expand_label_rows(reps[lex], active, r), counts[lex]
+    counts = np.bincount(index, minlength=len(rows))
+    lex = np.unique(rows, axis=0, return_index=True)[1]
+    uniq, counts = expand_label_rows(rows[lex], active, r), counts[lex]
     order = np.argsort(-counts, kind="stable")
     total = counts.sum()
     return [(tuple(uniq[k].tolist()), int(counts[k]), counts[k] / total)
@@ -286,8 +252,11 @@ def write_frequency_csv(path, table) -> None:
 def pool_samples(samples: list):
     """Concatenate retained draws from several chains into one sample.
 
-    Iteration numbers repeat per chain; traces are stacked in chain
-    order. Chains with fixed parameters pool to a trace-free sample.
+    The chains' distinct rows are merged exactly, so every partition is
+    stored once, and their indices are remapped and concatenated in
+    chain order. Iteration numbers repeat per chain; traces are stacked
+    in chain order. Chains with fixed parameters pool to a trace-free
+    sample.
     """
     from .gibbs import PosteriorSample
 
@@ -300,8 +269,11 @@ def pool_samples(samples: list):
            for s in samples):
         raise ValueError("cannot pool samples over different files")
     has_trace = all(s.m_trace is not None for s in samples)
+    rows, inverse = distinct_rows(np.concatenate([s.rows for s in samples]))
+    offsets = np.cumsum([0] + [len(s.rows) for s in samples[:-1]])
     return PosteriorSample(
-        labels=np.concatenate([s.labels for s in samples]),
+        rows=rows, index=inverse[np.concatenate(
+            [s.index + off for s, off in zip(samples, offsets)])],
         active=first.active, r=first.r,
         kept_iterations=np.concatenate([s.kept_iterations for s in samples]),
         m_trace=np.concatenate([s.m_trace for s in samples]) if has_trace else None,
@@ -314,29 +286,54 @@ def pool_samples(samples: list):
 
 # --- serialization ----------------------------------------------------------
 
+# Bytes of rendered labelings lines that save_labelings keeps for later
+# write blocks: about 270 lines of the grid_r1000 labelings.
+_KEPT_LINE_BYTES = 1 << 20
+
+
 def save_labelings(path, sample) -> None:
-    """One retained labeling per line: space-separated canonical cell ids
-    of all records. Rows go in blocks of bounded size; each distinct row
-    of a block is expanded and rendered once, and the block's lines are
-    gathered from those."""
-    L, active, r = _active_labels(sample)
+    """One retained labeling per line, in draw order: space-separated
+    canonical cell ids of all records.
+
+    Draws go in write blocks of bounded size. The distinct rows a block
+    needs that no earlier block kept are expanded and rendered together;
+    a rendered line is kept for later blocks while the row is drawn again
+    after the block and the kept lines fit in _KEPT_LINE_BYTES, and is
+    dropped after its row's last draw. So each distinct row is rendered
+    once per run unless the kept lines overflow, and a row drawn in one
+    block only is never kept.
+    """
+    rows, index, active, r = _distinct_store(sample)
+    last = np.full(len(rows), -1, dtype=np.int64)
+    np.maximum.at(last, index, np.arange(len(index)))
+    last = last.tolist()
+    kept: dict = {}  # row -> its rendered line, without the line end
+    kept_bytes = 0
     step = block_rows(r)
     with open_output(path, binary=True) as fh:
-        for lo in range(0, len(L), step):
-            reps, inverse = _distinct_rows(L[lo:lo + step])
-            text = render_rows(expand_label_rows(reps, active, r), sep=" ")
-            if len(reps) < len(inverse):
-                lines = text.split(b"\n")
-                text = b"\n".join([lines[k] for k in inverse.tolist()]) + b"\n"
-            fh.write(text)
+        for lo in range(0, len(index), step):
+            block = index[lo:lo + step].tolist()
+            new = [k for k in dict.fromkeys(block) if k not in kept]
+            lines = dict(zip(new, render_rows(expand_label_rows(
+                rows[new], active, r), sep=" ").split(b"\n"))) if new else {}
+            end = lo + step
+            for k in [k for k in kept if last[k] < end]:
+                kept_bytes -= len(kept[k])
+                lines[k] = kept.pop(k)
+            for k in new:
+                if last[k] >= end and kept_bytes + len(lines[k]) <= _KEPT_LINE_BYTES:
+                    kept[k] = lines[k]
+                    kept_bytes += len(lines[k])
+            fh.write(b"\n".join([lines[k] if k in lines else kept[k]
+                                 for k in block]) + b"\n")
 
 
-# Bytes per block in load_distinct_labelings, both of the file split into
-# lines and of distinct lines parsed. A parsed block's scratch is about
-# 20 times its size and is freed after each block; at 1 MB blocks that
-# churn cost evaluate 0.1 s in page faults on the grid_r1000 labelings
-# (5.4 million labels) and 20 MB of peak RSS. Splitting the whole file at
-# once held a second copy of it, 21 MB there.
+# Bytes per block in load_distinct_labelings, both of the file read and
+# split into lines and of distinct lines parsed. A parsed block's scratch
+# is about 20 times its size and is freed after each block; at 1 MB blocks
+# that churn cost evaluate 0.1 s in page faults on the grid_r1000
+# labelings (5.4 million labels) and 20 MB of peak RSS. Reading the whole
+# file at once held it all, 21 MB there.
 _PARSE_BYTES = 1 << 17
 _MAX_LABEL = 2**31 - 1  # labels load as int32
 
@@ -357,17 +354,25 @@ def load_distinct_labelings(path) -> tuple[np.ndarray, np.ndarray]:
     of the first offending distinct line, which is the first offending
     line of the file: first occurrences come in file order.
     """
-    with open_text(path) as fh:
-        data = fh.buffer.read()  # bytes: the parser checks every one
     seen: dict = {}  # line -> its id, in order of first occurrence
-    ids, pos = [], 0
-    while pos < len(data):  # blocks cut after a \n, so no \r\n is split
-        cut = data.find(b"\n", pos + _PARSE_BYTES)
-        end = len(data) if cut < 0 else cut + 1
-        ids += [seen.setdefault(line, len(seen))
-                for line in data[pos:end].splitlines()]
-        pos = end
-    ids = np.array(ids, dtype=np.int64)
+
+    def key(lines):
+        return [seen.setdefault(line, len(seen)) for line in lines]
+
+    ids, carry = [], b""
+    with open_text(path) as fh:
+        # bytes, which the parser checks one by one, read a piece at a
+        # time: the lines complete in a piece are keyed, and the rest goes
+        # on with the next piece. A \r at a piece's end goes on too, as it
+        # may begin a \r\n.
+        for piece in iter(lambda: fh.buffer.read(_PARSE_BYTES), b""):
+            data = carry + piece
+            limit = len(data) - data.endswith(b"\r")
+            cut = max(data.rfind(b"\n", 0, limit),
+                      data.rfind(b"\r", 0, limit)) + 1
+            ids += key(data[:cut].splitlines())
+            carry = data[cut:]
+    ids = np.array(ids + key(carry.splitlines()), dtype=np.int64)
     distinct = list(seen)
     line_of = np.unique(ids, return_index=True)[1] + 1  # first file line
     labeled = np.array([bool(line.strip(b" \t")) for line in distinct],

@@ -17,6 +17,7 @@ subcommand runs any of them.
 """
 
 import csv
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import exp, factorial, inf
@@ -96,6 +97,35 @@ def load_labelings(path) -> np.ndarray:
     if not rows:
         raise DataError(f"{path}: no labelings found")
     return np.array(rows, dtype=np.int32)
+
+
+def load_distinct_labelings(path) -> tuple[np.ndarray, np.ndarray]:
+    """load_distinct_labelings from the whole file split by
+    bytes.splitlines, one line at a time. A line's first error is a label
+    out of range, then a character other than a digit, a space or a tab,
+    then a length other than the first labeled line's."""
+    seen: dict = {}
+    index, width = [], None
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip(b" \t"):
+            continue
+        if line not in seen:
+            digits = re.findall(rb"[0-9]+", line)
+            if any(int(tok) > 2**31 - 1 for tok in digits):
+                raise DataError(f"{path}:{lineno}: label out of range")
+            if line.translate(None, b"0123456789 \t"):
+                raise DataError(f"{path}:{lineno}: unparseable label")
+            width = len(digits) if width is None else width
+            if len(digits) != width:
+                raise DataError(f"{path}:{lineno}: ragged labeling row")
+            seen[line] = [int(tok) for tok in digits]
+        index.append(list(seen).index(line))
+    if not seen:
+        raise DataError(f"{path}: no labelings found")
+    return (np.array(list(seen.values()), dtype=np.int32),
+            np.array(index, dtype=np.int64))
 
 
 def confusion_counts(est, ref) -> tuple[int, int, int]:
@@ -627,12 +657,23 @@ def canonical_labels(z) -> tuple[int, ...]:
     return tuple(out)
 
 
-def narrow_rows(labelings, active=None) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, active): the store run_chain keeps for full-width label
-    rows, one row at a time. active lists the records that may share a
-    cell, by default those that share one in some row; labels holds each
-    row's canonical labels over them, in the smallest unsigned type that
-    holds them."""
+def distinct_rows(L) -> tuple[np.ndarray, np.ndarray]:
+    """partition.distinct_rows, one row at a time through tuples."""
+    L = np.asarray(L)
+    seen: dict = {}
+    index = [seen.setdefault(tuple(row.tolist()), len(seen)) for row in L]
+    return (np.array(list(seen), dtype=L.dtype).reshape(len(seen), L.shape[1]),
+            np.array(index, dtype=np.int64))
+
+
+def narrow_rows(labelings, active=None) -> tuple[np.ndarray, np.ndarray,
+                                                 np.ndarray]:
+    """(rows, index, active): the store run_chain keeps for full-width
+    label rows, one row at a time. active lists the records that may
+    share a cell, by default those that share one in some row; rows holds
+    the canonical labels over them of each distinct row once, in order of
+    first occurrence and in the smallest unsigned type that holds them,
+    and index the row of every labeling."""
     L = np.asarray(labelings)
     if active is None:
         shared = np.zeros(L.shape[1], dtype=bool)
@@ -643,7 +684,8 @@ def narrow_rows(labelings, active=None) -> tuple[np.ndarray, np.ndarray]:
         active = np.flatnonzero(shared)
     labels = np.array([canonical_labels(row[active]) for row in L],
                       dtype=label_dtype(len(active)))
-    return labels.reshape(len(L), len(active)), active
+    rows, index = distinct_rows(labels.reshape(len(L), len(active)))
+    return rows, index, active
 
 
 def partition_to_labeling(cells) -> list[int]:

@@ -1,6 +1,7 @@
-"""The retained store over active records: labels of the records that
-have a candidate pair, in the smallest unsigned type, expanded to all
-records only for distinct rows and for rows being written.
+"""The retained store over active records: each distinct partition once,
+as labels of the records that have a candidate pair in the smallest
+unsigned type, plus the row of every draw; expanded to all records only
+for distinct rows.
 
 Every check compares the store with the full-width canonical labelings
 it stands for: expansion against canonicalize_label_rows of the full
@@ -13,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayesdedupe import partition, posterior, textio
+from bayesdedupe import gibbs, partition, posterior, textio
 from bayesdedupe.candidates import (CandidateGraph, FixRule, all_pairs,
                                     fix_noncoreferent)
 from bayesdedupe.comparison import compare_pairs
-from bayesdedupe.gibbs import PosteriorSample, SamplerConfig, run_chain
+from bayesdedupe.gibbs import (PosteriorSample, SamplerConfig, SamplerContext,
+                               run_chain)
 from bayesdedupe.model import PriorSpec
 from bayesdedupe.partition import (canonicalize_label_rows, expand_label_rows,
                                    label_dtype)
@@ -55,9 +57,13 @@ def draw_store(rng, r, n_active, n_rows, n_cells=None):
 
 
 def sample_of(labels, active, r):
+    """The sample of a store's per-draw label rows: its distinct rows and
+    the row of each draw."""
     n = len(labels)
+    rows, index = oracles.distinct_rows(labels)
     return PosteriorSample(
-        labels=labels, active=active, r=r, kept_iterations=np.arange(1, n + 1),
+        rows=rows, index=index, active=active, r=r,
+        kept_iterations=np.arange(1, n + 1),
         m_trace=None, u_trace=None, fields=("f",), n_levels=(2,), seed=0,
         config=SamplerConfig(iterations=max(n, 1)), runtime_s=0.0)
 
@@ -74,7 +80,7 @@ def graph_over(active, r, rng):
 def assert_same_summaries(sample, full, graph, tmp_path):
     """Every summary and the labelings file of the store equal those of
     the full-width matrix."""
-    assert sample.labels.dtype == label_dtype(len(sample.active))
+    assert sample.rows.dtype == label_dtype(len(sample.active))
     assert np.array_equal(sample.labelings, full)
     assert np.array_equal(pairwise_probabilities(sample, graph),
                           oracles.pairwise_probabilities(full, graph))
@@ -136,7 +142,9 @@ def test_uint8_boundary(tmp_path, n_active, dtype):
 def test_repeated_and_distinct_rows(tmp_path, case, block):
     """The labelings file and the summaries when rows repeat heavily, when
     no row repeats, and when every row of a write block is one row; with
-    1,000 cells per write block, 300 records take three rows a block."""
+    1,000 cells per write block, 300 records take three rows a block.
+    The file is the same whether save_labelings keeps every rendered
+    line for later blocks, none, or one at a time."""
     rng = np.random.default_rng(12)
     r = 300
     if case == "distinct":
@@ -149,15 +157,18 @@ def test_repeated_and_distinct_rows(tmp_path, case, block):
                 else np.zeros(400, dtype=int))
         full, labels = full[pick], labels[pick]
     graph = graph_over(active[:40], r, rng)
+    if case == "distinct":  # every draw is a new partition
+        assert np.array_equal(sample_of(labels, active, r).index,
+                              np.arange(400))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(textio, "_BLOCK_CELLS", block)
         assert_same_summaries(sample_of(labels, active, r), full, graph,
-                              tmp_path / "hashed")
-        # every row hashing alike must not merge distinct rows
-        mp.setattr(posterior, "_row_hashes",
-                   lambda M: np.zeros(len(M), np.uint64))
-        assert_same_summaries(sample_of(labels, active, r), full, graph,
-                              tmp_path / "colliding")
+                              tmp_path / "kept")
+        line = len(render_line(full[0]))
+        for budget, name in [(0, "none"), (line, "one")]:
+            mp.setattr(posterior, "_KEPT_LINE_BYTES", budget)
+            assert_same_summaries(sample_of(labels, active, r), full, graph,
+                                  tmp_path / name)
 
 
 def test_metric_summary_never_builds_the_full_width_matrix(rng):
@@ -185,6 +196,10 @@ def test_uint16_boundary(n_active, dtype):
             == duplicate_distribution(full))
 
 
+def render_line(row) -> bytes:
+    return " ".join(str(int(v)) for v in row).encode()
+
+
 def flat(comps):
     return PriorSpec.from_lambdas([np.full(n - 1, 0.5) for n in comps.n_levels])
 
@@ -200,7 +215,8 @@ def test_chain_with_no_active_records(tmp_path):
     graph = fix_noncoreferent(comps, [FixRule(conditions=(("name", 1),))])
     sample = run_chain(comps, graph, flat(comps),
                        SamplerConfig(iterations=30, burn_in=5, seed=1))
-    assert sample.labels.shape == (25, 0) and sample.r == 7
+    assert sample.rows.shape == (1, 0) and sample.r == 7
+    assert np.array_equal(sample.index, np.zeros(25))
     full = np.tile(np.arange(7), (25, 1))
     assert_same_summaries(sample, full, graph, tmp_path)
     assert duplicate_distribution(sample)["max"] == 0
@@ -211,8 +227,8 @@ def test_chain_with_every_record_active(rng, tmp_path):
     sample = run_chain(comps, graph, flat(comps),
                        SamplerConfig(iterations=60, burn_in=10, seed=2))
     assert np.array_equal(sample.active, np.arange(8))
-    assert_same_summaries(sample, sample.labels.astype(np.int32), graph,
-                          tmp_path)
+    assert_same_summaries(sample, sample.rows[sample.index].astype(np.int32),
+                          graph, tmp_path)
 
 
 def test_two_pooled_chains(tmp_path):
@@ -231,4 +247,71 @@ def test_two_pooled_chains(tmp_path):
     full = np.vstack([a.labelings, b.labelings])
     # the full rows are the canonical labelings the chain kept
     assert np.array_equal(canonicalize_label_rows(full), full)
+    assert_same_summaries(pooled, full, graph, tmp_path)
+
+
+def capture_sweeps(monkeypatch) -> list:
+    """The labeling after every sweep of the chains run from here on."""
+    captured = []
+    sweep = gibbs.sweep
+
+    def spy(ctx, state, rng, flat, random_scan=False):
+        drawn = sweep(ctx, state, rng, flat, random_scan)
+        captured.append(state.z.copy())
+        return drawn
+
+    monkeypatch.setattr(gibbs, "sweep", spy)
+    return captured
+
+
+@pytest.mark.parametrize("random_scan", [False, True])
+@pytest.mark.parametrize("r, fix_level, path", [
+    (12, 3, "block"), (10, None, "single_site"), (14, None, "single_site")])
+def test_store_holds_the_retained_sweeps(monkeypatch, random_scan, r,
+                                         fix_level, path):
+    """rows[index], expanded, is the canonical labeling of every retained
+    sweep, and rows holds each partition once, in order of first
+    retention. With every record single-site (one complete component of
+    10 or 14 records) label holders leave cells, so several raw rows are
+    one partition and are merged."""
+    captured = capture_sweeps(monkeypatch)
+    _, comps, graph = compared_setup(np.random.default_rng(100), r,
+                                     fix_name_level=fix_level)
+    ctx = SamplerContext(comps, graph)
+    assert bool(ctx.single_site) == (path == "single_site")
+    cfg = SamplerConfig(iterations=400, burn_in=37, thinning=3, seed=5,
+                        random_scan=random_scan)
+    sample = run_chain(None, None, flat(comps), cfg, ctx=ctx)
+    retained = np.array(captured[cfg.burn_in::cfg.thinning])
+    assert sample.n_kept == len(retained) == cfg.n_kept
+    assert np.array_equal(
+        expand_label_rows(sample.rows[sample.index], sample.active, r),
+        canonicalize_label_rows(retained))
+    assert sample.rows.dtype == label_dtype(len(sample.active))
+    assert len(np.unique(sample.rows, axis=0)) == len(sample.rows)
+    first = np.unique(sample.index, return_index=True)[1]
+    assert np.array_equal(np.sort(first), first)
+    assert np.array_equal(np.unique(sample.index), np.arange(len(sample.rows)))
+    pos_of = np.zeros(r, dtype=np.int64)
+    pos_of[sample.active] = np.arange(len(sample.active))
+    raw = len(np.unique(pos_of[retained[:, sample.active]], axis=0))
+    if path == "single_site":
+        assert raw > len(sample.rows)
+    else:
+        assert raw == len(sample.rows)
+
+
+def test_pooling_merges_shared_partitions(tmp_path):
+    """Two chains on one file visit many of the same partitions; the
+    pooled store holds each once and summarizes as the pooled full-width
+    matrices do."""
+    _, comps, graph = compared_setup(np.random.default_rng(100), 10,
+                                     fix_name_level=None)
+    a, b = (run_chain(comps, graph, flat(comps),
+                      SamplerConfig(iterations=300, burn_in=20, seed=seed))
+            for seed in (1, 2))
+    pooled = pool_samples([a, b])
+    assert len(pooled.rows) < len(a.rows) + len(b.rows)
+    assert len(np.unique(pooled.rows, axis=0)) == len(pooled.rows)
+    full = np.vstack([a.labelings, b.labelings])
     assert_same_summaries(pooled, full, graph, tmp_path)

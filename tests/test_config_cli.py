@@ -591,3 +591,32 @@ def test_scipy_loads_only_for_sampling_commands(tmp_path):
                          capture_output=True, text=True, env=env, check=True)
     report = json.loads(run.stdout.strip().splitlines()[-1])
     assert report == {"codes": [0, 0, 0], "loaded": []}
+
+
+EVALUATE_MODULES = """
+import json, sys
+from bayesdedupe.cli import main
+d = sys.argv[1]
+code = main(["evaluate", "--labelings", d + "/lab.txt", "--truth",
+             d + "/truth.csv", "--output", d + "/m.json"])
+print(json.dumps({"code": code, "loaded": [
+    m for m in ("yaml", "scipy", "bayesdedupe.config",
+                "bayesdedupe.comparison", "bayesdedupe.candidates",
+                "bayesdedupe.synthgen") if m in sys.modules]}))
+"""
+
+
+def test_evaluate_imports_neither_yaml_nor_scipy(tmp_path):
+    """evaluate reads no pipeline config: PyYAML, scipy and the
+    comparison and generator layers stay unloaded."""
+    (tmp_path / "lab.txt").write_text("0 0 1\n0 1 2\n", encoding="utf-8")
+    (tmp_path / "truth.csv").write_text(
+        "record_id,entity_id\n0,0\n1,0\n2,1\n", encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(bayesdedupe.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", EVALUATE_MODULES,
+                          str(tmp_path)],
+                         capture_output=True, text=True, env=env, check=True)
+    report = json.loads(run.stdout.strip().splitlines()[-1])
+    assert report == {"code": 0, "loaded": []}

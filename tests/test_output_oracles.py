@@ -208,10 +208,9 @@ class TestFrequencyTable:
         want = oracles.partition_frequency_table(L)
         with mock.patch.object(posterior, "_SUMMARY_CELLS", cells):
             assert posterior.partition_frequency_table(L) == want
-            # every row hashing alike must not merge distinct rows
-            with mock.patch.object(posterior, "_row_hashes",
-                                   lambda M: np.zeros(len(M), np.uint64)):
-                assert posterior.partition_frequency_table(L) == want
+            # rows are keyed by their bytes in C order, whatever the layout
+            assert (posterior.partition_frequency_table(np.asfortranarray(L))
+                    == want)
 
     def test_ties_in_lexicographic_order(self):
         rows = [[0, 1, 1], [0, 0, 1], [0, 1, 2], [0, 0, 0]]

@@ -37,14 +37,14 @@ from oracles import narrow_rows
 
 def fake_sample(labelings, m_trace=None, u_trace=None, active=None):
     """A sample of canonical label rows, stored as run_chain stores them:
-    over the active records, by default those that share a cell in some
-    row."""
+    each distinct row once over the active records, by default those that
+    share a cell in some row, and the row of every draw."""
     labelings = np.asarray(labelings, dtype=np.int32)
-    labels, active = narrow_rows(labelings, active)
+    rows, index, active = narrow_rows(labelings, active)
     n, r = labelings.shape
     cfg = SamplerConfig(iterations=max(n, 1))
     return PosteriorSample(
-        labels=labels, active=active, r=r,
+        rows=rows, index=index, active=active, r=r,
         kept_iterations=np.arange(1, n + 1),
         m_trace=m_trace, u_trace=u_trace, fields=("f",), n_levels=(2,),
         seed=0, config=cfg, runtime_s=0.0)
@@ -283,6 +283,35 @@ class TestSerialization:
         assert index.tolist() == [0, 0, 1, 0, 1] * 50
         assert sum(call.args[1].count(b"\n")
                    for call in spy.call_args_list) == 2
+
+    @pytest.mark.parametrize("text", [
+        b"0 1 1\n0 0 1\r\n\r\n0 1 1\r0 0 1\r\n",
+        b"\r\n\r0 1\r\r\n0 1\n\n0 1",
+        b"0 1\r\r\n \t\r\n0 1\r0 0\r",
+        b"10 200 3\r\n10 200 3\r10 200 3\n10 200 3",
+        b"0 1\r\n0 1 2\r\n0 1\r\n",
+        b"0 1\r\n\r\n0 x\r\n0 1 2\n",
+        b"0 1\r\r\n\r0 1 2 3\r"])
+    def test_pieces_match_whole_file_split(self, tmp_path, monkeypatch, text):
+        """Read a few bytes at a time, so that pieces end inside labels,
+        between the \r and the \n of a line end and after a lone \r, the
+        file gives the rows, the index and the error line of the whole
+        file split by bytes.splitlines."""
+        import oracles
+        p = tmp_path / "labelings.txt"
+        p.write_bytes(text)
+
+        def load(fn):
+            try:
+                rows, index = fn(p)
+            except DataError as exc:
+                return str(exc)
+            return rows.tolist(), index.tolist()
+
+        want = load(oracles.load_distinct_labelings)
+        for size in range(1, 9):
+            monkeypatch.setattr(posterior, "_PARSE_BYTES", size)
+            assert load(load_distinct_labelings) == want
 
     @pytest.mark.parametrize("token", [
         "+1", "-1", "1_0", "1.0", "0x1", "1e3", "\u0661", "\u00a0", "\x0c"])
