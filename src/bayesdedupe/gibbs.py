@@ -10,12 +10,13 @@ construction and are never visited.
 Every label is the record id of a member of its cell. A component is
 drawn exactly as a whole when it has at most P_MAX valid partitions,
 those whose every cell is a clique of the candidate graph. They are
-enumerated once per run and stored flat: per partition, the candidate
-pairs it puts in one cell and the label of each member, the record id of
-its cell's first member. A sweep scores every partition of every such
-component with one bincount over the candidate log likelihood ratios and
-draws all components with one searchsorted on the cumulative weights, so
-its numpy calls do not depend on the number of components.
+enumerated once per run and stored flat: per partition, the label of
+each member, the record id of its cell's first member, and how many of
+the candidate pairs it puts in one cell fall in each level bin. A sweep
+scores every partition of every such component with one product of the
+per-bin log likelihood ratios with that bin x partition matrix and draws
+all components with one searchsorted on the cumulative weights, so its
+numpy calls do not depend on the number of components.
 
 Records of the other components get single-site updates, in ascending
 id order or, with random_scan, in a fresh random order each sweep. The
@@ -38,15 +39,25 @@ resumes after it. A sweep takes one pass more than its moves at most.
 Given the same uniforms, the partitions visited are those of the
 one-record-at-a-time scan, up to the rounding of the weights.
 
-The parameter block is flat: the level counts of all fields form one
-vector over their level bins, recounted from the labeling once per sweep
-with one bincount, and m and u are single vectors over all fields' free
-parameters. Given a seed and a config the trajectory is bit-reproducible:
-random draws happen in a fixed order. Each sweep draws one batch of
-uniforms, two per single-site record (in visiting order; the first picks
-the record's option and the second is drawn but unused) and then one
-per block component (by smallest member); with random_scan the visiting
-order is drawn next; then come the m draws and then the u draws.
+The likelihood lives in level-bin space. A pair enters it only through
+its comparison levels, so the data are read through two count matrices
+built once per run: candidate x bin for the candidate pairs and bin x
+partition for the block partitions. The parameter block is flat: the
+level counts of all fields form one vector over their level bins,
+recounted from the labeling once per sweep as the linked flags times the
+candidate matrix, and m and u are single vectors over all fields' free
+parameters. From them a sweep computes the log ratio of every level bin
+once; the candidates' log ratios, which the single-site draws read, are
+one product with the candidate matrix. Integer counts are exact in
+float64.
+
+Given a seed and a config the trajectory is bit-reproducible, with one
+BLAS thread as with two: random draws happen in a fixed order. Each
+sweep draws one batch of uniforms, two per single-site record (in
+visiting order; the first picks the record's option and the second is
+drawn but unused) and then one per block component (by smallest
+member); with random_scan the visiting order is drawn next; then come
+the m draws and then the u draws.
 """
 
 from __future__ import annotations
@@ -134,9 +145,9 @@ def _tbeta_vec(rng: np.random.Generator, a: np.ndarray, b: np.ndarray,
     """Vector of TBeta(a, b, lam, 1) draws via the inverse CDF.
 
     Elements whose truncated tail is too small for the plain CDF
-    inversion are redrawn on the survival scale; total underflow of the
-    tail falls through to the rejection sampler, which may consume
-    extra uniforms.
+    inversion are redrawn on the survival scale, all in one call; those
+    whose tail underflows there too fall through, in ascending order, to
+    the rejection sampler, which may consume extra uniforms.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -144,13 +155,14 @@ def _tbeta_vec(rng: np.random.Generator, a: np.ndarray, b: np.ndarray,
     f_lam = betainc(a, b, lam)
     u = rng.random(len(a))
     x = betaincinv(a, b, f_lam + u * (1.0 - f_lam))
-    for k in np.flatnonzero(1.0 - f_lam <= 1e-14):
-        ak, bk, lk = float(a[k]), float(b[k]), float(lam[k])
-        s_lam = float(betaincc(ak, bk, lk))
-        if s_lam > 0.0:
-            x[k] = betainccinv(ak, bk, s_lam * (1.0 - float(u[k])))
-        else:
-            x[k] = _tbeta_reject(rng, ak, bk, lk, float(u[k]))
+    tail = np.flatnonzero(1.0 - f_lam <= 1e-14)
+    if len(tail):
+        at, bt, lt, ut = a[tail], b[tail], lam[tail], u[tail]
+        s_lam = betaincc(at, bt, lt)
+        x[tail] = betainccinv(at, bt, s_lam * (1.0 - ut))
+        for k in np.flatnonzero(s_lam == 0.0):
+            x[tail[k]] = _tbeta_reject(rng, float(at[k]), float(bt[k]),
+                                       float(lt[k]), float(ut[k]))
     np.clip(x, 1e-12, 1.0 - 1e-12, out=x)
     np.maximum(x, lam, out=x)
     return x
@@ -239,10 +251,17 @@ def _too_many_partitions(edges: list) -> bool:
 
 
 class LevelContext:
-    """Level-side constants of the candidate pairs: their records, their
-    observed levels as level bins, and the level counts of all compared
-    pairs. Enough to turn parameters into log ratios and links into
-    level counts; the mixture baseline needs no more.
+    """Level-side constants of the candidate pairs: their records, the
+    candidate x bin count matrix of their observed levels, and the level
+    counts of all compared pairs. Enough to turn parameters into log
+    ratios and links into level counts; the mixture baseline needs no
+    more.
+
+    A pair enters the likelihood only through its levels. Row c of
+    cand_bins (float64) has a 1 in the bin of each observed level of
+    candidate pair c: its log ratio is the row times the per-bin log
+    ratios, and the a1 counts of a set of linked candidates are their
+    flags times the matrix, exact in float64 for these integer counts.
     """
 
     def __init__(self, comps: PairComparisons, graph: CandidateGraph):
@@ -253,15 +272,18 @@ class LevelContext:
         self.cand_i = comps.pairs[cand_idx, 0].astype(np.int64)
         self.cand_j = comps.pairs[cand_idx, 1].astype(np.int64)
 
-        # observed candidate levels as (pair, bin) entries in field order,
+        # observed candidate levels counted per (pair, bin) in one bincount,
         # where a field's bins are its levels after the earlier fields' bins
         n_fields = len(comps.n_levels)
         bin_bounds = np.cumsum([0] + list(comps.n_levels))
-        cand_levels = comps.levels[cand_idx]
-        field, pair = np.nonzero(cand_levels.T >= 0)
-        self.obs_pair = pair
-        self.obs_bin = bin_bounds[field] + cand_levels[pair, field]
         self.n_bins = int(bin_bounds[-1])
+        cand_levels = comps.levels[cand_idx]
+        pair, field = np.nonzero(cand_levels >= 0)
+        obs_bin = bin_bounds[field] + cand_levels[pair, field]
+        key = pair * self.n_bins + obs_bin
+        self.cand_bins = np.bincount(
+            key, minlength=self.n_candidates * self.n_bins).reshape(
+                self.n_candidates, self.n_bins).astype(np.float64)
         # a0 = observed levels of all compared pairs - a1; shifting by one
         # puts the missing level (-1) in a bin of its own, dropped after
         self.a0_base = _concat([
@@ -278,16 +300,18 @@ class LevelContext:
         self._bin_own = np.where(top, self.n_bins - n_fields, self._bin_past)
         self._bin_first = (bin_bounds[:-1] - np.arange(n_fields))[bin_field]
 
-    def flat_log_ratios(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Per-candidate-pair log likelihood ratios from flat m and u."""
+    def bin_log_ratios(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Per-level-bin log likelihood ratios from flat m and u."""
         own = np.log(m) - np.log(u)
         past = np.empty(len(m) + 1)
         past[0] = 0.0
         np.cumsum(np.log1p(-m) - np.log1p(-u), out=past[1:])
-        lr = np.append(own, 0.0)[self._bin_own] + (past[self._bin_past]
-                                                   - past[self._bin_first])
-        return np.bincount(self.obs_pair, weights=lr[self.obs_bin],
-                           minlength=self.n_candidates)
+        return np.append(own, 0.0)[self._bin_own] + (past[self._bin_past]
+                                                     - past[self._bin_first])
+
+    def flat_log_ratios(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Per-candidate-pair log likelihood ratios from flat m and u."""
+        return self.cand_bins @ self.bin_log_ratios(m, u)
 
     def log_ratios(self, params: ModelParams) -> np.ndarray:
         """flat_log_ratios from per-field parameters."""
@@ -296,8 +320,7 @@ class LevelContext:
     def link_counts(self, linked: np.ndarray) -> np.ndarray:
         """Level counts of shape (2, bins), a1 then a0, when exactly the
         candidate pairs flagged in linked are coreferent."""
-        a1 = np.bincount(self.obs_bin[linked[self.obs_pair]],
-                         minlength=self.n_bins)
+        a1 = (linked @ self.cand_bins).astype(np.int64)
         return np.stack((a1, self.a0_base - a1))
 
     def recount(self, z: np.ndarray) -> np.ndarray:
@@ -319,8 +342,10 @@ class SamplerContext(LevelContext):
     whole (block_records, by component in order of smallest member); the
     records of the others are updated one at a time (single_site,
     ascending). Block draws are stored flat: partitions of component c
-    are comp_parts[c]..comp_parts[c + 1] - 1; partition p puts the
-    candidate pairs pair_cand[pair_part == p] in one cell, and
+    are comp_parts[c]..comp_parts[c + 1] - 1; column p of the bin x
+    partition count matrix part_bins (float64, C-contiguous) counts the
+    levels of the candidate pairs that partition p puts in one cell, per
+    bin, so the per-bin log ratios times part_bins score every partition;
     part_labels[label_at[p]:] labels the members of its component, in
     member order.
 
@@ -396,8 +421,16 @@ class SamplerContext(LevelContext):
             pair_cand.append(cand[edge])
             n_parts += len(heads)
         self.part_labels = np.concatenate(labels)
-        self.pair_part = np.concatenate(pair_part)
-        self.pair_cand = np.concatenate(pair_cand)
+        pair_part = np.concatenate(pair_part)
+        pair_cand = np.concatenate(pair_cand)
+
+        # row b: per partition, how many of the candidate pairs within its
+        # cells have a level in bin b. One bincount per bin keeps the
+        # temporaries small, where one over all (bin, partition) keys
+        # would hold several times the matrix at once
+        self.part_bins = np.stack([
+            np.bincount(pair_part, weights=col[pair_cand], minlength=n_parts)
+            for col in self.cand_bins.T])
 
         sizes = np.array([len(comp) for comp, _, _ in blocks], dtype=np.int64)
         per_comp = np.array([len(heads) for _, heads, _ in blocks],
@@ -443,9 +476,11 @@ SiteCells = namedtuple("SiteCells", "group options rows slots label stay")
 
 @dataclass
 class ChainState:
-    """Mutable Gibbs state: labeling, flat parameters with their candidate
-    log ratios, level counts, the cell sizes of the single-site records
-    and a count of single-site passes.
+    """Mutable Gibbs state: labeling, flat parameters with their per-bin
+    log ratios (bin_lr, which the block draws read) and candidate log
+    ratios (loglr, which the single-site draws read), level counts, the
+    cell sizes of the single-site records and a count of single-site
+    passes.
 
     stats (a1 and a0 over all bins) are recounted from z before every
     parameter draw. Every label is the record id of a member of its cell;
@@ -458,6 +493,7 @@ class ChainState:
     z: np.ndarray
     m: np.ndarray
     u: np.ndarray
+    bin_lr: np.ndarray
     loglr: np.ndarray
     stats: np.ndarray
     sizes: np.ndarray
@@ -477,8 +513,10 @@ def init_state(ctx: SamplerContext, prior: PriorSpec,
         m, u = _concat(params.m), _concat(params.u)
     sizes = np.zeros(ctx.r, dtype=np.int64)
     sizes[ctx.single_idx] = 1
-    return ChainState(z=z, m=m, u=u, loglr=ctx.flat_log_ratios(m, u),
-                      stats=ctx.recount(z), sizes=sizes)
+    bin_lr = ctx.bin_log_ratios(m, u)
+    return ChainState(z=z, m=m, u=u, bin_lr=bin_lr,
+                      loglr=ctx.cand_bins @ bin_lr, stats=ctx.recount(z),
+                      sizes=sizes)
 
 
 def _site_cells(ctx: SamplerContext, z: np.ndarray,
@@ -586,19 +624,19 @@ def _single_site_sweep(ctx: SamplerContext, state: ChainState, u: np.ndarray,
         start += 1
 
 
-def _block_scores(ctx: SamplerContext, loglr: np.ndarray) -> np.ndarray:
+def _block_scores(ctx: SamplerContext, bin_lr: np.ndarray) -> np.ndarray:
     """Log weight of every block partition, up to a constant per component:
-    the sum of the log ratios of the candidate pairs it puts in one cell."""
-    return np.bincount(ctx.pair_part, weights=loglr[ctx.pair_cand],
-                       minlength=ctx.n_partitions)
+    the sum of the log ratios of the candidate pairs it puts in one cell,
+    from the per-bin log ratios bin_lr."""
+    return bin_lr @ ctx.part_bins
 
 
-def _draw_blocks(ctx: SamplerContext, loglr: np.ndarray, us: np.ndarray,
+def _draw_blocks(ctx: SamplerContext, bin_lr: np.ndarray, us: np.ndarray,
                  z: np.ndarray) -> None:
     """Draw every block component's partition exactly, one uniform per
     component, and write its labels into z. A component's last
     partition, all singletons, scores 0."""
-    choice = _draw_segments(_block_scores(ctx, loglr), ctx.comp_parts[:-1], us)
+    choice = _draw_segments(_block_scores(ctx, bin_lr), ctx.comp_parts[:-1], us)
     z[ctx.block_records] = ctx.part_labels[ctx.label_at[choice][ctx.record_comp]
                                            + ctx.record_pos]
 
@@ -618,12 +656,13 @@ def sweep(ctx: SamplerContext, state: ChainState, rng: np.random.Generator,
                  else np.arange(n_single))
         _single_site_sweep(ctx, state, us[:2 * n_single:2], order)
     if ctx.n_block_components:
-        _draw_blocks(ctx, state.loglr, us[2 * n_single:], state.z)
+        _draw_blocks(ctx, state.bin_lr, us[2 * n_single:], state.z)
     if flat is None:
         return None
     state.stats = ctx.recount(state.z)
     state.m, state.u = draw_flat_params(rng, flat, state.stats)
-    state.loglr = ctx.flat_log_ratios(state.m, state.u)
+    state.bin_lr = ctx.bin_log_ratios(state.m, state.u)
+    state.loglr = ctx.cand_bins @ state.bin_lr
     return state.m, state.u
 
 

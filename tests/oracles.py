@@ -8,9 +8,12 @@ references of the comparison, likelihood and sampler layers follow:
 the scalar string comparators, bin_level and compare_pair against
 compare_pairs, the sequential-form likelihood against the
 star-probability tables, the per-field parameter block (level counts and
-log likelihood ratios) against the flat one, the exact joint and
-marginal densities behind the enumeration and quadrature checks, and
-one-at-a-time truncated-Beta draws and single-site Gibbs updates. Last
+log likelihood ratios) against the flat one, pair-by-pair entry sums
+(log ratios and link counts over (pair, bin) entries, block scores over
+(partition, pair) entries) against the bin-count products, the exact
+joint and marginal densities behind the enumeration and quadrature
+checks, and truncated-Beta tails drawn one element at a time and
+single-site Gibbs updates. Last
 come the small partition helpers that the tests count, enumerate and
 check labelings with, and fix rules evaluated on one pair. No
 subcommand runs any of them.
@@ -23,7 +26,8 @@ from dataclasses import dataclass
 from math import exp, factorial, inf
 
 import numpy as np
-from scipy.special import betainc, betaln
+from scipy.special import (betainc, betaincc, betainccinv, betaincinv,
+                           betaln)
 
 from bayesdedupe import gibbs
 from bayesdedupe.comparison import absolute_difference, binary_disagreement
@@ -384,12 +388,55 @@ def log_level_tables(params) -> tuple[list, list]:
     return lm, lu
 
 
-def log_ratios(ctx, params) -> np.ndarray:
-    """SamplerContext.flat_log_ratios through per-field log level tables."""
+def level_entries(comps, mask) -> tuple[np.ndarray, np.ndarray]:
+    """The observed levels of the compared pairs flagged in mask as
+    (pair, bin) entries, pair by pair, where pairs count from 0 among the
+    flagged ones and a field's bins are its levels after the earlier
+    fields' bins."""
+    levels = comps.levels[mask]
+    first = np.cumsum([0] + list(comps.n_levels))[:-1]
+    pair, field = np.nonzero(levels >= 0)
+    return pair, first[field] + levels[pair, field]
+
+
+def log_ratios(comps, graph, params) -> np.ndarray:
+    """SamplerContext.flat_log_ratios through per-field log level tables,
+    summed over the candidate pairs' (pair, bin) entries."""
     lm, lu = log_level_tables(params)
     lr = np.concatenate(lm) - np.concatenate(lu)
-    return np.bincount(ctx.obs_pair, weights=lr[ctx.obs_bin],
-                       minlength=ctx.n_candidates)
+    pair, bins = level_entries(comps, graph.candidate_mask)
+    return np.bincount(pair, weights=lr[bins],
+                       minlength=graph.n_candidates)
+
+
+def link_counts(comps, graph, linked) -> np.ndarray:
+    """SamplerContext.link_counts over (pair, bin) entries: a1 from the
+    linked candidate pairs' entries, a0 from every compared pair's less
+    a1."""
+    n_bins = sum(comps.n_levels)
+    pair, bins = level_entries(comps, graph.candidate_mask)
+    a1 = np.bincount(bins[np.asarray(linked)[pair]], minlength=n_bins)
+    _, every = level_entries(comps, np.ones(len(comps.levels), dtype=bool))
+    return np.stack((a1, np.bincount(every, minlength=n_bins) - a1))
+
+
+def block_scores(ctx, loglr) -> np.ndarray:
+    """gibbs._block_scores as one bincount over (partition, candidate)
+    entries: each block partition scores the sum of the candidate log
+    ratios loglr of the pairs it puts in one cell."""
+    part, cand = [], []
+    for c in range(ctx.n_block_components):
+        members = ctx.block_records[ctx.record_comp == c]
+        for p in range(ctx.comp_parts[c], ctx.comp_parts[c + 1]):
+            z = -1 - np.arange(ctx.r)  # distinct from every record id
+            z[members] = ctx.part_labels[ctx.label_at[p]:][:len(members)]
+            linked = np.flatnonzero(z[ctx.cand_i] == z[ctx.cand_j])
+            part.extend([p] * len(linked))
+            cand.extend(linked.tolist())
+    cand = np.array(cand, dtype=np.int64)
+    return np.bincount(np.array(part, dtype=np.int64),
+                       weights=np.asarray(loglr)[cand],
+                       minlength=ctx.n_partitions)
 
 
 def level_counts(counts_by_field) -> tuple[np.ndarray, np.ndarray]:
@@ -498,6 +545,28 @@ def marginal_log_likelihood(z, prior, graph, comps) -> float:
 
 
 # --- single-site Gibbs updates ----------------------------------------------
+
+def tbeta_vec(rng, a, b, lam) -> np.ndarray:
+    """gibbs._tbeta_vec with its tail elements redrawn one at a time:
+    the survival scale by scalar calls, and the rejection sampler where
+    the survival underflows."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
+    f_lam = betainc(a, b, lam)
+    u = rng.random(len(a))
+    x = betaincinv(a, b, f_lam + u * (1.0 - f_lam))
+    for k in np.flatnonzero(1.0 - f_lam <= 1e-14):
+        ak, bk, lk = float(a[k]), float(b[k]), float(lam[k])
+        s_lam = float(betaincc(ak, bk, lk))
+        if s_lam > 0.0:
+            x[k] = betainccinv(ak, bk, s_lam * (1.0 - float(u[k])))
+        else:
+            x[k] = gibbs._tbeta_reject(rng, ak, bk, lk, float(u[k]))
+    np.clip(x, 1e-12, 1.0 - 1e-12, out=x)
+    np.maximum(x, lam, out=x)
+    return x
+
 
 def sample_truncated_beta(rng, alpha: float, beta: float, lam: float) -> float:
     """One draw from Beta(alpha, beta) truncated to [lam, 1), through the

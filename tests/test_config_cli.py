@@ -620,3 +620,31 @@ def test_evaluate_imports_neither_yaml_nor_scipy(tmp_path):
                          capture_output=True, text=True, env=env, check=True)
     report = json.loads(run.stdout.strip().splitlines()[-1])
     assert report == {"code": 0, "loaded": []}
+
+
+def test_blas_threads_leave_outputs_unchanged(tmp_path):
+    """Block scores and log ratios are matrix products, which OpenBLAS
+    may split across threads: dedupe on a file with block and single-site
+    records writes the same labelings and parameter trace with one BLAS
+    thread as with two."""
+    assert main(["synth", "--output-dir", str(tmp_path / "data"), "--seed",
+                 "3", "--originals", "300", "--duplicates", "30"]) == 0
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(synth_config_text(tmp_path / "data" / "records.csv",
+                                     tmp_path / "out"), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(bayesdedupe.__file__))
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "bayesdedupe.cli", "dedupe",
+                        "--config", str(cfg), "--output-dir",
+                        str(tmp_path / f"blas{threads}"), "--threads", "1",
+                        "--seed", "7"],
+                       capture_output=True, env=env, check=True)
+    manifest = json.loads((tmp_path / "blas1" / "manifest.json").read_text())
+    assert manifest["block_records"] > 0
+    assert manifest["single_site_records"] > 0
+    for name in ("posterior_labelings.txt", "phi_trace.csv"):
+        assert ((tmp_path / "blas1" / name).read_bytes()
+                == (tmp_path / "blas2" / name).read_bytes())

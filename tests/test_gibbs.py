@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc, betaincc
 
 import oracles
 from bayesdedupe import gibbs
@@ -133,6 +134,32 @@ class TestTruncatedBeta:
         expect = beta_dist.ppf(f_lam + u * (1 - f_lam), a, b)
         assert np.allclose(x, expect, rtol=1e-12)
 
+    @pytest.mark.parametrize("seed", [5, 17, 52])
+    def test_tail_draws_match_per_element_loop(self, seed):
+        """Forward, survival-scale and rejection elements interleaved: the
+        batched tail draws equal the per-element loop of oracles.tbeta_vec
+        bit for bit, and leave the generator in the same state. At these
+        seeds a rejection draw retries, so the order in which the
+        rejection draws consume uniforms shows."""
+        a = np.array([3.0, 2.0, 1.0, 11.0, 1.0, 1.0, 2.0, 1.0, 2.0, 1.0])
+        b = np.array([2.0, 1000.0, 170.0, 1.0, 300.0, 170.0, 180.0, 170.0,
+                      5.0, 180.0])
+        lam = np.array([0.4, 0.5, 0.99, 0.85, 0.85, 0.99, 0.99, 0.99, 0.5,
+                        0.99])
+        tail = 1.0 - betainc(a, b, lam) <= 1e-14
+        rejected = tail & (betaincc(a, b, lam) == 0.0)
+        assert np.any(~tail) and np.any(tail & ~rejected)
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        x = _tbeta_vec(fast, a, b, lam)
+        ref = oracles.tbeta_vec(slow, a, b, lam)
+        assert x.tobytes() == ref.tobytes()
+        assert fast.bit_generator.state == slow.bit_generator.state
+        # one uniform per element and one acceptance test per rejection
+        # element would leave the generator here
+        once = np.random.default_rng(seed)
+        once.random(len(a) + np.count_nonzero(rejected))
+        assert fast.bit_generator.state != once.bit_generator.state
+
 
 class TestSamplerConfig:
     def test_validation(self):
@@ -249,7 +276,8 @@ class TestFlatParameterBlock:
         cut = flat.offsets[1:-1]
         params = ModelParams(m=np.split(m, cut), u=np.split(u, cut))
         assert np.allclose(ctx.flat_log_ratios(m, u),
-                           oracles.log_ratios(ctx, params), rtol=0, atol=1e-12)
+                           oracles.log_ratios(comps, graph, params), rtol=0,
+                           atol=1e-12)
         assert np.array_equal(ctx.log_ratios(params), ctx.flat_log_ratios(m, u))
 
         # list-valued statistics, as perfbench/traced.py passes them
@@ -437,11 +465,11 @@ def test_draw_segments_follows_weights():
     assert _draw_segments(scores.copy(), first, np.ones(3)).tolist() == [3, 4, 7]
 
 
-def block_probabilities(ctx, loglr) -> list:
+def block_probabilities(ctx, bin_lr) -> list:
     """Per block component, its members and the probability the block draw
-    gives each of its partitions, keyed by the partition's canonical
-    labels over the members."""
-    scores = _block_scores(ctx, loglr)
+    gives each of its partitions at per-bin log ratios bin_lr, keyed by
+    the partition's canonical labels over the members."""
+    scores = _block_scores(ctx, bin_lr)
     out = []
     for c in range(ctx.n_block_components):
         members = ctx.block_records[ctx.record_comp == c].tolist()
@@ -496,7 +524,8 @@ class TestBlockConditional:
 
         ctx = SamplerContext(comps, graph)
         blocks = dict((tuple(members), got) for members, got
-                      in block_probabilities(ctx, ctx.log_ratios(FROZEN)))
+                      in block_probabilities(ctx, ctx.bin_log_ratios(
+                          np.concatenate(FROZEN.m), np.concatenate(FROZEN.u))))
         assert ctx.n_partitions == sum(len(got) for got in blocks.values())
         for comp in graph.components:
             if len(comp) < 2:
@@ -530,6 +559,65 @@ class TestBlockConditional:
             else:
                 assert ctx.single_site == list(range(8))
                 assert ctx.n_block_components == 0
+
+
+def bin_count_setup(case):
+    """Comparisons and a candidate graph: a BLOCK_CASES file (shape, s), or
+    a file with many missing levels, with no candidate pairs, or with no
+    block components."""
+    if isinstance(case, tuple):
+        shape, s = case
+        rng = np.random.default_rng(400 + s)
+        comps = compare_pairs(random_file(rng, s), all_pairs(s), small_specs())
+        return comps, graph_with_candidates(comps, GRAPHS[shape](s, rng))
+    s, shape, missing_rate = {"missing": (9, "disjoint", 0.5),
+                              "no candidates": (6, None, 0.1),
+                              "no blocks": (8, "complete", 0.1)}[case]
+    rng = np.random.default_rng(600)
+    comps = compare_pairs(random_file(rng, s, missing_rate), all_pairs(s),
+                          small_specs())
+    return comps, graph_with_candidates(
+        comps, GRAPHS[shape](s, rng) if shape else [])
+
+
+class TestBinCountProducts:
+    @pytest.mark.parametrize(
+        "case", BLOCK_CASES + ["missing", "no candidates", "no blocks"])
+    def test_products_match_entry_sums(self, case):
+        """Block scores and candidate log ratios from the bin-count matrices
+        match the (partition, pair) and (pair, bin) entry sums of the
+        oracles to 1e-12; link counts and recounts match exactly."""
+        comps, graph = bin_count_setup(case)
+        ctx = SamplerContext(comps, graph)
+        if case == "missing":
+            assert np.any(comps.levels[graph.candidate_mask] < 0)
+            assert ctx.n_block_components
+        if case == "no candidates":
+            assert ctx.n_candidates == 0 and ctx.n_partitions == 0
+        if case == "no blocks":
+            assert ctx.n_block_components == 0 and ctx.single_site
+        rng = np.random.default_rng(700)
+        flat = flatten_prior(flat_prior(comps.n_levels))
+        cut = flat.offsets[1:-1]
+        for _ in range(5):
+            m = rng.uniform(1e-12, 1 - 1e-12, len(flat.lam))
+            u = rng.uniform(1e-12, 1 - 1e-12, len(flat.lam))
+            params = ModelParams(m=np.split(m, cut), u=np.split(u, cut))
+            ref = oracles.log_ratios(comps, graph, params)
+            assert np.allclose(ctx.flat_log_ratios(m, u), ref, rtol=0,
+                               atol=1e-12)
+            scores = _block_scores(ctx, ctx.bin_log_ratios(m, u))
+            assert scores.shape == (ctx.n_partitions,)
+            assert np.allclose(scores, oracles.block_scores(ctx, ref), rtol=0,
+                               atol=1e-12)
+            linked = rng.random(ctx.n_candidates) < 0.5
+            counts = ctx.link_counts(linked)
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts,
+                                  oracles.link_counts(comps, graph, linked))
+            z = rng.integers(0, 3, comps.r)
+            assert np.array_equal(ctx.recount(z), oracles.link_counts(
+                comps, graph, z[ctx.cand_i] == z[ctx.cand_j]))
 
 
 class TestPrefetchedScan:
