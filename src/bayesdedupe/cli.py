@@ -104,7 +104,7 @@ def _resolve_threads(args) -> int:
 
 
 def cmd_dedupe(args) -> int:
-    from . import gibbs  # loads scipy, which only the sampling commands need
+    from . import gibbs  # the sampler, which only the sampling commands need
 
     cfg = _load_config(args.config)
     _apply_overrides(cfg, args)
@@ -160,6 +160,7 @@ def cmd_dedupe(args) -> int:
         "outputs": [os.path.basename(p) for p in outputs],
         **gibbs.component_summary(ctx),
         "single_site_passes": pooled.single_site_passes,
+        "tbeta_rejections": pooled.tbeta_rejections,
     })
     posterior.write_json(os.path.join(out_dir, "manifest.json"), manifest)
     print(f"dedupe: {df.r} records, {graph.n_candidates} candidate pairs, "
@@ -234,7 +235,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    from . import mixture  # loads scipy, which only the sampling commands need
+    from . import mixture  # the sampler, which only the sampling commands need
 
     cfg = _load_config(args.config)
     _apply_overrides(cfg, args)

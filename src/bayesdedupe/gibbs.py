@@ -51,24 +51,28 @@ once; the candidates' log ratios, which the single-site draws read, are
 one product with the candidate matrix. Integer counts are exact in
 float64.
 
+Each m is drawn from its Beta full conditional truncated to (lam, 1)
+exactly, by rejection with numpy alone: see _tbeta_envelope. The u are
+untruncated Beta draws.
+
 Given a seed and a config the trajectory is bit-reproducible, with one
 BLAS thread as with two: random draws happen in a fixed order. Each
 sweep draws one batch of uniforms, two per single-site record (in
 visiting order; the first picks the record's option and the second is
 drawn but unused) and then one per block component (by smallest
 member); with random_scan the visiting order is drawn next; then come
-the m draws and then the u draws.
+the m draws, in rounds of three uniforms per candidate and four
+candidates per m still without a draw, so their number varies from
+sweep to sweep; then the u draws.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaincc, betainccinv, betaincinv
 
 from .candidates import CandidateGraph, connected_components
 from .comparison import PairComparisons
@@ -81,91 +85,184 @@ from .partition import (canonicalize_label_rows, distinct_rows,
 
 # --- truncated-Beta sampling ------------------------------------------------
 
-def _tbeta_tail_fallback(a: float, b: float, lam: float, u: float,
-                         max_iter: int = 300) -> float:
-    """Tail quantile when 1 - F(lam) underflows in double precision.
+# Each round draws this many candidates for every m parameter still without
+# a draw and keeps the first accepted one. The first success in a run of
+# independent exact trials is an exact draw, so the number sets the cost,
+# not the law.
+TBETA_CANDIDATES = 4
+TBETA_MAX_ROUNDS = 100
+# A chain revisits a few partitions, and so a few sets of m full
+# conditionals: it keeps the envelopes of up to this many, and starts
+# afresh when it has met more.
+TBETA_MEMO = 64
 
-    Solves S(x) = S(lam) * (1 - u) for the survival S by bisection in
-    high precision; raises after max_iter bisection steps. Last resort
-    behind the survival-scale inversion and the rejection sampler.
+
+def _tbeta_envelope(a: np.ndarray, b: np.ndarray,
+                    lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A two-piece exponential envelope of each TBeta(a, b; lam, 1) density,
+    in a log coordinate.
+
+    With y = log(1 - x) (mirrored) when b < 1 or a = 1, else y = log x,
+    the density of y is exp(g(y)) with g(y) = alpha y + beta log(1 - e^y):
+    (alpha, beta) is (a, b - 1), or (b, a - 1) mirrored, and y runs over
+    (log lam, 0), or (-inf, log(1 - lam)) mirrored. g is concave when
+    beta >= 0, and the envelope is the lower of two of its tangents
+    (Gilks & Wild 1992, Applied Statistics 41(2)): one curvature scale
+    below the truncated mode, but not below the support, and one above it
+    unless that leaves the support. Piece 0 runs from the bottom of the
+    support to where they cross and piece 1 from there to the top. With
+    beta = 0, that is a = 1 or b = 1, g is a line and the envelope is
+    exact. When a < 1 and b < 1 g is convex in either coordinate: the
+    support is split at c = max(lam, 1/2), x < c is drawn in log x and
+    x > c in log(1 - x), and each piece's line bounds the other factor by
+    its largest value there, which keeps at least half of the line.
+
+    Returns the probability of piece 0 per element and fields of shape
+    (8, 2n); column k n + i describes piece k of element i: beta, the y
+    of the piece's top end (top), c1 = 1 / slope, em =
+    expm1(-|slope| width), alpha top - v and alpha c1 - 1, where v is the
+    line at the top, and x_at and x_sign, with which
+    x = x_at + x_sign expm1(y). The inverse CDF at uniform u is
+    y = top + c1 l1 with l1 = log1p(u em), where the line is v + l1, so
+    g(y) less the line is beta log(-expm1(y)) + (alpha top - v)
+    + (alpha c1 - 1) l1. The piece's envelope mass is -em |c1| e^v.
     """
-    import mpmath
-    with mpmath.workdps(60):
-        tmax = mpmath.mpf(1) - mpmath.mpf(lam)
-        s_lam = mpmath.betainc(b, a, 0, tmax, regularized=True)
-        target = s_lam * (1 - mpmath.mpf(u))
-        lo, hi = mpmath.mpf(0), tmax
-        tol = tmax * mpmath.mpf(2) ** -80
-        for _ in range(max_iter):
-            mid = (lo + hi) / 2
-            if mpmath.betainc(b, a, 0, mid, regularized=True) < target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < tol:
-                break
-        else:
-            raise RuntimeError(
-                "truncated-Beta tail inversion did not converge "
-                f"(a={a}, b={b}, lam={lam})")
-        return float(1 - (lo + hi) / 2)
+    n = len(a)
+    alpha, beta = a, b - 1.0
+    lo, hi = np.log(lam), np.zeros(n)
+    mirror = (beta < 0.0) | (a == 1.0)
+    n_mirror = np.count_nonzero(mirror)
+    if n_mirror:
+        alpha = np.where(mirror, b, a)
+        beta = np.where(mirror, a - 1.0, beta)
+        lo[mirror] = -np.inf
+        hi[mirror] = np.log1p(-lam[mirror])
+    # the truncated mode and minus the curvature scale there; a line has
+    # none, and its tangent is taken one decay scale below
+    y0 = np.log(alpha / (alpha + beta))
+    np.maximum(y0, lo, out=y0)
+    np.minimum(y0, hi, out=y0)
+    e0 = np.expm1(y0)
+    step = np.where(beta > 0.0, e0 / np.sqrt(beta * (1.0 + e0)), -1.0 / alpha)
+    t = np.empty((2, n))
+    np.maximum(y0 + step, lo, out=t[0])
+    np.subtract(y0, step, out=t[1])
+    # no upper tangent inside the support: the lower one covers it all
+    np.copyto(t[1], t[0], where=t[1] >= hi)
+    e = np.expm1(t)
+    g = alpha * t + beta * np.log(-e)
+    slope = alpha + beta * (1.0 + 1.0 / e)
+    slope += 1e-300  # a flat tangent samples as a uniform
+    bounds = np.empty((3, n))
+    bounds[0], bounds[2] = lo, hi
+    # where the tangents cross; with one tangent (NaN) piece 1 is empty
+    z = t[0] + (g[1] - g[0] - slope[1] * (t[1] - t[0])) / (slope[0] - slope[1])
+    np.fmax(np.fmin(z, hi), lo, out=bounds[1])
 
-
-def _tbeta_reject(rng: np.random.Generator, a: float, b: float, lam: float,
-                  u0: float) -> float:
-    """Draw from Beta(a, b) restricted to (lam, 1) when the restricted
-    mass underflows double precision entirely.
-
-    In that regime the mode sits far below lam, so the density is
-    decreasing on (lam, 1) and log-concave there; the tangent at lam
-    gives an exponential envelope and exact rejection. The first
-    proposal consumes the caller's uniform, retries draw fresh ones.
-    """
-    width = 1.0 - lam
-    slope = (a - 1.0) / lam - (b - 1.0) / width
-    if not (slope < 0.0 and
-            (b - 1.0) * lam * lam >= (1.0 - a) * width * width):
-        return _tbeta_tail_fallback(a, b, lam, u0)
-    rate = -slope
-    accept_at = -math.expm1(-rate * width)  # proposal mass inside (0, width)
-    u = u0
-    for _ in range(10000):
-        t = -math.log1p(-u * accept_at) / rate
-        log_acc = ((a - 1.0) * math.log1p(t / lam)
-                   + (b - 1.0) * math.log1p(-t / width) + rate * t)
-        if math.log(rng.random()) < log_acc:
-            return lam + t
-        u = rng.random()
-    raise RuntimeError(
-        f"truncated-Beta rejection did not accept (a={a}, b={b}, lam={lam})")
+    fields = np.empty((8, 2, n))
+    fields[0] = beta
+    top = fields[1]
+    top[:] = np.where(slope > 0, bounds[1:], bounds[:-1])
+    c1 = fields[2]
+    np.divide(1.0, slope, out=c1)
+    np.expm1(-np.abs(slope * (bounds[1:] - bounds[:-1])), out=fields[3])
+    v = g + slope * (top - t)
+    np.subtract(alpha * top, v, out=fields[4])
+    np.multiply(alpha, c1, out=fields[5])
+    fields[5] -= 1.0
+    np.subtract(1.0, mirror, out=fields[6])
+    np.subtract(fields[6], mirror, out=fields[7])
+    if n_mirror:
+        convex = mirror & (a < 1.0)
+        if np.count_nonzero(convex):
+            ac, bc = a[convex], b[convex]
+            c = np.maximum(lam[convex], 0.5)
+            lc, l1c = np.log(c), np.log1p(-c)
+            # the lines are a y + (b - 1) log(1 - c) in log x and
+            # b y + (a - 1) log c in log(1 - x), both rising to their top
+            for f, (left, right) in enumerate((
+                    (bc - 1.0, ac - 1.0), (lc, l1c), (1.0 / ac, 1.0 / bc),
+                    (np.expm1(ac * (np.log(lam[convex]) - lc)), -1.0),
+                    (-(bc - 1.0) * l1c, -(ac - 1.0) * lc), (0.0, 0.0),
+                    (1.0, 0.0), (1.0, -1.0))):
+                fields[f, 0, convex] = left
+                fields[f, 1, convex] = right
+            v[0, convex] = ac * lc + (bc - 1.0) * l1c
+            v[1, convex] = bc * l1c + (ac - 1.0) * lc
+    mass = -fields[3] * np.abs(c1) * np.exp(v - np.fmax(v[0], v[1]))
+    return mass[0] / (mass[0] + mass[1]), fields.reshape(8, 2 * n)
 
 
 def _tbeta_vec(rng: np.random.Generator, a: np.ndarray, b: np.ndarray,
-               lam: np.ndarray) -> np.ndarray:
-    """Vector of TBeta(a, b, lam, 1) draws via the inverse CDF.
+               lam: np.ndarray,
+               memo: dict | None = None) -> tuple[np.ndarray, int]:
+    """Exact TBeta(a, b; lam, 1) draws by rejection from _tbeta_envelope,
+    and how many candidates were rejected before the accepted ones.
 
-    Elements whose truncated tail is too small for the plain CDF
-    inversion are redrawn on the survival scale, all in one call; those
-    whose tail underflows there too fall through, in ascending order, to
-    the rejection sampler, which may consume extra uniforms.
+    Every round draws uniforms of shape (3, elements still without a draw,
+    TBETA_CANDIDATES): the piece, the point on it and the acceptance test.
+    memo, when given, maps the bytes of (a, b, lam) to their envelope
+    across calls; it changes no draw. Raises RuntimeError if some element
+    has no draw after TBETA_MAX_ROUNDS rounds.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
-    f_lam = betainc(a, b, lam)
-    u = rng.random(len(a))
-    x = betaincinv(a, b, f_lam + u * (1.0 - f_lam))
-    tail = np.flatnonzero(1.0 - f_lam <= 1e-14)
-    if len(tail):
-        at, bt, lt, ut = a[tail], b[tail], lam[tail], u[tail]
-        s_lam = betaincc(at, bt, lt)
-        x[tail] = betainccinv(at, bt, s_lam * (1.0 - ut))
-        for k in np.flatnonzero(s_lam == 0.0):
-            x[tail[k]] = _tbeta_reject(rng, float(at[k]), float(bt[k]),
-                                       float(lt[k]), float(ut[k]))
-    np.clip(x, 1e-12, 1.0 - 1e-12, out=x)
+    x = np.empty(len(a))
+    todo = np.arange(len(a))
+    rejected = 0
+    # the branches an element does not take may divide by 0 or overflow
+    with np.errstate(all="ignore"):
+        if memo is None:
+            p0, fields = _tbeta_envelope(a, b, lam)
+        else:
+            key = a.tobytes() + b.tobytes() + lam.tobytes()
+            if key not in memo:
+                if len(memo) >= TBETA_MEMO:
+                    memo.clear()
+                memo[key] = _tbeta_envelope(a, b, lam)
+            p0, fields = memo[key]
+        for _ in range(TBETA_MAX_ROUNDS):
+            k = len(todo)
+            u = rng.random((3, k, TBETA_CANDIDATES))
+            col = (u[0] >= p0[:, None]) * k
+            col += np.arange(k)[:, None]
+            beta, top, c1, em, at_top, per_l1, x_at, x_sign = fields.take(
+                col, axis=1)
+            l1 = np.log1p(u[1] * em)
+            y = c1 * l1
+            y += top
+            e = np.expm1(y)
+            ratio = np.log(-e)
+            ratio *= beta
+            ratio += at_top
+            per_l1 *= l1
+            ratio += per_l1
+            accept = np.log(u[2]) < ratio
+            # an element without an accepted candidate gets first = 0 and
+            # a value that a later round overwrites
+            first = accept.argmax(axis=1)
+            pick = first + np.arange(0, k * TBETA_CANDIDATES, TBETA_CANDIDATES)
+            x_sign *= e
+            x_sign += x_at  # the candidates' x
+            x[todo] = x_sign.take(pick)
+            rejected += int(first.sum())
+            done = accept.take(pick)
+            n_done = int(np.count_nonzero(done))
+            if n_done == k:
+                break
+            rejected += TBETA_CANDIDATES * (k - n_done)
+            keep = ~done
+            todo, p0 = todo[keep], p0[keep]
+            fields = fields[:, np.concatenate((keep, keep))]
+        else:
+            raise RuntimeError(
+                "truncated-Beta rejection did not accept "
+                f"(a={a[todo]}, b={b[todo]}, lam={lam[todo]})")
+    np.minimum(x, 1.0 - 1e-12, out=x)
+    np.maximum(x, 1e-12, out=x)
     np.maximum(x, lam, out=x)
-    return x
+    return x, rejected
 
 
 # --- parameter block --------------------------------------------------------
@@ -209,14 +306,23 @@ def _level_counts(flat: FlatPrior, counts: np.ndarray) -> tuple[np.ndarray, np.n
             (upto[flat.top] - upto[flat.at]).reshape(2, -1))
 
 
+def _draw_flat(rng: np.random.Generator, flat: FlatPrior, counts: np.ndarray,
+               memo: dict | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+    """draw_flat_params, plus the m candidates rejected on the way; memo
+    as for _tbeta_vec."""
+    at, above = _level_counts(flat, counts)
+    m, rejected = _tbeta_vec(rng, flat.alpha1 + at[0], flat.beta1 + above[0],
+                             flat.lam, memo)
+    u = rng.beta(flat.alpha0 + at[1], flat.beta0 + above[1])
+    np.clip(u, 1e-12, 1.0 - 1e-12, out=u)
+    return m, u, rejected
+
+
 def draw_flat_params(rng: np.random.Generator, flat: FlatPrior,
                      counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Joint conjugate redraw of all m then all u, as flat vectors, from
     level counts of shape (2, bins): a1 in row 0, a0 in row 1."""
-    at, above = _level_counts(flat, counts)
-    m = _tbeta_vec(rng, flat.alpha1 + at[0], flat.beta1 + above[0], flat.lam)
-    u = rng.beta(flat.alpha0 + at[1], flat.beta0 + above[1])
-    np.clip(u, 1e-12, 1.0 - 1e-12, out=u)
+    m, u, _ = _draw_flat(rng, flat, counts)
     return m, u
 
 
@@ -479,8 +585,9 @@ class ChainState:
     """Mutable Gibbs state: labeling, flat parameters with their per-bin
     log ratios (bin_lr, which the block draws read) and candidate log
     ratios (loglr, which the single-site draws read), level counts, the
-    cell sizes of the single-site records and a count of single-site
-    passes.
+    cell sizes of the single-site records, a count of single-site passes,
+    one of the m candidates rejected before the accepted ones, and the
+    memo of m envelopes that _tbeta_vec keeps for this chain.
 
     stats (a1 and a0 over all bins) are recounted from z before every
     parameter draw. Every label is the record id of a member of its cell;
@@ -497,7 +604,9 @@ class ChainState:
     loglr: np.ndarray
     stats: np.ndarray
     sizes: np.ndarray
+    envelopes: dict
     passes: int = 0
+    rejections: int = 0
     cells: SiteCells | None = None
 
 
@@ -506,9 +615,10 @@ def init_state(ctx: SamplerContext, prior: PriorSpec,
                params: ModelParams | None = None) -> ChainState:
     """Singleton labeling; parameters drawn from the prior unless given."""
     z = np.arange(ctx.r)
+    rejected, envelopes = 0, {}
     if params is None:
         zero = np.zeros((2, ctx.n_bins), dtype=np.int64)
-        m, u = draw_flat_params(rng, flatten_prior(prior), zero)
+        m, u, rejected = _draw_flat(rng, flatten_prior(prior), zero, envelopes)
     else:
         m, u = _concat(params.m), _concat(params.u)
     sizes = np.zeros(ctx.r, dtype=np.int64)
@@ -516,7 +626,7 @@ def init_state(ctx: SamplerContext, prior: PriorSpec,
     bin_lr = ctx.bin_log_ratios(m, u)
     return ChainState(z=z, m=m, u=u, bin_lr=bin_lr,
                       loglr=ctx.cand_bins @ bin_lr, stats=ctx.recount(z),
-                      sizes=sizes)
+                      sizes=sizes, rejections=rejected, envelopes=envelopes)
 
 
 def _site_cells(ctx: SamplerContext, z: np.ndarray,
@@ -660,7 +770,9 @@ def sweep(ctx: SamplerContext, state: ChainState, rng: np.random.Generator,
     if flat is None:
         return None
     state.stats = ctx.recount(state.z)
-    state.m, state.u = draw_flat_params(rng, flat, state.stats)
+    state.m, state.u, rejected = _draw_flat(rng, flat, state.stats,
+                                            state.envelopes)
+    state.rejections += rejected
     state.bin_lr = ctx.bin_log_ratios(state.m, state.u)
     state.loglr = ctx.cand_bins @ state.bin_lr
     return state.m, state.u
@@ -680,7 +792,8 @@ class PosteriorSample:
     holds the row of every retained sweep, so the retained draws are
     rows[index]. r is the file's record count. Traces are None when
     parameters were held fixed. single_site_passes counts the prefetched
-    passes of all sweeps.
+    passes of all sweeps, and tbeta_rejections the m candidates rejected
+    in all parameter draws.
     """
 
     rows: np.ndarray
@@ -696,6 +809,7 @@ class PosteriorSample:
     config: SamplerConfig
     runtime_s: float
     single_site_passes: int = 0
+    tbeta_rejections: int = 0
 
     @property
     def n_kept(self) -> int:
@@ -771,7 +885,7 @@ def run_chain(comps: PairComparisons | None, graph: CandidateGraph | None,
         u_trace=u_trace[:kk] if u_trace is not None else None,
         fields=ctx.fields, n_levels=ctx.n_levels, seed=config.seed,
         config=config, runtime_s=time.perf_counter() - start,
-        single_site_passes=state.passes)
+        single_site_passes=state.passes, tbeta_rejections=state.rejections)
 
 
 def chain_seeds(seed: int, chains: int) -> list[int]:

@@ -12,7 +12,8 @@ log likelihood ratios) against the flat one, pair-by-pair entry sums
 (log ratios and link counts over (pair, bin) entries, block scores over
 (partition, pair) entries) against the bin-count products, the exact
 joint and marginal densities behind the enumeration and quadrature
-checks, and truncated-Beta tails drawn one element at a time and
+checks, the truncated-Beta draw by inversion that the rejection sampler
+replaced (batched, and with its tail elements one at a time), and
 single-site Gibbs updates. Last
 come the small partition helpers that the tests count, enumerate and
 check labelings with, and fix rules evaluated on one pair. No
@@ -20,6 +21,7 @@ subcommand runs any of them.
 """
 
 import csv
+import math
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -544,10 +546,102 @@ def marginal_log_likelihood(z, prior, graph, comps) -> float:
     return float(total)
 
 
-# --- single-site Gibbs updates ----------------------------------------------
+# --- truncated-Beta draws by inversion --------------------------------------
+
+# The sampler's m draw before it became a rejection sampler in numpy
+# alone: the inverse CDF, on the survival scale where 1 - F(lam) is
+# tiny, with tangent-envelope rejection and a high-precision bisection
+# behind it. A reference for the inversion branches.
+
+def _tbeta_tail_fallback(a: float, b: float, lam: float, u: float,
+                         max_iter: int = 300) -> float:
+    """Tail quantile when 1 - F(lam) underflows in double precision.
+
+    Solves S(x) = S(lam) * (1 - u) for the survival S by bisection in
+    high precision; raises after max_iter bisection steps. Last resort
+    behind the survival-scale inversion and the rejection sampler.
+    """
+    import mpmath
+    with mpmath.workdps(60):
+        tmax = mpmath.mpf(1) - mpmath.mpf(lam)
+        s_lam = mpmath.betainc(b, a, 0, tmax, regularized=True)
+        target = s_lam * (1 - mpmath.mpf(u))
+        lo, hi = mpmath.mpf(0), tmax
+        tol = tmax * mpmath.mpf(2) ** -80
+        for _ in range(max_iter):
+            mid = (lo + hi) / 2
+            if mpmath.betainc(b, a, 0, mid, regularized=True) < target:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo < tol:
+                break
+        else:
+            raise RuntimeError(
+                "truncated-Beta tail inversion did not converge "
+                f"(a={a}, b={b}, lam={lam})")
+        return float(1 - (lo + hi) / 2)
+
+
+def _tbeta_reject(rng: np.random.Generator, a: float, b: float, lam: float,
+                  u0: float) -> float:
+    """Draw from Beta(a, b) restricted to (lam, 1) when the restricted
+    mass underflows double precision entirely.
+
+    In that regime the mode sits far below lam, so the density is
+    decreasing on (lam, 1) and log-concave there; the tangent at lam
+    gives an exponential envelope and exact rejection. The first
+    proposal consumes the caller's uniform, retries draw fresh ones.
+    """
+    width = 1.0 - lam
+    slope = (a - 1.0) / lam - (b - 1.0) / width
+    if not (slope < 0.0 and
+            (b - 1.0) * lam * lam >= (1.0 - a) * width * width):
+        return _tbeta_tail_fallback(a, b, lam, u0)
+    rate = -slope
+    accept_at = -math.expm1(-rate * width)  # proposal mass inside (0, width)
+    u = u0
+    for _ in range(10000):
+        t = -math.log1p(-u * accept_at) / rate
+        log_acc = ((a - 1.0) * math.log1p(t / lam)
+                   + (b - 1.0) * math.log1p(-t / width) + rate * t)
+        if math.log(rng.random()) < log_acc:
+            return lam + t
+        u = rng.random()
+    raise RuntimeError(
+        f"truncated-Beta rejection did not accept (a={a}, b={b}, lam={lam})")
+
+
+def tbeta_inverse_cdf(rng: np.random.Generator, a: np.ndarray,
+                      b: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Vector of TBeta(a, b, lam, 1) draws via the inverse CDF.
+
+    Elements whose truncated tail is too small for the plain CDF
+    inversion are redrawn on the survival scale, all in one call; those
+    whose tail underflows there too fall through, in ascending order, to
+    the rejection sampler, which may consume extra uniforms.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
+    f_lam = betainc(a, b, lam)
+    u = rng.random(len(a))
+    x = betaincinv(a, b, f_lam + u * (1.0 - f_lam))
+    tail = np.flatnonzero(1.0 - f_lam <= 1e-14)
+    if len(tail):
+        at, bt, lt, ut = a[tail], b[tail], lam[tail], u[tail]
+        s_lam = betaincc(at, bt, lt)
+        x[tail] = betainccinv(at, bt, s_lam * (1.0 - ut))
+        for k in np.flatnonzero(s_lam == 0.0):
+            x[tail[k]] = _tbeta_reject(rng, float(at[k]), float(bt[k]),
+                                       float(lt[k]), float(ut[k]))
+    np.clip(x, 1e-12, 1.0 - 1e-12, out=x)
+    np.maximum(x, lam, out=x)
+    return x
+
 
 def tbeta_vec(rng, a, b, lam) -> np.ndarray:
-    """gibbs._tbeta_vec with its tail elements redrawn one at a time:
+    """tbeta_inverse_cdf with its tail elements redrawn one at a time:
     the survival scale by scalar calls, and the rejection sampler where
     the survival underflows."""
     a = np.asarray(a, dtype=np.float64)
@@ -562,17 +656,20 @@ def tbeta_vec(rng, a, b, lam) -> np.ndarray:
         if s_lam > 0.0:
             x[k] = betainccinv(ak, bk, s_lam * (1.0 - float(u[k])))
         else:
-            x[k] = gibbs._tbeta_reject(rng, ak, bk, lk, float(u[k]))
+            x[k] = _tbeta_reject(rng, ak, bk, lk, float(u[k]))
     np.clip(x, 1e-12, 1.0 - 1e-12, out=x)
     np.maximum(x, lam, out=x)
     return x
 
 
+# --- single-site Gibbs updates ----------------------------------------------
+
 def sample_truncated_beta(rng, alpha: float, beta: float, lam: float) -> float:
     """One draw from Beta(alpha, beta) truncated to [lam, 1), through the
     sampler's vector draw."""
-    return float(gibbs._tbeta_vec(rng, np.array([alpha]), np.array([beta]),
-                                  np.array([lam]))[0])
+    x, _ = gibbs._tbeta_vec(rng, np.array([alpha]), np.array([beta]),
+                            np.array([lam]))
+    return float(x[0])
 
 
 def _field_slices(prior, f: int) -> tuple[int, slice]:

@@ -464,6 +464,13 @@ class TestOutputContract:
         assert manifest["block_records"] == len(active)
         assert manifest["single_site_records"] == 0
         assert manifest["single_site_passes"] == 0
+        # the m candidates rejected in all parameter draws, as many as the
+        # same chain run in process rejects
+        cfg = load_config(p)
+        _, comps, graph, _ = cli._load_and_prepare(cfg)
+        chains = gibbs.run_chains(comps, graph, cfg.prior, cfg.sampler)
+        assert manifest["tbeta_rejections"] == sum(
+            c.tbeta_rejections for c in chains)
         # the valid partitions of every component, enumerated on its own
         assert manifest["block_partitions"] == sum(
             len(enumerate_valid_partitions(len(comp), {
@@ -580,7 +587,8 @@ print(json.dumps({"codes": codes, "loaded": [
 
 def test_scipy_loads_only_for_sampling_commands(tmp_path):
     """synth, compare and evaluate never import the sampler, scipy or
-    the process pool."""
+    the process pool. No subcommand loads scipy: dedupe and baseline,
+    which import the sampler, run without it too (next test)."""
     (tmp_path / "cmp.yaml").write_text(synth_config_text(
         tmp_path / "data" / "records.csv", tmp_path / "out"), encoding="utf-8")
     (tmp_path / "lab.txt").write_text("0 1 2 3 4 5 6 7\n", encoding="utf-8")
@@ -591,6 +599,45 @@ def test_scipy_loads_only_for_sampling_commands(tmp_path):
                          capture_output=True, text=True, env=env, check=True)
     report = json.loads(run.stdout.strip().splitlines()[-1])
     assert report == {"codes": [0, 0, 0], "loaded": []}
+
+
+SAMPLING_MODULES = """
+import json, sys
+mode, d = sys.argv[1], sys.argv[2]
+if mode == "blocked":  # importing either now raises ImportError
+    sys.modules["scipy"] = sys.modules["mpmath"] = None
+from bayesdedupe.cli import main
+codes = [
+    main(["dedupe", "--config", d + "/run.yaml", "--output-dir",
+          d + "/dedupe-" + mode, "--iterations", "30", "--burn-in", "5",
+          "--threads", "1"]),
+    main(["baseline", "--config", d + "/run.yaml", "--output-dir",
+          d + "/baseline-" + mode, "--iterations", "30", "--burn-in", "5"]),
+]
+print(json.dumps({"codes": codes, "loaded": [
+    m for m in ("scipy", "mpmath") if sys.modules.get(m) is not None]}))
+"""
+
+
+def test_sampling_commands_run_without_scipy(synth_run, tmp_path):
+    """dedupe and baseline run with scipy and mpmath impossible to import,
+    and a normal run loads neither: they are test-only dependencies."""
+    (tmp_path / "run.yaml").write_text(synth_config_text(
+        synth_run / "data" / "records.csv", tmp_path / "out"),
+        encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(bayesdedupe.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    for mode in ("blocked", "normal"):
+        run = subprocess.run(
+            [sys.executable, "-c", SAMPLING_MODULES, mode, str(tmp_path)],
+            capture_output=True, text=True, env=env, check=True)
+        report = json.loads(run.stdout.strip().splitlines()[-1])
+        assert report == {"codes": [0, 0], "loaded": []}, mode
+    # the bundled prior's lambda of 0.95 binds, and candidates are rejected
+    manifest = json.loads((tmp_path / "dedupe-normal" / "manifest.json")
+                          .read_text())
+    assert manifest["tbeta_rejections"] > 0
 
 
 EVALUATE_MODULES = """

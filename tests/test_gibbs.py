@@ -29,6 +29,7 @@ from bayesdedupe.gibbs import (
     _block_scores,
     _draw_segments,
     _level_counts,
+    _tbeta_envelope,
     _tbeta_vec,
     chain_seeds,
     draw_flat_params,
@@ -71,7 +72,7 @@ def tbeta_moment(a: float, b: float, lam: float, k: int) -> float:
 
 def check_mean(a, b, lam, n=30000, seed=1234, z_max=3.5):
     rng = np.random.default_rng(seed)
-    draws = _tbeta_vec(rng, np.full(n, a), np.full(n, b), np.full(n, lam))
+    draws, _ = _tbeta_vec(rng, np.full(n, a), np.full(n, b), np.full(n, lam))
     assert np.all(draws >= lam)
     assert np.all(draws < 1.0)
     mean = tbeta_moment(a, b, lam, 1)
@@ -110,7 +111,8 @@ class TestTruncatedBeta:
         a, b, lam = 1.0, 300.0, 0.85
         n, seed = 64, 77
         rng = np.random.default_rng(seed)
-        x = _tbeta_vec(rng, np.full(n, a), np.full(n, b), np.full(n, lam))
+        x = oracles.tbeta_inverse_cdf(rng, np.full(n, a), np.full(n, b),
+                                      np.full(n, lam))
         u = np.random.default_rng(seed).random(n)
         expect = 1.0 - (1.0 - lam) * (1.0 - u) ** (1.0 / b)
         assert np.allclose(x, expect, rtol=1e-9, atol=0)
@@ -128,7 +130,8 @@ class TestTruncatedBeta:
         a, b, lam = 3.0, 2.0, 0.4
         seed = 5
         rng = np.random.default_rng(seed)
-        x = _tbeta_vec(rng, np.full(8, a), np.full(8, b), np.full(8, lam))
+        x = oracles.tbeta_inverse_cdf(rng, np.full(8, a), np.full(8, b),
+                                      np.full(8, lam))
         u = np.random.default_rng(seed).random(8)
         f_lam = beta_dist.cdf(lam, a, b)
         expect = beta_dist.ppf(f_lam + u * (1 - f_lam), a, b)
@@ -150,7 +153,7 @@ class TestTruncatedBeta:
         rejected = tail & (betaincc(a, b, lam) == 0.0)
         assert np.any(~tail) and np.any(tail & ~rejected)
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-        x = _tbeta_vec(fast, a, b, lam)
+        x = oracles.tbeta_inverse_cdf(fast, a, b, lam)
         ref = oracles.tbeta_vec(slow, a, b, lam)
         assert x.tobytes() == ref.tobytes()
         assert fast.bit_generator.state == slow.bit_generator.state
@@ -159,6 +162,165 @@ class TestTruncatedBeta:
         once = np.random.default_rng(seed)
         once.random(len(a) + np.count_nonzero(rejected))
         assert fast.bit_generator.state != once.bit_generator.state
+
+
+def tbeta_cdf(a: float, b: float, lam: float):
+    """The exact CDF of Beta(a, b) restricted to (lam, 1), on the survival
+    scale, which stays accurate when 1 - F(lam) is far below 1e-14."""
+    tail = betaincc(a, b, lam)
+    return lambda x: (tail - betaincc(a, b, np.maximum(x, lam))) / tail
+
+
+def envelope_pieces(a: float, b: float, lam: float):
+    """The larger line top of _tbeta_envelope's pieces for one element, and
+    per piece the target's and the envelope's log density in the piece's
+    coordinate, both less that top, and the piece's interval, cut at 60
+    decay scales where it is infinite. Empty pieces are left out. The
+    target is Beta(a, b)'s density of y = log x, or of y = log(1 - x) in
+    a mirrored piece (x_at = 0): its exponents come from a and b, not
+    from the envelope's fields."""
+    with np.errstate(all="ignore"):
+        _, fields = _tbeta_envelope(np.array([a]), np.array([b]),
+                                    np.array([lam]))
+    pieces = []
+    for _, top, c1, em, at_top, _, x_at, _ in fields.reshape(8, 2).T:
+        alpha, beta = (a, b - 1.0) if x_at == 1.0 else (b, a - 1.0)
+        pieces.append((alpha, beta, top, c1, em, alpha * top - at_top))
+    top_v = max(piece[5] for piece in pieces)
+    out = []
+    for alpha, beta, top, c1, em, v in pieces:
+        if em == 0.0:
+            continue
+        scale = abs(c1)
+        width = 60.0 * scale if em <= -1.0 else min(-math.log1p(em) * scale,
+                                                      60.0 * scale)
+        lo, hi = (top - width, top) if c1 > 0 else (top, top + width)
+
+        def target(y, alpha=alpha, beta=beta):
+            rest = -math.expm1(y)
+            if rest <= 0.0:
+                return -math.inf
+            return alpha * y + beta * math.log(rest) - top_v
+
+        def line(y, v=v, top=top, scale=scale):
+            return v - abs(y - top) / scale - top_v
+
+        out.append((target, line, lo, hi))
+    return top_v, out
+
+
+class TestRejectionSampler:
+    """gibbs._tbeta_vec: exact draws from TBeta(a, b; lam, 1) by rejection
+    from a two-piece exponential envelope in a log coordinate."""
+
+    # one case per proposal regime; n draws each at a fixed seed, tested
+    # against the exact truncated CDF with a p-value floor of 0.001
+    REGIMES = {
+        "b=1": (7.5, 1.0, 0.9),
+        "a=1": (1.0, 40.0, 0.9),
+        "tail below 1e-14": (122.0, 44.0, 0.95),
+        "mode above lam": (30.0, 8.0, 0.5),
+        "a<1": (0.6, 30.0, 0.3),
+        "b<1": (5.0, 0.5, 0.3),
+        "a<1 and b<1": (0.3, 0.4, 0.2),
+        "lam=0": (2.5, 3.5, 0.0),
+        "lam=1-1e-6": (50.0, 3.0, 1.0 - 1e-6),
+    }
+
+    @pytest.mark.parametrize("case", list(REGIMES), ids=list(REGIMES))
+    def test_matches_exact_cdf(self, case):
+        from scipy.stats import kstest
+
+        a, b, lam = self.REGIMES[case]
+        n = 20000
+        x, _ = _tbeta_vec(np.random.default_rng(971), np.full(n, a),
+                          np.full(n, b), np.full(n, lam))
+        assert np.all((x >= lam) & (x < 1.0))
+        if case == "tail below 1e-14":
+            assert 1.0 - betainc(a, b, lam) < 1e-14
+            assert betaincc(a, b, lam) > 0.0
+        assert kstest(x, tbeta_cdf(a, b, lam)).pvalue > 0.001
+
+    @staticmethod
+    def acceptance(a: float, b: float, lam: float) -> float:
+        """The probability that one candidate is accepted, the target's
+        mass over the envelope's, both integrated by quadrature. Checks on
+        the way that the envelope bounds the density and that its pieces
+        hold the truncated Beta's whole mass."""
+        from scipy import integrate
+        from scipy.special import betaln
+
+        top_v, pieces = envelope_pieces(a, b, lam)
+        mass = target_mass = 0.0
+        for target, line, lo, hi in pieces:
+            ys = np.linspace(lo, hi, 102)[1:-1]
+            assert max(target(y) - line(y) for y in ys) < 1e-9, (a, b, lam)
+            quad = lambda f: integrate.quad(
+                lambda y: math.exp(f(y)), lo, hi, limit=200, epsabs=0,
+                epsrel=1e-10)[0]
+            target_mass += quad(target)
+            mass += quad(line)
+        tail = betaincc(a, b, lam)
+        if tail > 1e-280:
+            assert math.log(target_mass) + top_v == pytest.approx(
+                betaln(a, b) + math.log(tail), abs=1e-6), (a, b, lam)
+        return target_mass / mass
+
+    def test_acceptance_floor(self):
+        """Over a grid of hyperparameters and truncation points that
+        PriorSpec accepts, a candidate is accepted with probability at
+        least 1/2, so the four candidates of a round all fail at most once
+        in 16 rounds. The lowest, about 0.53, is at a = b = 0.05."""
+        sizes = [0.05, 0.3, 0.9, 1.0, 1.1, 1.5, 2.0, 5.0, 30.0, 300.0,
+                 3000.0, 1e5]
+        lams = [0.0, 1e-6, 0.05, 0.3, 0.5, 0.8, 0.95, 0.999, 1.0 - 1e-6]
+        worst = min(self.acceptance(a, b, lam)
+                    for a in sizes for b in sizes for lam in lams)
+        assert worst > 0.5, worst
+
+    @pytest.mark.parametrize("a, b, lam", [(0.05, 0.05, 0.0),
+                                           (3.0, 2.0, 0.4),
+                                           (1000.0, 1000.0, 0.5)])
+    def test_rejection_count_matches_acceptance(self, a, b, lam):
+        """The candidates rejected per draw average (1 - p) / p for
+        acceptance probability p."""
+        n = 20000
+        _, rejected = _tbeta_vec(np.random.default_rng(5), np.full(n, a),
+                                 np.full(n, b), np.full(n, lam))
+        assert isinstance(rejected, int)
+        p = self.acceptance(a, b, lam)
+        assert rejected / n == pytest.approx((1.0 - p) / p, rel=0.05)
+
+    def test_memo_changes_no_draw(self):
+        """Envelopes kept across calls give the draws, rejection counts and
+        generator state of envelopes built afresh."""
+        lam = np.array([0.95, 0.9, 0.3])
+        calls = [(np.array([122.0, 7.5, 0.3]), np.array([44.0, 1.0, 0.4])),
+                 (np.array([121.0, 8.5, 0.3]), np.array([45.0, 1.0, 0.4]))]
+        fresh, kept = np.random.default_rng(8), np.random.default_rng(8)
+        memo: dict = {}
+        for a, b in calls * 3:
+            x, n = _tbeta_vec(fresh, a, b, lam)
+            y, m = _tbeta_vec(kept, a, b, lam, memo)
+            assert x.tobytes() == y.tobytes() and n == m
+        assert len(memo) == 2
+        assert fresh.bit_generator.state == kept.bit_generator.state
+
+    def test_exact_regimes_never_reject(self):
+        """With a = 1 or b = 1 the log density is a line in the sampling
+        coordinate, so the envelope is the density itself."""
+        a = np.array([7.5, 1.0, 1.0, 0.4, 1.0])
+        b = np.array([1.0, 40.0, 0.5, 1.0, 1.0])
+        lam = np.array([0.9, 0.0, 0.3, 0.0, 0.5])
+        _, rejected = _tbeta_vec(np.random.default_rng(3), np.tile(a, 500),
+                                 np.tile(b, 500), np.tile(lam, 500))
+        assert rejected == 0
+
+    def test_round_cap_names_the_parameters(self, monkeypatch):
+        monkeypatch.setattr(gibbs, "TBETA_MAX_ROUNDS", 0)
+        with pytest.raises(RuntimeError, match=r"a=\[122\.\], b=\[44\.\]"):
+            _tbeta_vec(np.random.default_rng(0), np.array([122.0]),
+                       np.array([44.0]), np.array([0.95]))
 
 
 class TestSamplerConfig:
