@@ -3,8 +3,13 @@
 Subcommands: dedupe (full pipeline), compare (comparison data only),
 synth (generate a benchmark file), evaluate (score saved labelings
 against ground truth), baseline (independent-pairs mixture run).
-Exit codes: 0 success, 2 configuration problems, 3 data problems,
-4 internal failure (with a traceback on stderr under --verbose).
+Every command but evaluate writes into one output directory, whose
+manifest.json lists the files written there in write order
+(outputs) beside version, command and finished_at. The commands that
+read a config (dedupe, compare, baseline) also record config_echo,
+runtime_s, records, dropped, compared_pairs, candidate_pairs and
+fixed_pairs. Exit codes: 0 success, 2 configuration problems, 3 data
+problems, 4 internal failure (with a traceback on stderr).
 """
 
 from __future__ import annotations
@@ -24,25 +29,65 @@ from .textio import open_output, write_int_rows
 log = logging.getLogger("bayesdedupe")
 
 
-def _apply_overrides(cfg, args) -> None:
+class RunRecord:
+    """One command's output directory, created here (a path that cannot
+    be one is a data error), and its manifest.json. path() names each
+    output file and records it, in write order, as the manifest's
+    outputs; a command that reads a config also gets config_echo and
+    runtime_s, the seconds since the directory was created."""
+
+    def __init__(self, directory):
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as e:
+            raise DataError(f"{directory}: cannot create output directory "
+                            f"({e.strerror})") from None
+        self.directory = directory
+        self.outputs = []
+        self.start = time.perf_counter()
+
+    def path(self, name: str) -> str:
+        self.outputs.append(name)
+        return os.path.join(self.directory, name)
+
+    def write_manifest(self, args, keys: dict) -> None:
+        manifest = {"version": __version__, "command": " ".join(sys.argv[1:]),
+                    "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+                    **keys, "outputs": self.outputs}
+        if getattr(args, "config", None):
+            manifest["runtime_s"] = round(time.perf_counter() - self.start, 3)
+            try:
+                with open(args.config, "r", encoding="utf-8") as fh:
+                    manifest["config_echo"] = fh.read()
+            except OSError:
+                pass
+        posterior.write_json(os.path.join(self.directory, "manifest.json"),
+                             manifest)
+
+
+def _load_config(args):
+    """The pipeline config with the command line's overrides applied."""
+    # PyYAML and the comparison layer load only for the commands that
+    # read a pipeline config
+    from .config import load_config
+    cfg = load_config(args.config)
     updates = {key: getattr(args, key) for key in ("seed", "iterations", "burn_in")
-               if getattr(args, key) is not None}
+               if getattr(args, key, None) is not None}
     # replace() re-runs SamplerConfig's validation
     cfg.sampler = dataclasses.replace(cfg.sampler, **updates)
     if args.output_dir is not None:
         cfg.output.directory = args.output_dir
+    return cfg
 
 
-def _load_config(path):
-    # PyYAML and the comparison layer load only for the commands that
-    # read a pipeline config
-    from .config import load_config
-    return load_config(path)
-
-
-def _load_and_prepare(cfg):
+def _prepare(cfg):
+    """The first half of every config-reading command: its run record,
+    the compared pairs and the candidate graph, written to
+    comparisons.csv and candidate_edges.csv, and the manifest keys that
+    every such command records."""
     from . import candidates, comparison
 
+    run = RunRecord(cfg.output.directory)
     df = records.load_delimited(
         cfg.input.path, cfg.schema, delimiter=cfg.input.delimiter,
         missing_token=cfg.input.missing_token)
@@ -57,42 +102,13 @@ def _load_and_prepare(cfg):
     pairs = candidates.build_pairs(df, cfg.filter_rules)
     comps = comparison.compare_pairs(df, pairs, cfg.level_specs)
     graph = candidates.fix_noncoreferent(comps, cfg.fix_rules)
-    return df, comps, graph, dropped
-
-
-def _write_comparison_outputs(out_dir, comps, graph) -> list:
-    comp_path = os.path.join(out_dir, "comparisons.csv")
-    comps.write_csv(comp_path)
-    edge_path = os.path.join(out_dir, "candidate_edges.csv")
-    graph.write_edges(edge_path)
-    return [comp_path, edge_path]
-
-
-def _manifest(args, extra: dict) -> dict:
-    out = {
-        "version": __version__,
-        "command": " ".join(sys.argv[1:]),
-        "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                out["config_echo"] = fh.read()
-        except OSError:
-            pass
-    out.update(extra)
-    return out
-
-
-def _make_output_dir(path) -> None:
-    """Create the output directory; a path that cannot be one is a data
-    error."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as e:
-        raise DataError(f"{path}: cannot create output directory "
-                        f"({e.strerror})") from None
+    comps.write_csv(run.path("comparisons.csv"))
+    graph.write_edges(run.path("candidate_edges.csv"))
+    shared = {"records": df.r, "dropped": dropped,
+              "compared_pairs": graph.n_pairs,
+              "candidate_pairs": graph.n_candidates,
+              "fixed_pairs": graph.n_fixed}
+    return run, comps, graph, shared
 
 
 def _resolve_threads(args) -> int:
@@ -106,15 +122,9 @@ def _resolve_threads(args) -> int:
 def cmd_dedupe(args) -> int:
     from . import gibbs  # the sampler, which only the sampling commands need
 
-    cfg = _load_config(args.config)
-    _apply_overrides(cfg, args)
+    cfg = _load_config(args)
     threads = _resolve_threads(args)
-    out_dir = cfg.output.directory
-    _make_output_dir(out_dir)
-    t0 = time.perf_counter()
-    df, comps, graph, dropped = _load_and_prepare(cfg)
-    outputs = _write_comparison_outputs(out_dir, comps, graph)
-
+    run, comps, graph, shared = _prepare(cfg)
     ctx = gibbs.SamplerContext(comps, graph)
     # the context holds what the chains read; dropping the comparisons
     # frees their level table, one byte per compared pair and field
@@ -123,95 +133,61 @@ def cmd_dedupe(args) -> int:
                               n_workers=threads, ctx=ctx)
     pooled = posterior.pool_samples(chains)
 
-    lab_path = os.path.join(out_dir, "posterior_labelings.txt")
-    posterior.save_labelings(lab_path, pooled)
-    outputs.append(lab_path)
+    posterior.save_labelings(run.path("posterior_labelings.txt"), pooled)
     if len(chains) == 1:
-        phi_path = os.path.join(out_dir, "phi_trace.csv")
-        posterior.save_phi_trace(phi_path, chains[0])
-        outputs.append(phi_path)
+        posterior.save_phi_trace(run.path("phi_trace.csv"), chains[0])
     else:
         for k, ch in enumerate(chains):
-            phi_path = os.path.join(out_dir, f"phi_trace_chain{k}.csv")
-            posterior.save_phi_trace(phi_path, ch)
-            outputs.append(phi_path)
-
-    dup_path = os.path.join(out_dir, "duplicates.json")
-    posterior.write_json(dup_path, posterior.duplicate_distribution(
-        pooled, interval=cfg.output.interval))
-    outputs.append(dup_path)
+            posterior.save_phi_trace(run.path(f"phi_trace_chain{k}.csv"), ch)
+    posterior.write_json(run.path("duplicates.json"),
+                         posterior.duplicate_distribution(
+                             pooled, interval=cfg.output.interval))
     if cfg.output.pairwise:
-        pw_path = os.path.join(out_dir, "pairwise_probabilities.csv")
         posterior.write_pairwise_csv(
-            pw_path, graph, posterior.pairwise_probabilities(pooled, graph))
-        outputs.append(pw_path)
+            run.path("pairwise_probabilities.csv"), graph,
+            posterior.pairwise_probabilities(pooled, graph))
     if cfg.output.frequencies:
-        fq_path = os.path.join(out_dir, "partition_frequencies.csv")
         posterior.write_frequency_csv(
-            fq_path, posterior.partition_frequency_table(pooled))
-        outputs.append(fq_path)
+            run.path("partition_frequencies.csv"),
+            posterior.partition_frequency_table(pooled))
 
-    manifest = _manifest(args, {
-        "records": df.r, "dropped": dropped,
-        "compared_pairs": graph.n_pairs, "candidate_pairs": graph.n_candidates,
-        "fixed_pairs": graph.n_fixed, "chains": len(chains),
+    run.write_manifest(args, {
+        **shared, "chains": len(chains),
         "retained_per_chain": chains[0].n_kept, "seed": cfg.sampler.seed,
-        "runtime_s": round(time.perf_counter() - t0, 3),
-        "outputs": [os.path.basename(p) for p in outputs],
         **gibbs.component_summary(ctx),
         "single_site_passes": pooled.single_site_passes,
         "tbeta_rejections": pooled.tbeta_rejections,
     })
-    posterior.write_json(os.path.join(out_dir, "manifest.json"), manifest)
-    print(f"dedupe: {df.r} records, {graph.n_candidates} candidate pairs, "
-          f"{pooled.n_kept} retained draws -> {out_dir}")
+    print(f"dedupe: {shared['records']} records, {graph.n_candidates} "
+          f"candidate pairs, {pooled.n_kept} retained draws -> {run.directory}")
     return 0
 
 
 def cmd_compare(args) -> int:
-    cfg = _load_config(args.config)
-    if args.output_dir is not None:
-        cfg.output.directory = args.output_dir
-    out_dir = cfg.output.directory
-    _make_output_dir(out_dir)
-    t0 = time.perf_counter()
-    df, comps, graph, dropped = _load_and_prepare(cfg)
-    outputs = _write_comparison_outputs(out_dir, comps, graph)
-    manifest = _manifest(args, {
-        "records": df.r, "dropped": dropped,
-        "compared_pairs": graph.n_pairs, "candidate_pairs": graph.n_candidates,
-        "fixed_pairs": graph.n_fixed,
-        "runtime_s": round(time.perf_counter() - t0, 3),
-        "outputs": [os.path.basename(p) for p in outputs],
-    })
-    posterior.write_json(os.path.join(out_dir, "manifest.json"), manifest)
-    print(f"compare: {df.r} records, {graph.n_pairs} compared pairs "
-          f"({graph.n_candidates} candidates) -> {out_dir}")
+    run, _, graph, shared = _prepare(_load_config(args))
+    run.write_manifest(args, shared)
+    print(f"compare: {shared['records']} records, {graph.n_pairs} compared "
+          f"pairs ({graph.n_candidates} candidates) -> {run.directory}")
     return 0
 
 
 def cmd_synth(args) -> int:
     from . import synthgen
 
-    _make_output_dir(args.output_dir)
+    run = RunRecord(args.output_dir)
     gen_cfg = synthgen.GeneratorConfig(
         n_originals=args.originals, n_duplicates=args.duplicates,
         errors_per_duplicate=args.errors, seed=args.seed,
         fields=synthgen.default_fields(),
         misspellings_table="family_misspellings.csv")
     result = synthgen.generate(gen_cfg)
-    rec_path = os.path.join(args.output_dir, "records.csv")
-    records.write_delimited(result.data, rec_path)
-    truth_path = os.path.join(args.output_dir, "truth.csv")
-    synthgen.write_truth(truth_path, result.truth)
-    manifest = _manifest(args, {
+    records.write_delimited(result.data, run.path("records.csv"))
+    synthgen.write_truth(run.path("truth.csv"), result.truth)
+    run.write_manifest(args, {
         "records": result.data.r, "originals": args.originals,
         "duplicates": args.duplicates, "errors_per_duplicate": args.errors,
         "seed": args.seed, "edit_fallbacks": result.fallbacks,
-        "outputs": ["records.csv", "truth.csv"],
     })
-    posterior.write_json(os.path.join(args.output_dir, "manifest.json"),
-                         manifest)
     print(f"synth: {result.data.r} records "
           f"({args.originals} entities) -> {args.output_dir}")
     return 0
@@ -237,43 +213,28 @@ def cmd_evaluate(args) -> int:
 def cmd_baseline(args) -> int:
     from . import mixture  # the sampler, which only the sampling commands need
 
-    cfg = _load_config(args.config)
-    _apply_overrides(cfg, args)
-    out_dir = cfg.output.directory
-    _make_output_dir(out_dir)
-    t0 = time.perf_counter()
-    df, comps, graph, dropped = _load_and_prepare(cfg)
-    outputs = _write_comparison_outputs(out_dir, comps, graph)
-
+    cfg = _load_config(args)
+    run, comps, graph, shared = _prepare(cfg)
     sample = mixture.run_mixture(comps, graph, cfg.prior, cfg.sampler)
-    pw_path = os.path.join(out_dir, "pairwise_probabilities.csv")
-    posterior.write_pairwise_csv(pw_path, graph, sample.delta_mean)
-    outputs.append(pw_path)
-    p_path = os.path.join(out_dir, "p_trace.csv")
-    with open_output(p_path) as fh:
+    posterior.write_pairwise_csv(run.path("pairwise_probabilities.csv"),
+                                 graph, sample.delta_mean)
+    with open_output(run.path("p_trace.csv")) as fh:
         fh.write("iteration,p\n")
         for it, p in zip(sample.kept_iterations, sample.p_trace):
             fh.write(f"{int(it)},{p:.8f}\n")
-    outputs.append(p_path)
-    nt_path = os.path.join(out_dir, "nontransitive.csv")
-    write_int_rows(nt_path, (sample.kept_iterations, sample.nontransitive),
+    write_int_rows(run.path("nontransitive.csv"),
+                   (sample.kept_iterations, sample.nontransitive),
                    header="iteration,count")
-    outputs.append(nt_path)
 
     nt = sample.nontransitive
-    manifest = _manifest(args, {
-        "records": df.r, "dropped": dropped,
-        "compared_pairs": graph.n_pairs, "candidate_pairs": graph.n_candidates,
-        "fixed_pairs": graph.n_fixed, "retained": sample.n_kept,
-        "seed": cfg.sampler.seed,
+    share = float((nt > 0).mean()) if len(nt) else 0.0
+    run.write_manifest(args, {
+        **shared, "retained": sample.n_kept, "seed": cfg.sampler.seed,
         "nontransitive_mean": float(nt.mean()) if len(nt) else 0.0,
-        "nontransitive_share": float((nt > 0).mean()) if len(nt) else 0.0,
-        "runtime_s": round(time.perf_counter() - t0, 3),
-        "outputs": [os.path.basename(p) for p in outputs],
+        "nontransitive_share": share,
     })
-    posterior.write_json(os.path.join(out_dir, "manifest.json"), manifest)
     print(f"baseline: {sample.n_kept} retained draws, nontransitive in "
-          f"{manifest['nontransitive_share']:.1%} of draws -> {out_dir}")
+          f"{share:.1%} of draws -> {run.directory}")
     return 0
 
 
@@ -339,8 +300,7 @@ def main(argv=None) -> int:
         return 3
     except Exception as e:
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
-        if args.verbose:
-            traceback.print_exc()
+        traceback.print_exc()
         return 4
 
 

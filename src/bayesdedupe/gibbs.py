@@ -573,11 +573,10 @@ def component_summary(ctx: SamplerContext) -> dict:
 # Per single-site record, the cells its neighbours lie in, as of one
 # labeling: group numbers every entry's (row, label) pair; the cells the
 # record may join (every member other than itself a neighbour) are the
-# groups options, each with its row and, in slots, the slot of its first
-# entry. label and stay give, per slot, the label a draw there takes (a
-# new cell takes the record's own id) and whether that keeps the
-# partition.
-SiteCells = namedtuple("SiteCells", "group options rows slots label stay")
+# groups options, each with the slot of its first entry in slots. label
+# and stay give, per slot, the label a draw there takes (a new cell takes
+# the record's own id) and whether that keeps the partition.
+SiteCells = namedtuple("SiteCells", "group options slots label stay")
 
 
 @dataclass
@@ -654,8 +653,7 @@ def _site_cells(ctx: SamplerContext, z: np.ndarray,
     stay = label == own[ctx.slot_row]
     stay[ctx.site_new] = sizes[own] == 1
     first = first[options]
-    return SiteCells(group, options, ctx.site_row[first], ctx.site_slot[first],
-                     label, stay)
+    return SiteCells(group, options, ctx.site_slot[first], label, stay)
 
 
 def _draw_segments(scores: np.ndarray, first: np.ndarray,
@@ -805,8 +803,6 @@ class PosteriorSample:
     u_trace: np.ndarray | None
     fields: tuple
     n_levels: tuple
-    seed: int
-    config: SamplerConfig
     runtime_s: float
     single_site_passes: int = 0
     tbeta_rejections: int = 0
@@ -883,8 +879,8 @@ def run_chain(comps: PairComparisons | None, graph: CandidateGraph | None,
         kept_iterations=kept_iter[:kk],
         m_trace=m_trace[:kk] if m_trace is not None else None,
         u_trace=u_trace[:kk] if u_trace is not None else None,
-        fields=ctx.fields, n_levels=ctx.n_levels, seed=config.seed,
-        config=config, runtime_s=time.perf_counter() - start,
+        fields=ctx.fields, n_levels=ctx.n_levels,
+        runtime_s=time.perf_counter() - start,
         single_site_passes=state.passes, tbeta_rejections=state.rejections)
 
 

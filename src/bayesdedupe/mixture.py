@@ -10,7 +10,6 @@ recorded so the effect is measurable.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +44,7 @@ class MixtureSample:
     delta_mean: np.ndarray        # per candidate pair
     nontransitive: np.ndarray     # per retained draw
     p_trace: np.ndarray
-    m_trace: np.ndarray
-    u_trace: np.ndarray
     kept_iterations: np.ndarray
-    fields: tuple
-    n_levels: tuple
-    seed: int
-    config: SamplerConfig
-    runtime_s: float
 
     @property
     def n_kept(self) -> int:
@@ -66,7 +58,6 @@ def run_mixture(comps: PairComparisons, graph: CandidateGraph,
     Sweep order: flags given p and the level parameters, then p, then
     the level parameters; retention follows the partition sampler.
     """
-    start = time.perf_counter()
     ctx = LevelContext(comps, graph)
     flat = flatten_prior(prior)
     rng = np.random.default_rng(config.seed)
@@ -80,7 +71,7 @@ def run_mixture(comps: PairComparisons, graph: CandidateGraph,
     # retained link count per candidate; counts of 0/1 flags are exact,
     # so count / draws is the mean of the retained flags
     links = np.zeros(n_cand, dtype=np.int64)
-    kept_iter, p_tr, m_tr, u_tr, nontr = [], [], [], [], []
+    kept_iter, p_tr, nontr = [], [], []
     for t in range(1, config.iterations + 1):
         loglr = ctx.flat_log_ratios(m, u)
         logit = np.log(p) - np.log1p(-p) + loglr
@@ -92,8 +83,6 @@ def run_mixture(comps: PairComparisons, graph: CandidateGraph,
         if t > config.burn_in and (t - config.burn_in - 1) % config.thinning == 0:
             kept_iter.append(t)
             p_tr.append(p)
-            m_tr.append(m)
-            u_tr.append(u)
             links += delta
             nontr.append(count_nontransitive_triplets(
                 comps.r, cand_pairs[delta == 1]))
@@ -102,9 +91,4 @@ def run_mixture(comps: PairComparisons, graph: CandidateGraph,
         delta_mean=links / len(kept_iter) if kept_iter else np.zeros(n_cand),
         nontransitive=np.asarray(nontr, dtype=np.int64),
         p_trace=np.asarray(p_tr),
-        m_trace=np.asarray(m_tr) if m_tr else np.empty((0, len(flat.lam))),
-        u_trace=np.asarray(u_tr) if u_tr else np.empty((0, len(flat.lam))),
-        kept_iterations=np.asarray(kept_iter, dtype=np.int64),
-        fields=tuple(comps.fields), n_levels=tuple(comps.n_levels),
-        seed=config.seed, config=config,
-        runtime_s=time.perf_counter() - start)
+        kept_iterations=np.asarray(kept_iter, dtype=np.int64))

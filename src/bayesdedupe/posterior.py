@@ -279,7 +279,6 @@ def pool_samples(samples: list):
         m_trace=np.concatenate([s.m_trace for s in samples]) if has_trace else None,
         u_trace=np.concatenate([s.u_trace for s in samples]) if has_trace else None,
         fields=samples[0].fields, n_levels=samples[0].n_levels,
-        seed=samples[0].seed, config=samples[0].config,
         runtime_s=sum(s.runtime_s for s in samples),
         single_site_passes=sum(s.single_site_passes for s in samples),
         tbeta_rejections=sum(s.tbeta_rejections for s in samples))

@@ -64,8 +64,8 @@ def sample_of(labels, active, r):
     return PosteriorSample(
         rows=rows, index=index, active=active, r=r,
         kept_iterations=np.arange(1, n + 1),
-        m_trace=None, u_trace=None, fields=("f",), n_levels=(2,), seed=0,
-        config=SamplerConfig(iterations=max(n, 1)), runtime_s=0.0)
+        m_trace=None, u_trace=None, fields=("f",), n_levels=(2,),
+        runtime_s=0.0)
 
 
 def graph_over(active, r, rng):

@@ -240,6 +240,73 @@ class TestCliDedupe:
         assert "nontransitive_share" in manifest
 
 
+class TestRunRecord:
+    """The prologue that compare, dedupe and baseline share, and the
+    manifest of every command that writes an output directory."""
+
+    SHARED_KEYS = ("records", "dropped", "compared_pairs", "candidate_pairs",
+                   "fixed_pairs")
+    OUTPUTS = {
+        "synth": ["records.csv", "truth.csv"],
+        "compare": ["comparisons.csv", "candidate_edges.csv"],
+        "dedupe": ["comparisons.csv", "candidate_edges.csv",
+                   "posterior_labelings.txt", "phi_trace.csv",
+                   "duplicates.json", "pairwise_probabilities.csv",
+                   "partition_frequencies.csv"],
+        "baseline": ["comparisons.csv", "candidate_edges.csv",
+                     "pairwise_probabilities.csv", "p_trace.csv",
+                     "nontransitive.csv"],
+    }
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """Each file-writing command's output directory, the three
+        config-reading ones run on one config."""
+        d = tmp_path_factory.mktemp("run_record")
+        dirs = {command: d / command for command in self.OUTPUTS}
+        assert main(["synth", "--output-dir", str(dirs["synth"]), "--seed",
+                     "2", "--originals", "30", "--duplicates", "6"]) == 0
+        cfg = d / "run.yaml"
+        cfg.write_text(synth_config_text(dirs["synth"] / "records.csv",
+                                         d / "unused", iterations=60,
+                                         burn_in=10), encoding="utf-8")
+        for command in ("compare", "dedupe", "baseline"):
+            threads = ["--threads", "1"] if command == "dedupe" else []
+            assert main([command, "--config", str(cfg), "--output-dir",
+                         str(dirs[command]), *threads]) == 0
+        return dirs
+
+    def test_comparison_outputs_agree(self, runs):
+        for name in ("comparisons.csv", "candidate_edges.csv"):
+            texts = {(runs[c] / name).read_bytes()
+                     for c in ("compare", "dedupe", "baseline")}
+            assert len(texts) == 1, name
+
+    def test_shared_manifest_keys_agree(self, runs):
+        manifests = [json.loads((runs[c] / "manifest.json").read_text())
+                     for c in ("compare", "dedupe", "baseline")]
+        shared = [{k: m[k] for k in self.SHARED_KEYS} for m in manifests]
+        assert shared[0]["records"] == 36
+        assert shared[0]["compared_pairs"] == 36 * 35 // 2
+        assert shared[1] == shared[0] and shared[2] == shared[0]
+        assert all("runtime_s" in m and "config_echo" in m for m in manifests)
+
+    def test_outputs_are_the_files_in_write_order(self, runs):
+        for command, d in runs.items():
+            manifest = json.loads((d / "manifest.json").read_text())
+            outputs = manifest["outputs"]
+            assert outputs == self.OUTPUTS[command], command
+            assert sorted(outputs) == sorted(
+                p.name for p in d.iterdir() if p.name != "manifest.json")
+            written = [(d / name).stat().st_mtime_ns for name in outputs]
+            assert written == sorted(written), command
+        synth = json.loads((runs["synth"] / "manifest.json").read_text())
+        assert set(synth) == {
+            "version", "command", "finished_at", "records", "originals",
+            "duplicates", "errors_per_duplicate", "seed", "edit_fallbacks",
+            "outputs"}
+
+
 class TestCliErrors:
     def test_missing_config_is_config_error(self, tmp_path):
         rc = main(["dedupe", "--config", str(tmp_path / "nope.yaml"),
@@ -388,19 +455,19 @@ class TestCliErrors:
         assert main(argv) == 3
         assert f"{blocked}: cannot write" in capsys.readouterr().err
 
-    def test_internal_error_traceback_only_when_verbose(self, monkeypatch,
-                                                        capsys):
+    def test_internal_error_prints_traceback(self, monkeypatch, capsys):
+        """An internal failure exits 4 with its traceback, with or without
+        --verbose."""
         def fail(args):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(cli, "cmd_evaluate", fail)
         argv = ["evaluate", "--labelings", "l.txt", "--truth", "t.csv"]
-        assert main(argv) == 4
-        quiet = capsys.readouterr().err
-        assert "internal error: RuntimeError: boom" in quiet
-        assert "Traceback" not in quiet
-        assert main(["--verbose", *argv]) == 4
-        assert "Traceback" in capsys.readouterr().err
+        for flags in ([], ["--verbose"]):
+            assert main([*flags, *argv]) == 4
+            err = capsys.readouterr().err
+            assert "internal error: RuntimeError: boom" in err
+            assert "Traceback" in err
 
     def test_no_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -467,7 +534,7 @@ class TestOutputContract:
         # the m candidates rejected in all parameter draws, as many as the
         # same chain run in process rejects
         cfg = load_config(p)
-        _, comps, graph, _ = cli._load_and_prepare(cfg)
+        _, comps, graph, _ = cli._prepare(cfg)
         chains = gibbs.run_chains(comps, graph, cfg.prior, cfg.sampler)
         assert manifest["tbeta_rejections"] == sum(
             c.tbeta_rejections for c in chains)

@@ -78,7 +78,6 @@ class TestRunMixture:
         assert out.delta_mean.shape == (graph.n_candidates,)
         assert np.all((out.delta_mean >= 0) & (out.delta_mean <= 1))
         assert np.all((out.p_trace > 0) & (out.p_trace < 1))
-        assert out.m_trace.shape == (30, sum(n - 1 for n in comps.n_levels))
         assert np.all(out.nontransitive >= 0)
         assert out.kept_iterations.tolist() == list(range(11, 41))
 

@@ -42,12 +42,11 @@ def fake_sample(labelings, m_trace=None, u_trace=None, active=None):
     labelings = np.asarray(labelings, dtype=np.int32)
     rows, index, active = narrow_rows(labelings, active)
     n, r = labelings.shape
-    cfg = SamplerConfig(iterations=max(n, 1))
     return PosteriorSample(
         rows=rows, index=index, active=active, r=r,
         kept_iterations=np.arange(1, n + 1),
         m_trace=m_trace, u_trace=u_trace, fields=("f",), n_levels=(2,),
-        seed=0, config=cfg, runtime_s=0.0)
+        runtime_s=0.0)
 
 
 def confusion_counts(est, ref):
