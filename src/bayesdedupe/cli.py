@@ -51,7 +51,7 @@ class RunRecord:
         return os.path.join(self.directory, name)
 
     def write_manifest(self, args, keys: dict) -> None:
-        manifest = {"version": __version__, "command": " ".join(sys.argv[1:]),
+        manifest = {"version": __version__, "command": " ".join(args.argv),
                     "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
                     **keys, "outputs": self.outputs}
         if getattr(args, "config", None):
@@ -286,7 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(argv)
+    args.argv = argv  # what the manifest records as command
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)

@@ -4,6 +4,15 @@ Sections: input, fields, comparators, filters, fix_rules, prior,
 sampler, output. Only input.path, fields, and comparators are
 mandatory; everything else has workable defaults. Cut points may use
 YAML's .inf or the string "inf" for an unbounded top band.
+
+Every value is read once, through _get, which checks its shape: a
+mapping, a list, text, an integer, a number or a boolean. A boolean is
+never an integer or a number; text is a string or an integer, read as
+its decimal digits; null is a value of no shape (only a file that is
+empty altogether reads as an empty mapping). A wrong shape, a missing
+required key and the semantic checks of the objects built from the
+values raise ConfigError naming the value's place, as section.key or
+section[k].key.
 """
 
 from __future__ import annotations
@@ -15,10 +24,10 @@ from dataclasses import dataclass, field as dc_field
 import yaml
 
 from .candidates import FilterRule, FixRule, load_neighbors
-from .comparison import COMPARATOR_KINDS, LevelSpec, binary_spec
+from .comparison import LevelSpec, binary_spec
 from .errors import ConfigError, DataError
 from .model import PriorSpec
-from .records import FIELD_KINDS, FieldSchema, open_text
+from .records import FieldSchema, open_text
 
 
 @dataclass
@@ -77,22 +86,65 @@ class PipelineConfig:
     output: OutputOptions = dc_field(default_factory=OutputOptions)
 
 
-def _require(mapping, key, where):
+# shape -> the YAML types it takes and its name in errors
+_SHAPES = {"mapping": (dict, "a mapping"), "list": (list, "a list"),
+           "text": ((str, int), "text"), "integer": (int, "an integer"),
+           "number": ((int, float), "a number"), "boolean": (bool, "a boolean")}
+_REQUIRED = object()
+
+
+def _check(value, shape, where):
+    """value, which must have the shape: text comes back as a string and
+    a number as a float. Otherwise ConfigError naming where."""
+    types, name = _SHAPES[shape]
+    if isinstance(value, types) and (shape == "boolean"
+                                     or not isinstance(value, bool)):
+        try:
+            return float(value) if shape == "number" else (
+                str(value) if shape == "text" else value)
+        except OverflowError:  # an integer beyond every float
+            pass
+    raise ConfigError(f"{where}: expected {name}, got {value!r}")
+
+
+def _get(mapping, key, shape, where, default=_REQUIRED):
+    """mapping[key], which must have the shape; where is the mapping's
+    place ("" at the top level). An absent key reads as default, and is
+    an error without one."""
     if key not in mapping:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return mapping[key]
+        if default is _REQUIRED:
+            raise ConfigError(f"{where or 'config'}: missing required key {key!r}")
+        return default
+    return _check(mapping[key], shape, f"{where}.{key}" if where else key)
 
 
-def _as_map(obj, where):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected a mapping")
-    return obj
+def _items(mapping, key, shape, where, default=_REQUIRED):
+    """(place, item) for each item of the list at mapping[key], every
+    item of the shape."""
+    at = f"{where}.{key}" if where else key
+    return [(f"{at}[{k}]", _check(v, shape, f"{at}[{k}]"))
+            for k, v in enumerate(_get(mapping, key, "list", where, default))]
 
 
-def _as_list(obj, where):
-    if not isinstance(obj, list):
-        raise ConfigError(f"{where}: expected a list")
-    return obj
+def _path(mapping, key, where, base_dir, default=_REQUIRED):
+    """A text value as a path; a relative one is taken from the config
+    file's directory."""
+    return os.path.join(base_dir, _get(mapping, key, "text", where, default))
+
+
+def _known(name, names, where, problem="unknown field"):
+    """name, which must be one of names."""
+    if name not in names:
+        raise ConfigError(f"{where}: {problem} {name!r}")
+    return name
+
+
+def _build(where, make, *args, **kwargs):
+    """make(*args, **kwargs), with where before its ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ConfigError as e:
+        raise ConfigError(f"{where}: {e}") from None
 
 
 def _cut_point(v, where) -> float:
@@ -100,16 +152,7 @@ def _cut_point(v, where) -> float:
         if v.strip().lower() in ("inf", "+inf", "infinity"):
             return math.inf
         raise ConfigError(f"{where}: unparseable cut point {v!r}")
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}: unparseable cut point {v!r}")
-    return float(v)
-
-
-def _boolean(mapping, key, default, where) -> bool:
-    v = mapping.get(key, default)
-    if not isinstance(v, bool):
-        raise ConfigError(f"{where}.{key}: must be a boolean")
-    return v
+    return _check(v, "number", where)
 
 
 def _check_fits(kind, fname, field_kinds, where) -> None:
@@ -124,16 +167,9 @@ def _check_fits(kind, fname, field_kinds, where) -> None:
 
 
 def _parse_fields(raw) -> list:
-    out = []
-    for k, item in enumerate(_as_list(raw, "fields")):
-        item = _as_map(item, f"fields[{k}]")
-        name = _require(item, "name", f"fields[{k}]")
-        kind = item.get("kind", "string")
-        if kind not in FIELD_KINDS:
-            raise ConfigError(f"fields[{k}]: unknown kind {kind!r}")
-        out.append(FieldSchema(name=str(name), kind=kind))
-    if not out:
-        raise ConfigError("fields: at least one field is required")
+    out = [_build(where, FieldSchema, _get(item, "name", "text", where),
+                  _get(item, "kind", "text", where, "string"))
+           for where, item in _items(raw, "fields", "mapping", "")]
     names = [f.name for f in out]
     if len(set(names)) != len(names):
         raise ConfigError("fields: duplicate field names")
@@ -142,24 +178,19 @@ def _parse_fields(raw) -> list:
 
 def _parse_comparators(raw, field_kinds) -> list:
     out = []
-    for k, item in enumerate(_as_list(raw, "comparators")):
-        where = f"comparators[{k}]"
-        item = _as_map(item, where)
-        fname = _require(item, "field", where)
-        if fname not in field_kinds:
-            raise ConfigError(f"{where}: unknown field {fname!r}")
-        kind = _require(item, "kind", where)
-        if kind not in COMPARATOR_KINDS:
-            raise ConfigError(f"{where}: unknown comparator kind {kind!r}")
+    for where, item in _items(raw, "comparators", "mapping", ""):
+        fname = _known(_get(item, "field", "text", where), field_kinds, where)
+        kind = _get(item, "kind", "text", where)
         _check_fits(kind, fname, field_kinds, where)
         if kind == "binary":
             if "cut_points" in item:
                 raise ConfigError(f"{where}: binary takes no cut_points")
             out.append(binary_spec(fname))
             continue
-        cuts = _as_list(_require(item, "cut_points", where), where)
-        out.append(LevelSpec(field=fname, kind=kind, cut_points=tuple(
-            _cut_point(v, where) for v in cuts)))
+        cuts = _get(item, "cut_points", "list", where, [])
+        out.append(_build(where, LevelSpec, fname, kind, tuple(
+            _cut_point(v, f"{where}.cut_points[{k}]")
+            for k, v in enumerate(cuts))))
     if not out:
         raise ConfigError("comparators: at least one comparator is required")
     compared = [s.field for s in out]
@@ -170,38 +201,27 @@ def _parse_comparators(raw, field_kinds) -> list:
 
 def _parse_filters(raw, field_kinds, base_dir) -> list:
     out = []
-    for k, item in enumerate(_as_list(raw, "filters")):
-        where = f"filters[{k}]"
-        item = _as_map(item, where)
-        kind = _require(item, "kind", where)
+    for where, item in _items(raw, "filters", "mapping", "", []):
+        kind = _get(item, "kind", "text", where)
         if kind == "always_compare":
             out.append(FilterRule.always_compare())
             continue
-        fname = _require(item, "field", where)
-        if fname not in field_kinds:
-            raise ConfigError(f"{where}: unknown field {fname!r}")
+        fname = _known(_get(item, "field", "text", where), field_kinds, where)
         _check_fits(kind, fname, field_kinds, where)
         if kind == "categorical_block":
             out.append(FilterRule.categorical_block(fname))
         elif kind == "integer_gap_exceeds":
-            gap = _require(item, "gap", where)
-            if isinstance(gap, bool) or not isinstance(gap, int) or gap < 0:
-                raise ConfigError(f"{where}: gap must be a nonnegative integer")
-            out.append(FilterRule.integer_gap_exceeds(fname, gap))
+            out.append(_build(where, FilterRule.integer_gap_exceeds, fname,
+                              _get(item, "gap", "integer", where)))
         elif kind == "custom_overlap":
-            neighbors = frozenset()
+            extra = {}
             if "neighbors" in item:
-                p = str(item["neighbors"])
-                if not os.path.isabs(p):
-                    p = os.path.join(base_dir, p)
-                neighbors = load_neighbors(p)
-            stop = item.get("stop_tokens")
-            if stop is None:
-                out.append(FilterRule.custom_overlap(fname, neighbors))
-            else:
-                out.append(FilterRule.custom_overlap(
-                    fname, neighbors,
-                    frozenset(str(s).upper() for s in _as_list(stop, where))))
+                extra["neighbors"] = load_neighbors(
+                    _path(item, "neighbors", where, base_dir))
+            if "stop_tokens" in item:
+                extra["stop_tokens"] = frozenset(s.upper() for _, s in _items(
+                    item, "stop_tokens", "text", where))
+            out.append(FilterRule.custom_overlap(fname, **extra))
         else:
             raise ConfigError(f"{where}: unknown filter kind {kind!r}")
     return out
@@ -209,69 +229,41 @@ def _parse_filters(raw, field_kinds, base_dir) -> list:
 
 def _parse_fix_rules(raw, compared) -> list:
     out = []
-    for k, item in enumerate(_as_list(raw, "fix_rules")):
-        where = f"fix_rules[{k}]"
-        item = _as_map(item, where)
+    for where, item in _items(raw, "fix_rules", "mapping", "", []):
         conds = []
-        for c, cond in enumerate(_as_list(_require(item, "conditions", where),
-                                          where)):
-            cw = f"{where}.conditions[{c}]"
-            cond = _as_map(cond, cw)
-            fname = _require(cond, "field", cw)
-            if fname not in compared:
-                raise ConfigError(f"{cw}: field {fname!r} is not compared")
-            lv = _require(cond, "min_level", cw)
-            if isinstance(lv, bool) or not isinstance(lv, int):
-                raise ConfigError(f"{cw}: min_level must be an integer")
-            conds.append((str(fname), lv))
-        out.append(FixRule(conditions=tuple(conds)))
+        for cw, cond in _items(item, "conditions", "mapping", where):
+            fname = _known(_get(cond, "field", "text", cw), compared, cw,
+                           "not a compared field")
+            conds.append((fname, _get(cond, "min_level", "integer", cw)))
+        out.append(_build(where, FixRule, tuple(conds)))
     return out
 
 
 def _parse_prior(raw, specs) -> PriorSpec:
-    raw = _as_map(raw, "prior")
-    lam_map = _as_map(raw.get("lambdas", {}), "prior.lambdas")
+    lam_map = _get(raw, "lambdas", "mapping", "prior", {})
     for fname in lam_map:
-        if fname not in [s.field for s in specs]:
-            raise ConfigError(f"prior.lambdas: field {fname!r} is not compared")
+        _known(fname, [s.field for s in specs], "prior.lambdas",
+               "not a compared field")
     lambdas = []
     for s in specs:
-        if s.field not in lam_map:
-            lambdas.append([0.0] * (s.n_levels - 1))
-            continue
-        where = f"prior.lambdas.{s.field}"
-        vals = _as_list(lam_map[s.field], where)
+        vals = [v for _, v in _items(lam_map, s.field, "number", "prior.lambdas",
+                                     [0.0] * (s.n_levels - 1))]
         if len(vals) != s.n_levels - 1:
             raise ConfigError(
-                f"{where}: expected {s.n_levels - 1} values, one per level "
-                f"above zero, got {len(vals)}")
-        for v in vals:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"{where}: {v!r} is not a number")
-        lambdas.append([float(v) for v in vals])
-    hypers = {}
-    for key in ("alpha1", "beta1", "alpha0", "beta0"):
-        v = raw.get(key, 1.0)
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
-            raise ConfigError(f"prior.{key}: must be a positive number")
-        hypers[key] = float(v)
-    try:
-        return PriorSpec.from_lambdas(lambdas, **hypers)
-    except ConfigError as e:
-        raise ConfigError(f"prior: {e}") from None
+                f"prior.lambdas.{s.field}: expected {s.n_levels - 1} values, "
+                f"one per level above zero, got {len(vals)}")
+        lambdas.append(vals)
+    hypers = {key: _get(raw, key, "number", "prior", 1.0)
+              for key in ("alpha1", "beta1", "alpha0", "beta0")}
+    return _build("prior", PriorSpec.from_lambdas, lambdas, **hypers)
 
 
 def _parse_sampler(raw) -> SamplerConfig:
-    raw = _as_map(raw, "sampler")
-    kwargs = {}
-    for key, default in (("iterations", 1000), ("burn_in", 0),
-                         ("thinning", 1), ("seed", 0), ("chains", 1)):
-        v = raw.get(key, default)
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"sampler.{key}: must be an integer")
-        kwargs[key] = v
-    kwargs["random_scan"] = _boolean(raw, "random_scan", False, "sampler")
-    return SamplerConfig(**kwargs)
+    kwargs = {key: _get(raw, key, "integer", "sampler", default)
+              for key, default in (("iterations", 1000), ("burn_in", 0),
+                                   ("thinning", 1), ("seed", 0), ("chains", 1))}
+    return _build("sampler", SamplerConfig, **kwargs, random_scan=_get(
+        raw, "random_scan", "boolean", "sampler", False))
 
 
 def load_config(path) -> PipelineConfig:
@@ -282,50 +274,41 @@ def load_config(path) -> PipelineConfig:
         raise ConfigError(str(e)) from None
     except yaml.YAMLError as e:
         raise ConfigError(f"invalid YAML in {path}: {e}") from None
-    raw = _as_map(raw if raw is not None else {}, "config")
+    raw = _check({} if raw is None else raw, "mapping", "config")
     base_dir = os.path.dirname(os.path.abspath(path))
 
-    inp = _as_map(_require(raw, "input", "config"), "input")
-    in_path = str(_require(inp, "path", "input"))
-    if not os.path.isabs(in_path):
-        in_path = os.path.join(base_dir, in_path)
-    on_invalid = inp.get("on_invalid", "drop")
+    inp = _get(raw, "input", "mapping", "")
+    in_path = _path(inp, "path", "input", base_dir)
+    on_invalid = _get(inp, "on_invalid", "text", "input", "drop")
     if on_invalid not in ("drop", "error"):
         raise ConfigError("input.on_invalid: expected 'drop' or 'error'")
-    schema = _parse_fields(_require(raw, "fields", "config"))
+    schema = _parse_fields(raw)
     kinds = {f.name: f.kind for f in schema}
-    required = tuple(str(x) for x in inp.get("required", []))
-    for f in required:
-        if f not in kinds:
-            raise ConfigError(f"input.required: unknown field {f!r}")
-    delimiter = str(inp.get("delimiter", ","))
+    required = tuple(_known(f, kinds, where) for where, f in
+                     _items(inp, "required", "text", "input", []))
+    delimiter = _get(inp, "delimiter", "text", "input", ",")
     if len(delimiter) != 1:
         raise ConfigError(f"input.delimiter: {delimiter!r} is not one character")
     input_opts = InputOptions(
         path=in_path, delimiter=delimiter,
-        missing_token=str(inp.get("missing_token", "NA")),
+        missing_token=_get(inp, "missing_token", "text", "input", "NA"),
         required=required, on_invalid=on_invalid)
 
-    specs = _parse_comparators(_require(raw, "comparators", "config"), kinds)
-    filters = _parse_filters(raw.get("filters", []), kinds, base_dir)
-    fixes = _parse_fix_rules(raw.get("fix_rules", []),
-                             [s.field for s in specs])
-    prior = _parse_prior(raw.get("prior", {}), specs)
-    sampler = _parse_sampler(raw.get("sampler", {}))
+    specs = _parse_comparators(raw, kinds)
+    filters = _parse_filters(raw, kinds, base_dir)
+    fixes = _parse_fix_rules(raw, [s.field for s in specs])
+    prior = _parse_prior(_get(raw, "prior", "mapping", "", {}), specs)
+    sampler = _parse_sampler(_get(raw, "sampler", "mapping", "", {}))
 
-    out_raw = _as_map(raw.get("output", {}), "output")
-    interval = out_raw.get("interval", 0.90)
-    if isinstance(interval, bool) or not isinstance(interval, (int, float)) \
-            or not 0 < interval < 1:
+    out_raw = _get(raw, "output", "mapping", "", {})
+    interval = _get(out_raw, "interval", "number", "output", 0.90)
+    if not 0 < interval < 1:
         raise ConfigError("output.interval: must be in (0, 1)")
-    out_dir = str(out_raw.get("directory", "out"))
-    if not os.path.isabs(out_dir):
-        out_dir = os.path.join(base_dir, out_dir)
     output = OutputOptions(
-        directory=out_dir,
-        pairwise=_boolean(out_raw, "pairwise", True, "output"),
-        frequencies=_boolean(out_raw, "frequencies", True, "output"),
-        interval=float(interval))
+        directory=_path(out_raw, "directory", "output", base_dir, "out"),
+        pairwise=_get(out_raw, "pairwise", "boolean", "output", True),
+        frequencies=_get(out_raw, "frequencies", "boolean", "output", True),
+        interval=interval)
 
     return PipelineConfig(input=input_opts, schema=schema, level_specs=specs,
                           filter_rules=filters, fix_rules=fixes, prior=prior,

@@ -306,10 +306,12 @@ def _level_counts(flat: FlatPrior, counts: np.ndarray) -> tuple[np.ndarray, np.n
             (upto[flat.top] - upto[flat.at]).reshape(2, -1))
 
 
-def _draw_flat(rng: np.random.Generator, flat: FlatPrior, counts: np.ndarray,
-               memo: dict | None = None) -> tuple[np.ndarray, np.ndarray, int]:
-    """draw_flat_params, plus the m candidates rejected on the way; memo
-    as for _tbeta_vec."""
+def draw_flat_params(rng: np.random.Generator, flat: FlatPrior,
+                     counts: np.ndarray, memo: dict | None = None
+                     ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Joint conjugate redraw of all m then all u, as flat vectors, from
+    level counts of shape (2, bins): a1 in row 0, a0 in row 1; and the m
+    candidates rejected on the way. memo as for _tbeta_vec."""
     at, above = _level_counts(flat, counts)
     m, rejected = _tbeta_vec(rng, flat.alpha1 + at[0], flat.beta1 + above[0],
                              flat.lam, memo)
@@ -318,19 +320,11 @@ def _draw_flat(rng: np.random.Generator, flat: FlatPrior, counts: np.ndarray,
     return m, u, rejected
 
 
-def draw_flat_params(rng: np.random.Generator, flat: FlatPrior,
-                     counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Joint conjugate redraw of all m then all u, as flat vectors, from
-    level counts of shape (2, bins): a1 in row 0, a0 in row 1."""
-    m, u, _ = _draw_flat(rng, flat, counts)
-    return m, u
-
-
 def draw_params(rng: np.random.Generator, flat: FlatPrior,
                 stats: SufficientStats):
     """draw_flat_params from per-field statistics; returns per-field lists
     plus the flat vectors."""
-    m, u = draw_flat_params(rng, flat, stats.as_counts())
+    m, u, _ = draw_flat_params(rng, flat, stats.as_counts())
     cut = flat.offsets[1:-1]
     return np.split(m, cut), np.split(u, cut), m, u
 
@@ -617,7 +611,8 @@ def init_state(ctx: SamplerContext, prior: PriorSpec,
     rejected, envelopes = 0, {}
     if params is None:
         zero = np.zeros((2, ctx.n_bins), dtype=np.int64)
-        m, u, rejected = _draw_flat(rng, flatten_prior(prior), zero, envelopes)
+        m, u, rejected = draw_flat_params(rng, flatten_prior(prior), zero,
+                                          envelopes)
     else:
         m, u = _concat(params.m), _concat(params.u)
     sizes = np.zeros(ctx.r, dtype=np.int64)
@@ -768,8 +763,8 @@ def sweep(ctx: SamplerContext, state: ChainState, rng: np.random.Generator,
     if flat is None:
         return None
     state.stats = ctx.recount(state.z)
-    state.m, state.u, rejected = _draw_flat(rng, flat, state.stats,
-                                            state.envelopes)
+    state.m, state.u, rejected = draw_flat_params(rng, flat, state.stats,
+                                                  state.envelopes)
     state.rejections += rejected
     state.bin_lr = ctx.bin_log_ratios(state.m, state.u)
     state.loglr = ctx.cand_bins @ state.bin_lr

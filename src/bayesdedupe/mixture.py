@@ -65,7 +65,9 @@ def run_mixture(comps: PairComparisons, graph: CandidateGraph,
     n_cand = ctx.n_candidates
     cand_pairs = graph.candidate_pairs()
     delta = np.zeros(n_cand, dtype=np.int8)
-    m, u = draw_flat_params(rng, flat, ctx.link_counts(delta == 1))
+    envelopes: dict = {}  # one m envelope memo for the run, as a chain keeps
+    m, u, _ = draw_flat_params(rng, flat, ctx.link_counts(delta == 1),
+                               envelopes)
     p = rng.beta(1.0, 1.0 + n_cand)
 
     # retained link count per candidate; counts of 0/1 flags are exact,
@@ -79,7 +81,8 @@ def run_mixture(comps: PairComparisons, graph: CandidateGraph,
         delta = (rng.random(n_cand) < prob).astype(np.int8)
         n_pos = int(delta.sum())
         p = rng.beta(1.0 + n_pos, 1.0 + n_cand - n_pos)
-        m, u = draw_flat_params(rng, flat, ctx.link_counts(delta == 1))
+        m, u, _ = draw_flat_params(rng, flat, ctx.link_counts(delta == 1),
+                                   envelopes)
         if t > config.burn_in and (t - config.burn_in - 1) % config.thinning == 0:
             kept_iter.append(t)
             p_tr.append(p)

@@ -76,22 +76,25 @@ def write_pairwise_csv(path, graph, probs: np.ndarray) -> None:
 
 def duplicate_distribution(sample, interval: float = 0.90,
                            index=None) -> dict:
-    """Posterior summary of the duplicate count r - n(Z), from canonical
-    label rows (a row's cell count is its largest label plus one). Only
-    active records have duplicates: over A active records a row's count
-    is A - 1 minus its largest label. Counts are taken per distinct row
-    and gathered to the draws; with index, sample is a matrix of
-    distinct rows and draw k is row index[k].
+    """Posterior summary of the duplicate count r - n(Z), where a row's
+    cell count n(Z) is its number of distinct labels, whatever the
+    labels are. Only active records have duplicates: over A active
+    records a row's count is A minus its cells. Counts are taken per
+    distinct row, in row blocks of bounded size, and gathered to the
+    draws; with index, sample is a matrix of distinct rows and draw k is
+    row index[k].
 
     The central interval at the given level uses integer-conservative
     endpoints (lower interpolation below, higher above). Percentages are
     relative to the file's record count.
     """
     rows, index, _, r = _distinct_store(sample, index)
+    dups = np.zeros(len(rows), dtype=np.int64)
     if rows.shape[1]:
-        dups = rows.shape[1] - 1 - rows.max(axis=1).astype(np.int64)
-    else:
-        dups = np.zeros(len(rows), dtype=np.int64)
+        for blk in _row_blocks(rows):
+            ordered = np.sort(rows[blk], axis=1)
+            dups[blk] = rows.shape[1] - 1 - np.count_nonzero(
+                ordered[:, 1:] != ordered[:, :-1], axis=1)
     dups = dups[index]
     lo_q, hi_q = (1.0 - interval) / 2.0, (1.0 + interval) / 2.0
     lo = float(np.quantile(dups, lo_q, method="lower"))

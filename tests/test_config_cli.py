@@ -56,6 +56,10 @@ INPUT_FILES = {
 }
 
 
+# an override value written as YAML null; None deletes the key
+NULL = object()
+
+
 def write_config(tmp_path, overrides=None, records=RECORDS):
     cfg = json.loads(json.dumps(BASE_CONFIG))  # deep copy
     for path, value in (overrides or {}).items():
@@ -66,7 +70,7 @@ def write_config(tmp_path, overrides=None, records=RECORDS):
         if value is None:
             del node[keys[-1]]
         else:
-            node[keys[-1]] = value
+            node[keys[-1]] = None if value is NULL else value
     p = tmp_path / "pipeline.yaml"
     p.write_text(yaml.safe_dump(cfg), encoding="utf-8")
     if records is not None:
@@ -99,6 +103,15 @@ class TestLoadConfig:
         assert [r.kind for r in cfg.filter_rules] == [
             "categorical_block", "integer_gap_exceeds"]
         assert cfg.filter_rules[1].gap == 2
+
+    def test_integers_read_as_text(self, tmp_path):
+        """Where text is expected an integer is read as its digits."""
+        cfg = load_config(write_config(tmp_path, {
+            "input.missing_token": 99, "fields.0.name": 7,
+            "comparators.0.field": 7, "fix_rules": None,
+            "prior.lambdas.name": None}))
+        assert cfg.input.missing_token == "99"
+        assert cfg.schema[0].name == cfg.level_specs[0].field == "7"
 
     @pytest.mark.parametrize("overrides", [
         {"input": None},
@@ -169,6 +182,13 @@ class TestCliSynth:
         assert "version" in manifest
         truth_lines = (d / "truth.csv").read_text().strip().split("\n")
         assert len(truth_lines) == 39
+
+    def test_command_is_the_parsed_arguments(self, synth_run):
+        """An in-process run records its own arguments, not the host's."""
+        d = synth_run / "data"
+        manifest = json.loads((d / "manifest.json").read_text())
+        assert manifest["command"] == (f"synth --output-dir {d} --seed 5 "
+                                       "--originals 30 --duplicates 8")
 
 
 class TestCliDedupe:
@@ -381,10 +401,28 @@ class TestCliErrors:
         ({"input.delimiter": ""}, "input.delimiter"),
         ({"output.pairwise": "false"}, "output.pairwise"),
         ({"output.frequencies": 0}, "output.frequencies"),
+        ({"comparators.0.field": [1]}, "comparators[0].field"),
+        ({"filters": [{"kind": "categorical_block", "field": [1]}]},
+         "filters[0].field"),
+        ({"input.required": NULL}, "input.required"),
+        ({"output.directory": [1]}, "output.directory"),
+        ({"input.path": ["records.csv"]}, "input.path"),
+        ({"input.missing_token": NULL}, "input.missing_token"),
+        ({"fields.0.name": ["name"]}, "fields[0].name"),
+        ({"filters": [{"kind": "custom_overlap", "field": "city",
+                       "stop_tokens": [1, None]}]},
+         "filters[0].stop_tokens[1]"),
+        ({"input.required": "name"}, "input.required: expected a list"),
+        ({"sampler.seed": -1}, "sampler: seed"),
+        ({"prior.alpha1": 10**400}, "prior.alpha1"),
     ], ids=["levenshtein-integer", "token-levenshtein-integer",
             "difference-string", "gap-categorical", "overlap-integer",
             "long-delimiter", "empty-delimiter", "pairwise-string",
-            "frequencies-integer"])
+            "frequencies-integer", "comparator-field-list",
+            "filter-field-list", "required-null", "directory-list",
+            "path-list", "missing-token-null", "field-name-list",
+            "stop-token-null", "required-string", "seed-negative",
+            "beyond-float"])
     def test_config_boundary(self, tmp_path, capsys, overrides, key):
         p = write_config(tmp_path, overrides)
         assert main(["compare", "--config", str(p)]) == 2
@@ -603,6 +641,16 @@ class TestOutputContract:
         assert main(["evaluate", "--labelings", str(crlf), "--truth",
                      str(truth), "--output", str(tmp_path / "crlf.json")]) == 0
         assert (tmp_path / "crlf.json").read_bytes() == metrics_path.read_bytes()
+        # cell ids only name the cells: a copy with every line's ids
+        # rotated and offset, so equal draws are written differently,
+        # scores the same, byte for byte
+        relabelled = tmp_path / "relabelled.txt"
+        relabelled.write_text("".join(
+            " ".join(str(5 + (int(v) + k) % 4) for v in line.split()) + "\n"
+            for k, line in enumerate(lines("posterior_labelings.txt"))))
+        assert main(["evaluate", "--labelings", str(relabelled), "--truth",
+                     str(truth), "--output", str(tmp_path / "rel.json")]) == 0
+        assert (tmp_path / "rel.json").read_bytes() == metrics_path.read_bytes()
 
     def test_dedupe_never_builds_full_width_labelings(self, tmp_path,
                                                       monkeypatch):

@@ -447,7 +447,7 @@ class TestFlatParameterBlock:
                                  a0=[v.tolist() for v in scratch.a0])
         m_list, u_list, m1, u1 = draw_params(np.random.default_rng(seed),
                                              flat, listed)
-        m2, u2 = draw_flat_params(np.random.default_rng(seed), flat, counts)
+        m2, u2, _ = draw_flat_params(np.random.default_rng(seed), flat, counts)
         assert np.array_equal(m1, m2) and np.array_equal(u1, u2)
         assert all(np.array_equal(a, b) for a, b in zip(m_list, np.split(m2, cut)))
         assert all(np.array_equal(a, b) for a, b in zip(u_list, np.split(u2, cut)))
