@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comparison import PairComparisons, _factorize, _bounded_runs
+from . import textio
+from .comparison import PairComparisons, _factorize
 from .errors import ConfigError, DataError
 from .records import DataFile, normalize, open_text
 from .textio import write_int_rows
@@ -107,11 +108,6 @@ def load_neighbors(path) -> frozenset:
     return frozenset(out)
 
 
-# Pairs per row block of the i < j grid; every pair-level temporary of
-# build_pairs is about one block long.
-_GRID_BLOCK = 1 << 16
-
-
 def _grid_rows(r: int, lo: int, hi: int) -> np.ndarray:
     """The pairs i < j with lo <= i < hi, in lexicographic order."""
     rows = np.arange(lo, hi, dtype=np.int64)
@@ -125,16 +121,17 @@ def _grid_rows(r: int, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _row_blocks(r: int) -> list[tuple[int, int]]:
-    """Row ranges [lo, hi) of the i < j grid, each of at most _GRID_BLOCK
-    pairs unless a single row has more."""
-    return _bounded_runs(np.arange(r - 1, 0, -1), _GRID_BLOCK)
+# every pair-level temporary of build_pairs is about one block long
+def _grid_blocks(r: int) -> list[tuple[int, int]]:
+    """Row ranges [lo, hi) of the i < j grid, each of at most
+    textio._BLOCK_CELLS pairs unless a single row has more."""
+    return textio.bounded_runs(np.arange(r - 1, 0, -1), textio._BLOCK_CELLS)
 
 
 def all_pairs(r: int) -> np.ndarray:
     pairs = np.empty((r * (r - 1) // 2, 2), dtype=np.int32)
     at = 0
-    for lo, hi in _row_blocks(r):
+    for lo, hi in _grid_blocks(r):
         grid = _grid_rows(r, lo, hi)
         pairs[at:at + len(grid)] = grid
         at += len(grid)
@@ -190,7 +187,7 @@ def build_pairs(df: DataFile, rules: list[FilterRule]) -> np.ndarray:
     if not tests:
         return all_pairs(df.r)
     parts = [np.empty((0, 2), dtype=np.int32)]
-    for lo, hi in _row_blocks(df.r):
+    for lo, hi in _grid_blocks(df.r):
         grid = _grid_rows(df.r, lo, hi)
         keep = np.ones(len(grid), dtype=bool)
         for test in tests:

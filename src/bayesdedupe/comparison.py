@@ -9,15 +9,16 @@ right-closed interval up to the next cut, so a value sitting exactly on
 a cut falls on the lower-disagreement side.
 
 compare_pairs factorizes each compared column once into integer codes
-and makes two passes over the pairs, in blocks of _PAIR_BLOCK. The first
-collects the distinct unordered value pairs; each is then compared once
-(string distances through a vectorized dynamic program, the other kinds
-through their scalar functions) and binned with one searchsorted, in
-chunks of _SIM_CHUNK; the second gathers the levels back to the record
-pairs. No temporary is longer than a block or a chunk, apart from a
-table of one byte per pair of distinct values, which is kept no larger
-than the pairs array: a filtered pair list on a field with many values
-is compared in one pass over the whole list instead.
+and makes two passes over the pairs, in blocks of textio._BLOCK_CELLS
+pairs. The first collects the distinct unordered value pairs; each is
+then compared once (string distances through a vectorized dynamic
+program, the other kinds through their scalar functions) and binned
+with one searchsorted, in chunks of _SIM_CHUNK; the second gathers the
+levels back to the record pairs. No temporary is longer than a block
+or a chunk, apart from a table of one byte per pair of distinct values,
+which is kept no larger than the pairs array: a filtered pair list on a
+field with many values is compared in one pass over the whole list
+instead.
 
 The string similarities are edit distances scaled by the longer length,
 in [0, 1]. token_levenshtein tolerates differing token counts: equal
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .records import DataFile
-from .textio import write_int_rows
+from .textio import bounded_runs, row_blocks, write_int_rows
 
 COMPARATOR_KINDS = ("levenshtein", "token_levenshtein", "absolute_difference", "binary")
 
@@ -124,9 +125,6 @@ class PairComparisons:
 
 # --- batched comparison -----------------------------------------------------
 
-# Pairs per block of each pass over the pair list; every pair-level
-# temporary is one block long.
-_PAIR_BLOCK = 1 << 16
 # Distinct value pairs per similarity run.
 _SIM_CHUNK = 1 << 14
 # Pairs per vectorized edit-distance run: small enough that the DP rows
@@ -154,19 +152,6 @@ def _distinct_pairs(x: np.ndarray, y: np.ndarray, n: int):
     uniq, inverse = np.unique(keys, return_inverse=True)
     lo, hi = np.divmod(uniq, n)
     return lo, hi, inverse
-
-
-def _bounded_runs(counts: np.ndarray, limit: int) -> list[tuple[int, int]]:
-    """Consecutive index ranges [lo, hi) covering counts, each with a
-    total count of at most limit unless one item alone exceeds it."""
-    ends = np.cumsum(counts)
-    runs, lo = [], 0
-    while lo < len(ends):
-        before = int(ends[lo - 1]) if lo else 0
-        hi = int(np.searchsorted(ends, before + limit, side="right"))
-        runs.append((lo, max(hi, lo + 1)))
-        lo = runs[-1][1]
-    return runs
 
 
 def _code_points(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -351,16 +336,15 @@ def _compare_field(spec: LevelSpec, column: list, pairs: np.ndarray,
         out[:] = levels(keys)[inverse]
         return
     table = np.zeros(width * width, dtype=np.int8)
-    starts = range(0, len(pairs), _PAIR_BLOCK)
-    for s in starts:
-        table[_block_keys(codes, width, pairs[s:s + _PAIR_BLOCK])] = 1
+    blocks = row_blocks(len(pairs), 1)
+    for blk in blocks:
+        table[_block_keys(codes, width, pairs[blk])] = 1
     per_row = np.count_nonzero(table.reshape(width, width), axis=1)
-    for lo, hi in _bounded_runs(per_row, _SIM_CHUNK):
+    for lo, hi in bounded_runs(per_row, _SIM_CHUNK):
         keys = np.flatnonzero(table[lo * width:hi * width]) + lo * width
         table[keys] = levels(keys)
-    for s in starts:
-        out[s:s + _PAIR_BLOCK] = table.take(
-            _block_keys(codes, width, pairs[s:s + _PAIR_BLOCK]))
+    for blk in blocks:
+        out[blk] = table.take(_block_keys(codes, width, pairs[blk]))
 
 
 def compare_pairs(df: DataFile, pairs: np.ndarray, specs: list[LevelSpec],

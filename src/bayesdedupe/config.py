@@ -240,10 +240,14 @@ def _parse_fix_rules(raw, compared) -> list:
 
 
 def _parse_prior(raw, specs) -> PriorSpec:
-    lam_map = _get(raw, "lambdas", "mapping", "prior", {})
-    for fname in lam_map:
-        _known(fname, [s.field for s in specs], "prior.lambdas",
-               "not a compared field")
+    lam_map = {}  # the values of each field, keyed by its name as text
+    for key, vals in _get(raw, "lambdas", "mapping", "prior", {}).items():
+        fname = _known(_check(key, "text", "prior.lambdas"),
+                       [s.field for s in specs], "prior.lambdas",
+                       "not a compared field")
+        if fname in lam_map:
+            raise ConfigError(f"prior.lambdas: field {fname!r} given twice")
+        lam_map[fname] = vals
     lambdas = []
     for s in specs:
         vals = [v for _, v in _items(lam_map, s.field, "number", "prior.lambdas",

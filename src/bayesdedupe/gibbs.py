@@ -848,11 +848,15 @@ def run_chain(comps: PairComparisons | None, graph: CandidateGraph | None,
     pos_of = np.zeros(ctx.r, dtype=dtype)
     pos_of[active] = np.arange(len(active))
     seen: dict = {}  # the bytes of each distinct row -> its position
-    index = np.empty(n_kept, dtype=np.int64)
-    kept_iter = np.empty(n_kept, dtype=np.int64)
     n_params = len(flat.lam) if flat is not None else 0
-    m_trace = np.empty((n_kept, n_params)) if flat is not None else None
-    u_trace = np.empty((n_kept, n_params)) if flat is not None else None
+    try:
+        index = np.empty(n_kept, dtype=np.int64)
+        kept_iter = np.empty(n_kept, dtype=np.int64)
+        m_trace = np.empty((n_kept, n_params)) if flat is not None else None
+        u_trace = np.empty((n_kept, n_params)) if flat is not None else None
+    except MemoryError:
+        raise ConfigError(f"sampler.iterations: {n_kept} retained draws per "
+                          "chain do not fit in memory") from None
 
     kk = 0
     for t in range(1, config.iterations + 1):

@@ -14,6 +14,8 @@ from array import array
 
 import numpy as np
 
+from .textio import row_blocks
+
 
 def labeling_to_partition(z) -> tuple[tuple[int, ...], ...]:
     """Cells as sorted tuples, ordered by their smallest member."""
@@ -27,13 +29,6 @@ def format_partition(z) -> str:
     """Render a labeling's partition as e.g. '0,1,2/3,4'."""
     return "/".join(",".join(str(i) for i in cell)
                     for cell in labeling_to_partition(z))
-
-
-# Label-matrix cells handled per block by canonicalize_label_rows (and
-# output cells by expand_label_rows). A block takes about 40 bytes of
-# scratch per cell; at 2**18 cells that scratch raised the peak RSS of
-# dedupe on a 500-record file by 10 MB.
-_CANON_CELLS = 1 << 16
 
 
 def canonicalize_label_rows(rows: np.ndarray,
@@ -55,9 +50,8 @@ def canonicalize_label_rows(rows: np.ndarray,
     if out is None:
         out = np.empty((n, r), dtype=np.int32)
     cols = np.arange(r)
-    step = max(1, _CANON_CELLS // max(r, 1))
-    for lo in range(0, n, step):
-        block = rows[lo:lo + step]
+    for blk in row_blocks(n, r):
+        block = rows[blk]
         order = np.argsort(block, axis=1, kind="stable")
         ordered = np.take_along_axis(block, order, axis=1)
         run_head = np.ones(block.shape, dtype=bool)
@@ -68,7 +62,7 @@ def canonicalize_label_rows(rows: np.ndarray,
         np.put_along_axis(first, order,
                           np.take_along_axis(order, head, axis=1), axis=1)
         cell = np.cumsum(first == cols, axis=1, dtype=np.int32) - 1
-        out[lo:lo + step] = np.take_along_axis(cell, first, axis=1)
+        out[blk] = np.take_along_axis(cell, first, axis=1)
     return out
 
 
@@ -113,21 +107,20 @@ def expand_label_rows(labels: np.ndarray, active: np.ndarray,
     inactive = np.flatnonzero(inactive)
     below = np.searchsorted(active, inactive)  # active records before each
     gap = active - np.arange(a)                # inactive records before each
-    step = max(1, _CANON_CELLS // max(r, 1))
-    for lo in range(0, n, step):
-        block = labels[lo:lo + step]
+    for blk in row_blocks(n, r):
+        block = labels[blk]
         # begun[:, p]: cells begun among the first p active records
         begun = np.zeros((len(block), a + 1), dtype=np.int64)
         np.maximum.accumulate(block, axis=1, out=begun[:, 1:])
         begun[:, 1:] += 1
-        out[lo:lo + step, inactive] = inactive - below + begun[:, below]
+        out[blk, inactive] = inactive - below + begun[:, below]
         # a cell's first member is where its label equals the cells begun
         # before it; first members come out row by row in cell order, so
         # cell c of row k is entry cells_before[k] + c
         first = np.nonzero(block == begun[:, :-1])[1]
         cells_before = np.cumsum(begun[:, -1]) - begun[:, -1]
         shift = gap[first][block + cells_before[:, None]]
-        out[lo:lo + step, active] = block + shift
+        out[blk, active] = block + shift
     return out
 
 

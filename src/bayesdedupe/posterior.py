@@ -29,7 +29,7 @@ from .errors import DataError
 from .partition import (canonicalize_label_rows, distinct_rows,
                         expand_label_rows, format_partition)
 from .records import open_text, read_table
-from .textio import block_rows, open_output, render_rows
+from .textio import open_output, render_rows, row_blocks
 
 
 def _distinct_store(sample, index=None):
@@ -59,7 +59,7 @@ def pairwise_probabilities(sample, graph) -> np.ndarray:
         return np.zeros(len(pairs))
     counts = np.bincount(index, minlength=len(rows))
     equal = np.zeros(len(pairs), dtype=np.int64)
-    for blk in _row_blocks(rows):
+    for blk in row_blocks(*rows.shape):
         block = rows[blk]
         equal += counts[blk] @ (block[:, pairs[:, 0]]
                                 == block[:, pairs[:, 1]]).astype(np.int64)
@@ -91,7 +91,7 @@ def duplicate_distribution(sample, interval: float = 0.90,
     rows, index, _, r = _distinct_store(sample, index)
     dups = np.zeros(len(rows), dtype=np.int64)
     if rows.shape[1]:
-        for blk in _row_blocks(rows):
+        for blk in row_blocks(*rows.shape):
             ordered = np.sort(rows[blk], axis=1)
             dups[blk] = rows.shape[1] - 1 - np.count_nonzero(
                 ordered[:, 1:] != ordered[:, :-1], axis=1)
@@ -119,17 +119,6 @@ def duplicate_percentage(r: int, n_unique: int) -> float:
     if r <= 0:
         raise ValueError("r must be positive")
     return 100.0 * (r - n_unique) / r
-
-
-# Label-matrix cells handled per block by the summaries, which bounds
-# their scratch memory at a few MB.
-_SUMMARY_CELLS = 1 << 18
-
-
-def _row_blocks(L: np.ndarray):
-    """Slices over the rows of L, about _SUMMARY_CELLS cells each."""
-    step = max(1, _SUMMARY_CELLS // max(L.shape[1], 1))
-    return [slice(lo, lo + step) for lo in range(0, len(L), step)]
 
 
 def _dense_labels(block: np.ndarray, r: int) -> np.ndarray:
@@ -177,7 +166,7 @@ def confusion_arrays(labelings, ref) -> tuple[np.ndarray, np.ndarray, np.ndarray
     shared_codes = ref_codes[shared].astype(np.int64)
     within = np.empty(n, dtype=np.int64)
     b11 = np.empty(n, dtype=np.int64)
-    for rows in _row_blocks(L):
+    for rows in row_blocks(n, r):
         dense = _dense_labels(L[rows], r)
         c = len(dense)
         sizes = np.bincount((dense + r * np.arange(c)[:, None]).ravel(),
@@ -307,24 +296,20 @@ def save_labelings(path, sample) -> None:
     block only is never kept.
     """
     rows, index, active, r = _distinct_store(sample)
-    last = np.full(len(rows), -1, dtype=np.int64)
-    np.maximum.at(last, index, np.arange(len(index)))
-    last = last.tolist()
+    last = dict(zip(index.tolist(), range(len(index))))  # each row's last draw
     kept: dict = {}  # row -> its rendered line, without the line end
     kept_bytes = 0
-    step = block_rows(r)
     with open_output(path, binary=True) as fh:
-        for lo in range(0, len(index), step):
-            block = index[lo:lo + step].tolist()
+        for draws in row_blocks(len(index), r):
+            block = index[draws].tolist()
             new = [k for k in dict.fromkeys(block) if k not in kept]
             lines = dict(zip(new, render_rows(expand_label_rows(
                 rows[new], active, r), sep=" ").split(b"\n"))) if new else {}
-            end = lo + step
-            for k in [k for k in kept if last[k] < end]:
+            for k in [k for k in kept if last[k] < draws.stop]:
                 kept_bytes -= len(kept[k])
                 lines[k] = kept.pop(k)
             for k in new:
-                if last[k] >= end and kept_bytes + len(lines[k]) <= _KEPT_LINE_BYTES:
+                if last[k] >= draws.stop and kept_bytes + len(lines[k]) <= _KEPT_LINE_BYTES:
                     kept[k] = lines[k]
                     kept_bytes += len(lines[k])
             fh.write(b"\n".join([lines[k] if k in lines else kept[k]

@@ -1,4 +1,5 @@
-"""Output files, and block-wise text rendering of integer matrices.
+"""Output files, text rendering of integer matrices, and _BLOCK_CELLS,
+the block size of every bounded pass over label rows, pairs and text.
 
 open_output opens every output file of the package; a file that cannot
 be opened for writing raises DataError naming it.
@@ -6,8 +7,8 @@ be opened for writing raises DataError naming it.
 The comparison, edge, labeling, truth and nontransitive-count files are
 integer matrices written as delimited text. render_rows renders a block
 of rows with numpy into the same bytes as joining str(int(v)) with the
-separator, one row per line; write_int_rows writes whole matrices a
-bounded block of rows at a time.
+separator, one row per line; write_int_rows writes whole matrices one
+row block at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +19,10 @@ import numpy as np
 
 from .errors import DataError
 
-# Cells rendered per block: about 4 MB of scratch arrays at any row width.
+# Cells per block of every bounded pass: about 4 MB of scratch arrays at
+# any row width when rendering text, about 2.5 MB when canonicalizing
+# label rows (2**18 cells there raised the peak RSS of dedupe on a
+# 500-record file by 10 MB).
 _BLOCK_CELLS = 1 << 16
 
 _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)  # widths 2..20 start here
@@ -71,26 +75,40 @@ def render_rows(block: np.ndarray, *, sep: str = ",",
     return buf.tobytes()
 
 
-def block_rows(width: int) -> int:
-    """Rows per rendered block at the given row width."""
-    return max(1, _BLOCK_CELLS // max(width, 1))
+def row_blocks(n_rows: int, width: int) -> list[slice]:
+    """Slices over n_rows rows of width cells each, about _BLOCK_CELLS
+    cells and at least one row per slice."""
+    step = max(1, _BLOCK_CELLS // max(width, 1))
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
 
-def write_int_rows(path, columns, *, sep: str = ",", na: bool = False,
+def bounded_runs(counts: np.ndarray, limit: int) -> list[tuple[int, int]]:
+    """Consecutive index ranges [lo, hi) covering counts, each with a
+    total count of at most limit unless one item alone exceeds it."""
+    ends = np.cumsum(counts)
+    runs, lo = [], 0
+    while lo < len(ends):
+        before = int(ends[lo - 1]) if lo else 0
+        hi = int(np.searchsorted(ends, before + limit, side="right"))
+        runs.append((lo, max(hi, lo + 1)))
+        lo = runs[-1][1]
+    return runs
+
+
+def write_int_rows(path, columns, *, na: bool = False,
                    header: str | None = None) -> None:
-    """Write integer matrices side by side as delimited text (see
-    render_rows), a bounded block of rows at a time. The header, when
-    given, is written first as its own line.
+    """Write integer matrices side by side as comma-separated text (see
+    render_rows), one row block at a time. The header, when given, is
+    written first as its own line.
 
     columns is a sequence of 1-d (one column) or 2-d arrays with one row
     per output line.
     """
     parts = [np.asarray(c) for c in columns]
     parts = [c.reshape(-1, 1) if c.ndim == 1 else c for c in parts]
-    step = block_rows(sum(c.shape[1] for c in parts))
     with open_output(path, binary=True) as fh:
         if header is not None:
             fh.write(header.encode("utf-8") + b"\n")
-        for lo in range(0, len(parts[0]), step):
-            fh.write(render_rows(np.hstack([c[lo:lo + step].astype(np.int64)
-                                            for c in parts]), sep=sep, na=na))
+        for rows in row_blocks(len(parts[0]), sum(c.shape[1] for c in parts)):
+            fh.write(render_rows(np.hstack([c[rows].astype(np.int64)
+                                            for c in parts]), na=na))

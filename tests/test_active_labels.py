@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayesdedupe import gibbs, partition, posterior, textio
+from bayesdedupe import gibbs, posterior, textio
 from bayesdedupe.candidates import (CandidateGraph, FixRule, all_pairs,
                                     fix_noncoreferent)
 from bayesdedupe.comparison import compare_pairs
@@ -107,7 +107,7 @@ def test_expansion_matches_full_canonicalization(r, share, n_rows, n_cells,
             == sorted(range(n_rows), key=lambda k: full[k].tolist()))
     # block by block, with blocks of one row inside the expansion
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(partition, "_CANON_CELLS", 1)
+        mp.setattr(textio, "_BLOCK_CELLS", 1)
         rows = [expand_label_rows(labels[k:k + 2], active, r)
                 for k in range(0, n_rows, 2)]
     assert np.array_equal(np.vstack(rows) if rows else full, full)

@@ -14,7 +14,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from bayesdedupe import candidates, comparison
+from bayesdedupe import candidates, comparison, textio
 from bayesdedupe.candidates import FilterRule, build_pairs
 from bayesdedupe.comparison import LevelSpec, binary_spec, compare_pairs
 from bayesdedupe.config import load_config
@@ -40,8 +40,8 @@ FILTERS = [FilterRule.categorical_block("city"),
            FilterRule.integer_gap_exceeds("year", 3),
            FilterRule.custom_overlap("place")]
 
-# (_GRID_BLOCK, _PAIR_BLOCK, _SIM_CHUNK)
-SIZES = [(1, 1, 1), (7, 5, 3), (50, 64, 4), (3, 17, 2)]
+# (textio._BLOCK_CELLS, _SIM_CHUNK)
+SIZES = [(1, 1), (7, 3), (5, 3), (50, 4), (64, 4), (3, 2), (17, 2)]
 
 # scratch allowed beyond the returned arrays, in bytes; one budget for
 # both file sizes tested
@@ -63,10 +63,9 @@ def mixed_file(rng: np.random.Generator, r: int) -> DataFile:
     return DataFile(schema=schema, records=records)
 
 
-def patched(grid: int, pair: int, chunk: int) -> ExitStack:
+def patched(block: int, chunk: int) -> ExitStack:
     stack = ExitStack()
-    stack.enter_context(mock.patch.object(candidates, "_GRID_BLOCK", grid))
-    stack.enter_context(mock.patch.object(comparison, "_PAIR_BLOCK", pair))
+    stack.enter_context(mock.patch.object(textio, "_BLOCK_CELLS", block))
     stack.enter_context(mock.patch.object(comparison, "_SIM_CHUNK", chunk))
     return stack
 
@@ -105,7 +104,7 @@ def test_sparse_pair_list_matches_full_comparison(stride):
     df = mixed_file(np.random.default_rng(5), 60)
     full = compare_pairs(df, candidates.all_pairs(df.r), SPECS)
     pairs = full.pairs[::stride]
-    with patched(1, 1, 1):
+    with patched(1, 1):
         got = compare_pairs(df, pairs, SPECS)
     assert np.array_equal(got.levels, full.levels[::stride])
     for k in range(len(got)):
@@ -120,7 +119,7 @@ def test_errors_raised_from_any_chunk(pairs):
     df = DataFile(schema=[FieldSchema("n", "integer")],
                   records=[Record(i, (v,)) for i, v in enumerate([0, 1, 9])])
     spec = LevelSpec("n", "absolute_difference", (0.0, 1.0, 2.0))
-    with patched(1, 1, 1), pytest.raises(Exception, match="last cut point"):
+    with patched(1, 1), pytest.raises(Exception, match="last cut point"):
         compare_pairs(df, np.array(pairs), [spec])
 
 

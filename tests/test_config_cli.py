@@ -105,13 +105,15 @@ class TestLoadConfig:
         assert cfg.filter_rules[1].gap == 2
 
     def test_integers_read_as_text(self, tmp_path):
-        """Where text is expected an integer is read as its digits."""
+        """Where text is expected an integer is read as its digits, a
+        prior.lambdas key too."""
         cfg = load_config(write_config(tmp_path, {
             "input.missing_token": 99, "fields.0.name": 7,
             "comparators.0.field": 7, "fix_rules": None,
-            "prior.lambdas.name": None}))
+            "prior.lambdas.name": None, "prior.lambdas.7": [0.7, 0.6, 0.5]}))
         assert cfg.input.missing_token == "99"
         assert cfg.schema[0].name == cfg.level_specs[0].field == "7"
+        assert cfg.prior.lam[0].tolist() == [0.7, 0.6, 0.5]
 
     @pytest.mark.parametrize("overrides", [
         {"input": None},
@@ -415,6 +417,9 @@ class TestCliErrors:
         ({"input.required": "name"}, "input.required: expected a list"),
         ({"sampler.seed": -1}, "sampler: seed"),
         ({"prior.alpha1": 10**400}, "prior.alpha1"),
+        ({"fields.0.name": 7, "comparators.0.field": 7, "fix_rules": None,
+          "prior.lambdas": {7: [0.9] * 3, "7": [0.9] * 3}},
+         "prior.lambdas: field '7' given twice"),
     ], ids=["levenshtein-integer", "token-levenshtein-integer",
             "difference-string", "gap-categorical", "overlap-integer",
             "long-delimiter", "empty-delimiter", "pairwise-string",
@@ -422,11 +427,22 @@ class TestCliErrors:
             "filter-field-list", "required-null", "directory-list",
             "path-list", "missing-token-null", "field-name-list",
             "stop-token-null", "required-string", "seed-negative",
-            "beyond-float"])
+            "beyond-float", "lambda-key-twice"])
     def test_config_boundary(self, tmp_path, capsys, overrides, key):
         p = write_config(tmp_path, overrides)
         assert main(["compare", "--config", str(p)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_draw_store_beyond_memory(self, tmp_path, capsys, threads):
+        """A retained-draw store that cannot be allocated exits 2, naming
+        the key, also from a pool worker. numpy refuses the allocation
+        without touching memory."""
+        p = write_config(tmp_path, {"sampler.iterations": 10**13,
+                                    "sampler.chains": 2})
+        assert main(["dedupe", "--config", str(p), "--threads", threads]) == 2
+        err = capsys.readouterr().err
+        assert "sampler.iterations" in err and "retained draws" in err
 
     def test_config_not_utf8(self, tmp_path, capsys):
         p = write_config(tmp_path)

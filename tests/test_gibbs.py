@@ -53,6 +53,7 @@ from oracles import (
     is_valid_labeling,
     log_likelihood_ratio,
     log_posterior_unnormalized,
+    marginal_log_likelihood,
     partition_to_labeling,
     SequentialSites,
     sample_truncated_beta,
@@ -569,18 +570,22 @@ def graph_with_candidates(comps, cand_pairs) -> CandidateGraph:
                           components=connected_components(comps.r, cand))
 
 
-def chain_tv(df, comps, graph, seed: int, random_scan: bool) -> float:
+def chain_tv(df, comps, graph, seed: int, random_scan: bool,
+             fixed_params: ModelParams | None = FROZEN) -> float:
     """Total variation distance between the retained partitions of a
-    chain at the FROZEN parameters and exact enumeration."""
+    chain and exact enumeration: at fixed_params, or with the parameters
+    redrawn every sweep (and integrated out of the exact law) when
+    fixed_params is None."""
     prior = toy_prior_for(comps)
-    exact = exact_partition_probs(df, comps, graph, FROZEN, prior)
+    if fixed_params is None:
+        exact = marginal_partition_probs(df, comps, graph, prior)
+    else:
+        exact = exact_partition_probs(df, comps, graph, fixed_params, prior)
     cfg = SamplerConfig(iterations=20000, burn_in=500, seed=seed,
                         random_scan=random_scan)
-    sample = run_chain(comps, graph, prior, cfg, fixed_params=FROZEN)
+    sample = run_chain(comps, graph, prior, cfg, fixed_params=fixed_params)
     freq = Counter(tuple(row.tolist()) for row in sample.labelings)
-    n = sample.n_kept
-    return 0.5 * sum(abs(exact.get(k, 0.0) - freq[k] / n)
-                     for k in set(exact) | set(freq))
+    return tv_distance(exact, {k: c / sample.n_kept for k, c in freq.items()})
 
 
 class TestExactPosteriorSmall:
@@ -609,6 +614,57 @@ class TestExactPosteriorSmall:
         assert ctx.block_records.tolist() == [7, 8]
         tv = chain_tv(df, comps, graph, 29, random_scan)
         assert tv < 0.05, f"TV distance {tv:.4f}"
+
+
+def marginal_partition_probs(df, comps, graph, prior) -> dict:
+    """Probability of every valid partition with the parameters integrated
+    out: the flat partition prior adds nothing, so it is proportional to
+    the marginal likelihood."""
+    parts = [tuple(partition_to_labeling(p)) for p in
+             enumerate_valid_partitions(df.r, graph.candidate_pair_set())]
+    logs = np.array([marginal_log_likelihood(list(z), prior, graph, comps)
+                     for z in parts])
+    probs = np.exp(logs - logs.max())
+    return dict(zip(parts, probs / probs.sum()))
+
+
+def tv_distance(p: dict, q: dict) -> float:
+    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in set(p) | set(q))
+
+
+# TV bound of the joint chain at 20,000 sweeps, from seed noise: over 8
+# to 12 seeds per case the three cases below read 0.006-0.020. With m
+# drawn from the previous sweep's counts they read 0.031-0.045; with a
+# recount that skips the block records, or a doubled new-cell weight,
+# the cases that the fault reaches read 0.12-0.22.
+JOINT_TV = 0.027
+
+
+class TestExactJointChain:
+    """The joint chain, labels then m and u redrawn from recounted
+    statistics, against the exact partition posterior of a seven-record
+    file with 75 valid partitions: one component of four records (15
+    valid partitions) and one of three (5)."""
+
+    @pytest.mark.parametrize("p_max, random_scan, single_site", [
+        (None, False, 0), (1, True, 7), (14, False, 4)],
+        ids=["blocks", "single-site", "mixed"])
+    def test_partition_law_matches_marginal_likelihood(
+            self, monkeypatch, p_max, random_scan, single_site):
+        if p_max is not None:
+            monkeypatch.setattr(gibbs, "P_MAX", p_max)
+        df, comps, graph = compared_setup(np.random.default_rng(1003), 7)
+        ctx = SamplerContext(comps, graph)
+        assert len(ctx.single_site) == single_site
+        assert len(ctx.block_records) == 7 - single_site
+        exact = marginal_partition_probs(df, comps, graph, toy_prior_for(comps))
+        assert len(exact) == 75
+        # λ = 0.5 binds: without the truncation the law is another one
+        unbound = PriorSpec.from_lambdas([np.zeros(n - 1) for n in comps.n_levels])
+        assert tv_distance(exact, marginal_partition_probs(
+            df, comps, graph, unbound)) > 0.5
+        tv = chain_tv(df, comps, graph, 971, random_scan, fixed_params=None)
+        assert tv < JOINT_TV, f"TV distance {tv:.4f}"
 
 
 def test_draw_segments_follows_weights():

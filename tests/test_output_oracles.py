@@ -131,7 +131,7 @@ class TestMetrics:
         r = L.shape[1]
         ref = np.array(data.draw(st.lists(st.integers(-2, 4), min_size=r,
                                           max_size=r)), dtype=np.int64)
-        with mock.patch.object(posterior, "_SUMMARY_CELLS", cells):
+        with mock.patch.object(textio, "_BLOCK_CELLS", cells):
             precs, recs = posterior.precision_recall_arrays(L, ref)
             want_p, want_r = oracles.precision_recall_arrays(L, ref)
             assert np.array_equal(precs, want_p)
@@ -150,7 +150,7 @@ class TestMetrics:
         r = pool.shape[1]
         ref = np.array(data.draw(st.lists(st.integers(-2, 4), min_size=r,
                                           max_size=r)), dtype=np.int64)
-        with mock.patch.object(posterior, "_SUMMARY_CELLS", cells):
+        with mock.patch.object(textio, "_BLOCK_CELLS", cells):
             assert (posterior.metric_summary(pool, ref, index=index)
                     == oracles.metric_summary(pool[index], ref))
             assert (posterior.duplicate_distribution(pool, index=index)
@@ -192,7 +192,7 @@ class TestPairwise:
         graph = CandidateGraph(r=r, pairs=np.array(all_pairs, dtype=np.int32
                                                    ).reshape(-1, 2),
                                candidate_mask=mask)
-        with mock.patch.object(posterior, "_SUMMARY_CELLS", cells):
+        with mock.patch.object(textio, "_BLOCK_CELLS", cells):
             got = posterior.pairwise_probabilities(L, graph)
         assert np.array_equal(got, oracles.pairwise_probabilities(L, graph))
 
@@ -206,7 +206,7 @@ class TestFrequencyTable:
                                    min_size=1, max_size=30))
         L = pool[picks]
         want = oracles.partition_frequency_table(L)
-        with mock.patch.object(posterior, "_SUMMARY_CELLS", cells):
+        with mock.patch.object(textio, "_BLOCK_CELLS", cells):
             assert posterior.partition_frequency_table(L) == want
             # rows are keyed by their bytes in C order, whatever the layout
             assert (posterior.partition_frequency_table(np.asfortranarray(L))

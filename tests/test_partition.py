@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayesdedupe import partition
+from bayesdedupe import textio
 from bayesdedupe.partition import (
     canonicalize_label_rows,
     format_partition,
@@ -193,7 +193,7 @@ class TestCanonicalizeRows:
         alphabet = np.array([info.min, info.min + 1, -7, -1, 0, 3,
                              info.max - 1, info.max], dtype=dtype)
         rows = alphabet[gen.integers(0, len(alphabet), size=(n, r))]
-        with mock.patch.object(partition, "_CANON_CELLS", cells):
+        with mock.patch.object(textio, "_BLOCK_CELLS", cells):
             out = canonicalize_label_rows(rows)
         assert out.shape == (n, r)
         for k in range(n):
@@ -205,7 +205,7 @@ class TestCanonicalizeRows:
         rng = np.random.default_rng(cells)
         rows = rng.integers(0, 25, size=(40, 25)).astype(np.int32)
         expected = canonicalize_label_rows(rows)
-        with mock.patch.object(partition, "_CANON_CELLS", cells):
+        with mock.patch.object(textio, "_BLOCK_CELLS", cells):
             out = canonicalize_label_rows(rows, out=rows)
         assert out is rows
         assert np.array_equal(rows, expected)
