@@ -245,6 +245,13 @@ class CandidateGraph:
     def candidate_pair_set(self) -> set:
         return {(int(i), int(j)) for i, j in self.candidate_pairs()}
 
+    def candidates_only(self) -> CandidateGraph:
+        """The graph of the candidate pairs alone, all of them candidates
+        and no components kept: enough for what reads candidate_pairs()."""
+        pairs = self.candidate_pairs()
+        return CandidateGraph(r=self.r, pairs=pairs,
+                              candidate_mask=np.ones(len(pairs), dtype=bool))
+
     def write_edges(self, path) -> None:
         """Edge list export: record id pair plus the fixed flag."""
         write_int_rows(path, (self.pairs, ~self.candidate_mask),

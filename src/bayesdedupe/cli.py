@@ -126,9 +126,11 @@ def cmd_dedupe(args) -> int:
     threads = _resolve_threads(args)
     run, comps, graph, shared = _prepare(cfg)
     ctx = gibbs.SamplerContext(comps, graph)
-    # the context holds what the chains read; dropping the comparisons
-    # frees their level table, one byte per compared pair and field
+    # the context holds what the chains read, and the summaries read only
+    # the candidate pairs: dropping the comparisons and the compared pairs
+    # frees their level table and pair arrays through the chains
     del comps
+    graph = graph.candidates_only()
     chains = gibbs.run_chains(None, None, cfg.prior, cfg.sampler,
                               n_workers=threads, ctx=ctx)
     pooled = posterior.pool_samples(chains)

@@ -51,9 +51,23 @@ once; the candidates' log ratios, which the single-site draws read, are
 one product with the candidate matrix. Integer counts are exact in
 float64.
 
-Each m is drawn from its Beta full conditional truncated to (lam, 1)
-exactly, by rejection with numpy alone: see _tbeta_envelope. The u are
-untruncated Beta draws.
+Each m is updated from its Beta full conditional truncated to (lam, 1)
+by ordered overrelaxation (Neal 1998, "Suppressing random walks in
+Markov chain Monte Carlo using ordered overrelaxation"). The exact
+rejection sampler of _tbeta_envelope, in numpy alone, draws candidates
+in rounds; the K accepted candidates of an m's first round that has any
+are independent draws from its conditional, and K depends neither on
+their values nor on the current m. With the current m of rank r among
+these K + 1 values, the new m is the value of rank K - r. When m
+follows its conditional the K + 1 values are exchangeable, and the map
+from rank r to rank K - r is its own inverse, so each update satisfies
+detailed balance and the joint posterior is unchanged; what changes is
+that m steps across its conditional instead of redrawing, which loosens
+its lock-step with the labels. Ties, which in practice only the
+clipping of m to [max(lam, 1e-12), 1 - 1e-12] makes, are broken at
+random. The prior draw of init_state and the mixture baseline take the
+first accepted candidate, a plain exact draw. The u are untruncated
+Beta draws.
 
 Given a seed and a config the trajectory is bit-reproducible, with one
 BLAS thread as with two: random draws happen in a fixed order. Each
@@ -61,9 +75,11 @@ sweep draws one batch of uniforms, two per single-site record (in
 visiting order; the first picks the record's option and the second is
 drawn but unused) and then one per block component (by smallest
 member); with random_scan the visiting order is drawn next; then come
-the m draws, in rounds of three uniforms per candidate and four
-candidates per m still without a draw, so their number varies from
-sweep to sweep; then the u draws.
+the m updates, in rounds of three uniforms per candidate and four
+candidates per m still without an accepted candidate, every accepted
+candidate of a round kept, and after a round in which some current m
+ties with one of them one uniform per m of the round, so their number
+varies from sweep to sweep; then the u draws.
 """
 
 from __future__ import annotations
@@ -71,6 +87,7 @@ from __future__ import annotations
 import time
 from collections import Counter, namedtuple
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -193,23 +210,63 @@ def _tbeta_envelope(a: np.ndarray, b: np.ndarray,
     return mass[0] / (mass[0] + mass[1]), fields.reshape(8, 2 * n)
 
 
+@cache
+def _round_index(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """For a round over k elements: each element's column offset, as a
+    column, and the flat position of its first candidate; read-only, as
+    every round over k elements shares them."""
+    index = np.arange(k)[:, None], np.arange(0, k * TBETA_CANDIDATES,
+                                             TBETA_CANDIDATES)
+    for arr in index:
+        arr.flags.writeable = False
+    return index
+
+
+def _overrelax(cand: np.ndarray, accept: np.ndarray, current: np.ndarray,
+               rng: np.random.Generator) -> np.ndarray:
+    """Per row, Neal's ordered overrelaxation of current among the
+    accepted candidates of cand: with K of them and current of rank r
+    among the K + 1 values, the value of rank K - r. A row without an
+    accepted candidate keeps current. A tie, which in practice only the
+    clipping of the draws makes, puts current at a uniformly drawn rank
+    among its equals; the round then draws one uniform per row."""
+    values = np.where(accept, cand, np.inf)
+    values.sort(axis=1)  # the accepted values ascending, then inf
+    at = current[:, None]
+    rank = np.add.reduce(values < at, axis=1)
+    ties = values == at
+    if ties.any():
+        ties = np.add.reduce(ties, axis=1) + 1
+        rank += (rng.random(len(rank)) * ties).astype(np.int64)
+    target = np.add.reduce(accept, axis=1) - rank
+    # the K + 1 values in order are values[:r], current, values[r:K]
+    pick = values.take(_round_index(len(rank))[1] + target - (target > rank))
+    return np.where(target == rank, current, pick)
+
+
 def _tbeta_vec(rng: np.random.Generator, a: np.ndarray, b: np.ndarray,
-               lam: np.ndarray,
-               memo: dict | None = None) -> tuple[np.ndarray, int]:
+               lam: np.ndarray, memo: dict | None = None,
+               current: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Exact TBeta(a, b; lam, 1) draws by rejection from _tbeta_envelope,
-    and how many candidates were rejected before the accepted ones.
+    clipped to [max(lam, 1e-12), 1 - 1e-12], and how many candidates were
+    rejected among those the draws used.
 
     Every round draws uniforms of shape (3, elements still without a draw,
     TBETA_CANDIDATES): the piece, the point on it and the acceptance test.
-    memo, when given, maps the bytes of (a, b, lam) to their envelope
-    across calls; it changes no draw. Raises RuntimeError if some element
-    has no draw after TBETA_MAX_ROUNDS rounds.
+    An element's draw comes from its first round with an accepted
+    candidate: the first of them, or, given current (each element's value
+    in the chain), _overrelax of current among all of them, which uses
+    every candidate of the round. memo, when given, maps the bytes of (a,
+    b, lam) to their envelope across calls; it changes no draw. Raises
+    RuntimeError if some element has no draw after TBETA_MAX_ROUNDS
+    rounds.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
     x = np.empty(len(a))
     todo = np.arange(len(a))
+    low = np.maximum(lam, 1e-12)[:, None]  # where the candidates clip
     rejected = 0
     # the branches an element does not take may divide by 0 or overflow
     with np.errstate(all="ignore"):
@@ -224,9 +281,10 @@ def _tbeta_vec(rng: np.random.Generator, a: np.ndarray, b: np.ndarray,
             p0, fields = memo[key]
         for _ in range(TBETA_MAX_ROUNDS):
             k = len(todo)
+            row, row_start = _round_index(k)
             u = rng.random((3, k, TBETA_CANDIDATES))
             col = (u[0] >= p0[:, None]) * k
-            col += np.arange(k)[:, None]
+            col += row
             beta, top, c1, em, at_top, per_l1, x_at, x_sign = fields.take(
                 col, axis=1)
             l1 = np.log1p(u[1] * em)
@@ -239,41 +297,49 @@ def _tbeta_vec(rng: np.random.Generator, a: np.ndarray, b: np.ndarray,
             per_l1 *= l1
             ratio += per_l1
             accept = np.log(u[2]) < ratio
+            x_sign *= e
+            x_sign += x_at  # the candidates' x, clipped next
+            np.minimum(x_sign, 1.0 - 1e-12, out=x_sign)
+            np.maximum(x_sign, low, out=x_sign)
             # an element without an accepted candidate gets first = 0 and
             # a value that a later round overwrites
             first = accept.argmax(axis=1)
-            pick = first + np.arange(0, k * TBETA_CANDIDATES, TBETA_CANDIDATES)
-            x_sign *= e
-            x_sign += x_at  # the candidates' x
-            x[todo] = x_sign.take(pick)
-            rejected += int(first.sum())
+            pick = first + row_start
             done = accept.take(pick)
             n_done = int(np.count_nonzero(done))
+            if current is None:
+                x[todo] = x_sign.take(pick)
+                rejected += int(first.sum())
+            else:
+                x[todo] = _overrelax(x_sign, accept, current, rng)
+                rejected += (TBETA_CANDIDATES * n_done
+                             - int(np.count_nonzero(accept)))
             if n_done == k:
                 break
             rejected += TBETA_CANDIDATES * (k - n_done)
             keep = ~done
-            todo, p0 = todo[keep], p0[keep]
+            todo, p0, low = todo[keep], p0[keep], low[keep]
+            if current is not None:
+                current = current[keep]
             fields = fields[:, np.concatenate((keep, keep))]
         else:
             raise RuntimeError(
                 "truncated-Beta rejection did not accept "
                 f"(a={a[todo]}, b={b[todo]}, lam={lam[todo]})")
-    np.minimum(x, 1.0 - 1e-12, out=x)
-    np.maximum(x, 1e-12, out=x)
-    np.maximum(x, lam, out=x)
     return x, rejected
 
 
 # --- parameter block --------------------------------------------------------
 
-# Per parameter, in field order: its Beta hyperparameters and truncation
-# point; offsets bounds each field's parameters. A field with L + 1 levels
-# has L parameters and L + 1 level bins, so parameter q of field f counts
-# the pairs in bin q + f against those in the bins above it up to the
-# field's top bin. at and top hold these two bins per parameter as indices
-# into (2, bins) level counts raveled, for a1 and then for a0.
-FlatPrior = namedtuple("FlatPrior", "alpha1 beta1 lam alpha0 beta0 offsets at top")
+# Per parameter, in field order: its truncation point; offsets bounds
+# each field's parameters. A field with L + 1 levels has L parameters and
+# L + 1 level bins, so parameter q of field f counts the pairs in bin
+# q + f against those in the bins above it up to the field's top bin.
+# (2, bins) level counts raveled, times gather, plus base, give the four
+# Beta parameters of every full conditional: m's a and b (from a1) and
+# u's a and b (from a0), one block of parameters each; base holds the
+# prior's side.
+FlatPrior = namedtuple("FlatPrior", "lam offsets gather base")
 
 
 def _concat(arrs) -> np.ndarray:
@@ -287,36 +353,36 @@ def flatten_prior(prior: PriorSpec) -> FlatPrior:
     field = np.repeat(fields, sizes)
     at = np.arange(offsets[-1]) + field
     top = (offsets[1:] + fields)[field]
-    n_bins = offsets[-1] + len(sizes)
-    return FlatPrior(alpha1=_concat(prior.alpha1), beta1=_concat(prior.beta1),
-                     lam=_concat(prior.lam), alpha0=_concat(prior.alpha0),
-                     beta0=_concat(prior.beta0), offsets=offsets,
-                     at=np.concatenate((at, at + n_bins)),
-                     top=np.concatenate((top, top + n_bins)))
+    bins = np.arange(offsets[-1] + len(sizes))[:, None]
+    level = np.hstack((bins == at, (bins > at) & (bins <= top)))
+    return FlatPrior(lam=_concat(prior.lam), offsets=offsets,
+                     gather=np.kron(np.eye(2), level),
+                     base=_concat(prior.alpha1 + prior.beta1 + prior.alpha0
+                                  + prior.beta0))
 
 
-def _level_counts(flat: FlatPrior, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per parameter, the count at its level and the count above it in its
-    field, from (2, bins) level counts; each result has a row for a1 and
-    one for a0. The running sum crosses from the a1 row into the a0 row,
-    which the differences within a field cancel."""
-    flat_counts = counts.ravel()
-    upto = np.cumsum(flat_counts)
-    return (flat_counts[flat.at].reshape(2, -1),
-            (upto[flat.top] - upto[flat.at]).reshape(2, -1))
+def _beta_parameters(flat: FlatPrior, counts: np.ndarray) -> np.ndarray:
+    """The Beta parameters of every full conditional, rows m's a and b and
+    u's a and b, from (2, bins) level counts. The products sum integer
+    counts, which float64 holds exactly."""
+    params = counts.ravel() @ flat.gather
+    params += flat.base
+    return params.reshape(4, -1)
 
 
 def draw_flat_params(rng: np.random.Generator, flat: FlatPrior,
-                     counts: np.ndarray, memo: dict | None = None
+                     counts: np.ndarray, memo: dict | None = None,
+                     current: np.ndarray | None = None
                      ) -> tuple[np.ndarray, np.ndarray, int]:
     """Joint conjugate redraw of all m then all u, as flat vectors, from
     level counts of shape (2, bins): a1 in row 0, a0 in row 1; and the m
-    candidates rejected on the way. memo as for _tbeta_vec."""
-    at, above = _level_counts(flat, counts)
-    m, rejected = _tbeta_vec(rng, flat.alpha1 + at[0], flat.beta1 + above[0],
-                             flat.lam, memo)
-    u = rng.beta(flat.alpha0 + at[1], flat.beta0 + above[1])
-    np.clip(u, 1e-12, 1.0 - 1e-12, out=u)
+    candidates rejected on the way. memo and current (the chain's m, which
+    turns each m draw into an overrelaxed update) as for _tbeta_vec."""
+    a_m, b_m, a_u, b_u = _beta_parameters(flat, counts)
+    m, rejected = _tbeta_vec(rng, a_m, b_m, flat.lam, memo, current)
+    u = rng.beta(a_u, b_u)
+    np.maximum(u, 1e-12, out=u)
+    np.minimum(u, 1.0 - 1e-12, out=u)
     return m, u, rejected
 
 
@@ -402,12 +468,14 @@ class LevelContext:
 
     def bin_log_ratios(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Per-level-bin log likelihood ratios from flat m and u."""
-        own = np.log(m) - np.log(u)
+        own = np.empty(len(m) + 1)
+        own[-1] = 0.0
+        np.subtract(np.log(m), np.log(u), out=own[:-1])
         past = np.empty(len(m) + 1)
         past[0] = 0.0
-        np.cumsum(np.log1p(-m) - np.log1p(-u), out=past[1:])
-        return np.append(own, 0.0)[self._bin_own] + (past[self._bin_past]
-                                                     - past[self._bin_first])
+        np.add.accumulate(np.log1p(-m) - np.log1p(-u), out=past[1:])
+        return own[self._bin_own] + (past[self._bin_past]
+                                     - past[self._bin_first])
 
     def flat_log_ratios(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Per-candidate-pair log likelihood ratios from flat m and u."""
@@ -420,8 +488,10 @@ class LevelContext:
     def link_counts(self, linked: np.ndarray) -> np.ndarray:
         """Level counts of shape (2, bins), a1 then a0, when exactly the
         candidate pairs flagged in linked are coreferent."""
-        a1 = (linked @ self.cand_bins).astype(np.int64)
-        return np.stack((a1, self.a0_base - a1))
+        counts = np.empty((2, self.n_bins), dtype=np.int64)
+        counts[0] = linked @ self.cand_bins
+        np.subtract(self.a0_base, counts[0], out=counts[1])
+        return counts
 
     def recount(self, z: np.ndarray) -> np.ndarray:
         """Level counts of labeling z, counted from scratch."""
@@ -442,7 +512,8 @@ class SamplerContext(LevelContext):
     whole (block_records, by component in order of smallest member); the
     records of the others are updated one at a time (single_site,
     ascending). Block draws are stored flat: partitions of component c
-    are comp_parts[c]..comp_parts[c + 1] - 1; column p of the bin x
+    are comp_parts[c]..comp_parts[c + 1] - 1, and part_comp is the
+    component of every partition; column p of the bin x
     partition count matrix part_bins (float64, C-contiguous) counts the
     levels of the candidate pairs that partition p puts in one cell, per
     bin, so the per-bin log ratios times part_bins score every partition;
@@ -454,8 +525,9 @@ class SamplerContext(LevelContext):
     its entries are in adjacency order, and site_row gives each entry's
     row. A draw lays the rows out flat as slots, each row's entries and
     then one slot for a new cell: entry e sits at slot site_slot[e] and
-    row k's new cell at site_new[k]; site_start[k] is the row's first
-    slot and slot_row the row of every slot.
+    row k's new cell at site_new[k], its last; site_start[k] is the row's
+    first slot, site_end[k] one past its last, and slot_row the row of
+    every slot.
     """
 
     def __init__(self, comps: PairComparisons, graph: CandidateGraph):
@@ -506,6 +578,7 @@ class SamplerContext(LevelContext):
         self.site_slot = np.arange(len(entries)) + self.site_row
         self.site_new = ptr[1:] + rows
         self.site_start = ptr[:-1] + rows
+        self.site_end = self.site_new + 1
         self.slot_row = np.repeat(rows, degree + 1)
 
         # per component: every partition's labels, and (partition, candidate)
@@ -579,8 +652,8 @@ class ChainState:
     log ratios (bin_lr, which the block draws read) and candidate log
     ratios (loglr, which the single-site draws read), level counts, the
     cell sizes of the single-site records, a count of single-site passes,
-    one of the m candidates rejected before the accepted ones, and the
-    memo of m envelopes that _tbeta_vec keeps for this chain.
+    one of the m candidates rejected among those the m draws used, and
+    the memo of m envelopes that _tbeta_vec keeps for this chain.
 
     stats (a1 and a0 over all bins) are recounted from z before every
     parameter draw. Every label is the record id of a member of its cell;
@@ -651,19 +724,21 @@ def _site_cells(ctx: SamplerContext, z: np.ndarray,
     return SiteCells(group, options, ctx.site_slot[first], label, stay)
 
 
-def _draw_segments(scores: np.ndarray, first: np.ndarray,
-                   us: np.ndarray) -> np.ndarray:
-    """One index per segment of scores, segment k (from first[k] to the
-    next segment's start) drawn at uniform us[k] with weights exp(scores).
-    Every segment's last score must be finite; scores are shifted in place.
+def _draw_segments(scores: np.ndarray, first: np.ndarray, end: np.ndarray,
+                   seg: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """One index per segment of scores, segment k (entries first[k] to
+    end[k] - 1; seg gives every entry's segment) drawn at uniform us[k]
+    with weights exp(scores). Every segment's last score must be finite;
+    scores are overwritten.
     """
-    end = np.append(first[1:], len(scores))
-    scores -= np.repeat(np.maximum.reduceat(scores, first), end - first)
+    scores -= np.maximum.reduceat(scores, first)[seg]
     cdf = np.zeros(len(scores) + 1)
-    np.cumsum(np.exp(scores), out=cdf[1:])
+    np.add.accumulate(np.exp(scores, out=scores), out=cdf[1:])
     lo, hi = cdf[first], cdf[end]
-    # a point rounded up to hi goes to the segment's last entry
-    drawn = np.searchsorted(cdf, lo + us * (hi - lo), side="right") - 1
+    # the count of cdf[1:] at or below a point is the entry it falls in,
+    # as cdf[0] = 0 is below every point; one rounded up to hi goes to the
+    # segment's last entry
+    drawn = np.searchsorted(cdf[1:], lo + us * (hi - lo), side="right")
     return np.minimum(drawn, end - 1, out=drawn)
 
 
@@ -681,7 +756,8 @@ def _site_draws(ctx: SamplerContext, cells: SiteCells, lr: np.ndarray,
     scores = np.full(len(ctx.slot_row), -np.inf)
     scores[cells.slots] = np.bincount(cells.group, weights=lr)[cells.options]
     scores[ctx.site_new] = 0.0
-    slot = _draw_segments(scores, ctx.site_start, u)
+    slot = _draw_segments(scores, ctx.site_start, ctx.site_end,
+                          ctx.slot_row, u)
     return cells.label[slot], cells.stay[slot]
 
 
@@ -702,26 +778,29 @@ def _move(ctx: SamplerContext, z: np.ndarray, sizes: np.ndarray, i: int,
 
 
 def _single_site_sweep(ctx: SamplerContext, state: ChainState, u: np.ndarray,
-                       order: np.ndarray) -> None:
+                       order: np.ndarray | None) -> None:
     """Update every single-site record once, row order[k] k-th with
-    uniform u[k], by prefetched passes: each pass draws every record
-    against the current labeling, and the first record in visiting order
-    still to come whose draw changes the partition is moved; the records
-    before it keep their cells."""
-    u_row = np.empty(len(order))
-    u_row[order] = u
+    uniform u[k] (order None: row k k-th), by prefetched passes: each pass
+    draws every record against the current labeling, and the first record
+    in visiting order still to come whose draw changes the partition is
+    moved; the records before it keep their cells."""
+    if order is not None:
+        u_row = np.empty(len(order))
+        u_row[order] = u
+        u = u_row
     lr = state.loglr[ctx.site_cand]
-    start = 0
-    while start < len(order):
+    start, n = 0, len(u)
+    while start < n:
         state.passes += 1
         if state.cells is None:
             state.cells = _site_cells(ctx, state.z, state.sizes)
-        drawn, stay = _site_draws(ctx, state.cells, lr, u_row)
-        moves = np.flatnonzero(~stay[order[start:]])
-        if not len(moves):
+        drawn, stay = _site_draws(ctx, state.cells, lr, u)
+        ahead = stay[start:] if order is None else stay[order[start:]]
+        k = int(ahead.argmin())  # the first mover, if any
+        if ahead[k]:
             return
-        start += int(moves[0])
-        row = order[start]
+        start += k
+        row = start if order is None else order[start]
         _move(ctx, state.z, state.sizes, ctx.single_site[row], int(drawn[row]))
         state.cells = None
         start += 1
@@ -739,7 +818,8 @@ def _draw_blocks(ctx: SamplerContext, bin_lr: np.ndarray, us: np.ndarray,
     """Draw every block component's partition exactly, one uniform per
     component, and write its labels into z. A component's last
     partition, all singletons, scores 0."""
-    choice = _draw_segments(_block_scores(ctx, bin_lr), ctx.comp_parts[:-1], us)
+    choice = _draw_segments(_block_scores(ctx, bin_lr), ctx.comp_parts[:-1],
+                            ctx.comp_parts[1:], ctx.part_comp, us)
     z[ctx.block_records] = ctx.part_labels[ctx.label_at[choice][ctx.record_comp]
                                            + ctx.record_pos]
 
@@ -755,8 +835,7 @@ def sweep(ctx: SamplerContext, state: ChainState, rng: np.random.Generator,
     n_single = len(ctx.single_site)
     us = rng.random(2 * n_single + ctx.n_block_components)
     if n_single:
-        order = (rng.permutation(n_single) if random_scan
-                 else np.arange(n_single))
+        order = rng.permutation(n_single) if random_scan else None
         _single_site_sweep(ctx, state, us[:2 * n_single:2], order)
     if ctx.n_block_components:
         _draw_blocks(ctx, state.bin_lr, us[2 * n_single:], state.z)
@@ -764,7 +843,7 @@ def sweep(ctx: SamplerContext, state: ChainState, rng: np.random.Generator,
         return None
     state.stats = ctx.recount(state.z)
     state.m, state.u, rejected = draw_flat_params(rng, flat, state.stats,
-                                                  state.envelopes)
+                                                  state.envelopes, state.m)
     state.rejections += rejected
     state.bin_lr = ctx.bin_log_ratios(state.m, state.u)
     state.loglr = ctx.cand_bins @ state.bin_lr

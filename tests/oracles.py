@@ -13,8 +13,10 @@ log likelihood ratios) against the flat one, pair-by-pair entry sums
 (partition, pair) entries) against the bin-count products, the exact
 joint and marginal densities behind the enumeration and quadrature
 checks, the truncated-Beta draw by inversion that the rejection sampler
-replaced (batched, and with its tail elements one at a time), and
-single-site Gibbs updates. Last
+replaced (batched, and with its tail elements one at a time), the
+vector draws of truncated Betas and of segments as they were before the
+sampler's m update was overrelaxed and its segment layout precomputed,
+and single-site Gibbs updates. Last
 come the small partition helpers that the tests count, enumerate and
 check labelings with, and fix rules evaluated on one pair. No
 subcommand runs any of them.
@@ -442,8 +444,9 @@ def block_scores(ctx, loglr) -> np.ndarray:
 
 
 def level_counts(counts_by_field) -> tuple[np.ndarray, np.ndarray]:
-    """gibbs._level_counts one field at a time: per parameter, the count
-    at its level and the count above it in its field."""
+    """Per parameter, one field at a time, the count at its level and the
+    count above it in its field: with the prior's, these are the Beta
+    parameters that gibbs._beta_parameters gives."""
     cs, ts = [], []
     for counts in counts_by_field:
         arr = np.asarray(counts, dtype=np.float64)
@@ -660,6 +663,80 @@ def tbeta_vec(rng, a, b, lam) -> np.ndarray:
     np.clip(x, 1e-12, 1.0 - 1e-12, out=x)
     np.maximum(x, lam, out=x)
     return x
+
+
+# --- the sampler's vector draws before overrelaxation -----------------------
+
+def tbeta_rejection(rng: np.random.Generator, a: np.ndarray, b: np.ndarray,
+                    lam: np.ndarray) -> tuple[np.ndarray, int]:
+    """gibbs._tbeta_vec as it was before the m draw was overrelaxed, less
+    its envelope memo: every element takes the first accepted candidate
+    of its first round that has one, and the count is of the candidates
+    rejected before the accepted ones."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
+    x = np.empty(len(a))
+    todo = np.arange(len(a))
+    rejected = 0
+    with np.errstate(all="ignore"):
+        p0, fields = gibbs._tbeta_envelope(a, b, lam)
+        for _ in range(gibbs.TBETA_MAX_ROUNDS):
+            k = len(todo)
+            u = rng.random((3, k, gibbs.TBETA_CANDIDATES))
+            col = (u[0] >= p0[:, None]) * k
+            col += np.arange(k)[:, None]
+            beta, top, c1, em, at_top, per_l1, x_at, x_sign = fields.take(
+                col, axis=1)
+            l1 = np.log1p(u[1] * em)
+            y = c1 * l1
+            y += top
+            e = np.expm1(y)
+            ratio = np.log(-e)
+            ratio *= beta
+            ratio += at_top
+            per_l1 *= l1
+            ratio += per_l1
+            accept = np.log(u[2]) < ratio
+            first = accept.argmax(axis=1)
+            pick = first + np.arange(0, k * gibbs.TBETA_CANDIDATES,
+                                     gibbs.TBETA_CANDIDATES)
+            x_sign *= e
+            x_sign += x_at
+            x[todo] = x_sign.take(pick)
+            rejected += int(first.sum())
+            done = accept.take(pick)
+            n_done = int(np.count_nonzero(done))
+            if n_done == k:
+                break
+            rejected += gibbs.TBETA_CANDIDATES * (k - n_done)
+            keep = ~done
+            todo, p0 = todo[keep], p0[keep]
+            fields = fields[:, np.concatenate((keep, keep))]
+        else:
+            raise RuntimeError("truncated-Beta rejection did not accept")
+    np.minimum(x, 1.0 - 1e-12, out=x)
+    np.maximum(x, 1e-12, out=x)
+    np.maximum(x, lam, out=x)
+    return x, rejected
+
+
+def draw_segments(scores: np.ndarray, first: np.ndarray,
+                  us: np.ndarray) -> np.ndarray:
+    """gibbs._draw_segments as it was before the segment ends and entry
+    segments came precomputed: one index per segment of scores, segment
+    k (from first[k] to the next segment's start) drawn at uniform us[k]
+    with weights exp(scores). Every segment's last score must be finite;
+    scores are shifted in place.
+    """
+    end = np.append(first[1:], len(scores))
+    scores -= np.repeat(np.maximum.reduceat(scores, first), end - first)
+    cdf = np.zeros(len(scores) + 1)
+    np.cumsum(np.exp(scores), out=cdf[1:])
+    lo, hi = cdf[first], cdf[end]
+    # a point rounded up to hi goes to the segment's last entry
+    drawn = np.searchsorted(cdf, lo + us * (hi - lo), side="right") - 1
+    return np.minimum(drawn, end - 1, out=drawn)
 
 
 # --- single-site Gibbs updates ----------------------------------------------

@@ -26,9 +26,9 @@ from bayesdedupe.errors import ConfigError
 from bayesdedupe.gibbs import (
     SamplerConfig,
     SamplerContext,
+    _beta_parameters,
     _block_scores,
     _draw_segments,
-    _level_counts,
     _tbeta_envelope,
     _tbeta_vec,
     chain_seeds,
@@ -324,6 +324,95 @@ class TestRejectionSampler:
                        np.array([44.0]), np.array([0.95]))
 
 
+def clipped_tbeta_cdf(a: float, b: float, lam: float):
+    """The exact CDF of a TBeta(a, b; lam, 1) draw clipped at 1 - 1e-12,
+    as the sampler returns it: the top clip holds the mass above it."""
+    cdf = tbeta_cdf(a, b, lam)
+    return lambda x: np.where(x >= 1.0 - 1e-12, 1.0, cdf(x))
+
+
+def cdf_gap(x: np.ndarray, cdf) -> float:
+    """The largest distance between the empirical CDF of x and cdf, on
+    both sides of every value x takes, which a law with atoms needs."""
+    xs = np.sort(x.ravel())
+    values, first = np.unique(xs, return_index=True)
+    last = np.append(first[1:], len(xs))
+    return max(np.max(np.abs(last / len(xs) - cdf(values))),
+               np.max(np.abs(first / len(xs)
+                             - cdf(np.nextafter(values, -np.inf)))))
+
+
+class TestOverrelaxedDraw:
+    """_tbeta_vec given current values: Neal's ordered overrelaxation among
+    the accepted candidates of each element's first round that has any,
+    which leaves TBeta(a, b; lam, 1) invariant."""
+
+    # the envelope regimes of TestRejectionSampler, and one where 59 % of
+    # the mass is clipped to 1 - 1e-12, so that current ties with
+    # candidates
+    REGIMES = {
+        "concave": (30.0, 8.0, 0.5),
+        "mirrored": (0.6, 30.0, 0.3),
+        "convex": (0.3, 0.4, 0.2),
+        "line": (1.0, 40.0, 0.9),
+        "clipped": (2.0, 0.02, 0.5),
+    }
+    # over 40 seeds the five regimes read 0.004-0.012; with the value of
+    # rank r kept they read 0.41-1.0, with current left out of the
+    # order 0.047-0.11, and with ties given current's lowest rank 0.20
+    # in the clipped regime
+    GAP = 0.02
+
+    @pytest.mark.parametrize("case", list(REGIMES), ids=list(REGIMES))
+    def test_chain_keeps_the_exact_law(self, case):
+        """1,000 chains of the update alone at fixed (a, b, lam), all
+        started at the top clip, 10 steps of burn-in and 20 kept: the
+        kept values follow the exact clipped law, and each step is
+        negatively correlated with the last."""
+        a, b, lam = self.REGIMES[case]
+        n = 1000
+        rng = np.random.default_rng(971)
+        a_, b_, lam_ = np.full(n, a), np.full(n, b), np.full(n, lam)
+        x, memo = np.full(n, 1.0 - 1e-12), {}
+        kept = np.empty((20, n))
+        for t in range(30):
+            x, _ = _tbeta_vec(rng, a_, b_, lam_, memo, x)
+            if t >= 10:
+                kept[t - 10] = x
+        assert np.all((kept >= lam) & (kept <= 1.0 - 1e-12))
+        assert cdf_gap(kept, clipped_tbeta_cdf(a, b, lam)) < self.GAP
+        dev = kept - kept.mean()
+        assert np.mean(dev[1:] * dev[:-1]) < 0.0
+
+    def test_without_current_draws_as_before(self):
+        """With no current values the draws, the rejection count and the
+        generator state are those of the plain rejection sampler that
+        oracles.tbeta_rejection keeps, bit for bit, with the regimes of
+        TestRejectionSampler mixed so that some elements retry."""
+        a, b, lam = (np.tile(v, 200) for v in
+                     np.array(list(TestRejectionSampler.REGIMES.values())).T)
+        for seed in range(3):
+            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            x, n = _tbeta_vec(new, a, b, lam)
+            y, m = oracles.tbeta_rejection(old, a, b, lam)
+            assert x.tobytes() == y.tobytes() and n == m
+            assert new.bit_generator.state == old.bit_generator.state
+
+    def test_rejection_count_covers_every_candidate(self):
+        """Overrelaxed, the rejected candidates of every round used count:
+        4 (1 - p) / (1 - (1 - p)^4) per draw for acceptance probability
+        p."""
+        a, b, lam, n = 3.0, 2.0, 0.4, 20000
+        rng = np.random.default_rng(5)
+        args = np.full(n, a), np.full(n, b), np.full(n, lam)
+        current, _ = _tbeta_vec(rng, *args)
+        _, rejected = _tbeta_vec(rng, *args, current=current)
+        p = TestRejectionSampler.acceptance(a, b, lam)
+        k = gibbs.TBETA_CANDIDATES
+        assert rejected / n == pytest.approx(
+            k * (1.0 - p) / (1.0 - (1.0 - p) ** k), rel=0.05)
+
+
 class TestSamplerConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -427,14 +516,19 @@ class TestFlatParameterBlock:
         against the per-field references."""
         comps, graph, z, m, u = setup
         ctx = SamplerContext(comps, graph)
-        flat = flatten_prior(flat_prior(comps.n_levels, lam=0.5))
+        prior = flat_prior(comps.n_levels, lam=0.5)
+        flat = flatten_prior(prior)
         scratch = sufficient_stats(z.tolist(), graph, comps)
         counts = ctx.recount(z)
-        at, above = _level_counts(flat, counts)
-        for row, per_field in enumerate((scratch.a1, scratch.a0)):
+        beta_params = _beta_parameters(flat, counts)
+        sides = ((scratch.a1, prior.alpha1, prior.beta1),
+                 (scratch.a0, prior.alpha0, prior.beta0))
+        for row, (per_field, alpha, beta) in enumerate(sides):
             ref_at, ref_above = oracles.level_counts(per_field)
-            assert np.array_equal(at[row], ref_at)
-            assert np.array_equal(above[row], ref_above)
+            assert np.array_equal(beta_params[2 * row],
+                                  np.concatenate(alpha) + ref_at)
+            assert np.array_equal(beta_params[2 * row + 1],
+                                  np.concatenate(beta) + ref_above)
 
         cut = flat.offsets[1:-1]
         params = ModelParams(m=np.split(m, cut), u=np.split(u, cut))
@@ -674,13 +768,43 @@ def test_draw_segments_follows_weights():
     scores = np.array([0.5, -np.inf, 2.0, 0.0, 1.0, -np.inf, -3.0, 0.0])
     first = np.array([0, 4, 5])
     n = 1000
-    drawn = np.array([_draw_segments(scores.copy(), first, np.full(3, u))
+    drawn = np.array([draw_from_starts(scores.copy(), first, np.full(3, u))
                       for u in (np.arange(n) + 0.5) / n])
     for k, (lo, hi) in enumerate(zip(first, [4, 5, 8])):
         w = np.exp(scores[lo:hi] - scores[lo:hi].max())
         counts = np.bincount(drawn[:, k] - lo, minlength=hi - lo)
         assert np.all(np.abs(counts - n * w / w.sum()) <= 1)
-    assert _draw_segments(scores.copy(), first, np.ones(3)).tolist() == [3, 4, 7]
+    assert draw_from_starts(scores.copy(), first, np.ones(3)).tolist() == [3, 4, 7]
+
+
+def draw_from_starts(scores, first, us):
+    """_draw_segments with the segment ends and entry segments that the
+    segment starts first give."""
+    end = np.append(first[1:], len(scores))
+    seg = np.repeat(np.arange(len(first)), end - first)
+    return _draw_segments(scores, first, end, seg, us)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_draw_segments_matches_oracle(seed):
+    """The draw from precomputed segment ends and entry segments picks the
+    index that oracles.draw_segments picks, on random layouts with
+    one-entry segments, -inf entries (never a segment's last), and
+    uniforms of 0 and 1 - 2**-53 among random ones."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 6, 40)
+    sizes[::7] = 1
+    first = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    scores = rng.normal(0.0, 3.0, sizes.sum())
+    scores[rng.random(len(scores)) < 0.3] = -np.inf
+    scores[first + sizes - 1] = rng.normal(0.0, 3.0, len(sizes))
+    us = rng.random(len(sizes))
+    us[::5] = 0.0
+    us[1::5] = 1.0 - 2.0 ** -53
+    got = draw_from_starts(scores.copy(), first, us)
+    assert np.array_equal(got, oracles.draw_segments(scores.copy(), first, us))
+    assert np.all((got >= first) & (got < first + sizes))
+    assert np.all(np.isfinite(scores[got]))
 
 
 def block_probabilities(ctx, bin_lr) -> list:

@@ -176,6 +176,23 @@ class TestPairwiseProbabilities:
         assert lines[0] == "i,j,probability"
         assert len(lines) == len(pairs) + 1
 
+    def test_candidates_only_graph(self, rng, tmp_path):
+        """The candidates-only graph that dedupe keeps through the chain
+        gives the probabilities and the CSV bytes of the full graph."""
+        _, comps, graph = compared_setup(rng, 12)
+        assert 0 < graph.n_candidates < graph.n_pairs
+        sample = run_chain(comps, graph, PriorSpec.from_lambdas(
+            [np.full(n - 1, 0.5) for n in comps.n_levels]),
+            SamplerConfig(iterations=40, seed=2))
+        narrow = graph.candidates_only()
+        assert narrow.n_pairs == narrow.n_candidates == graph.n_candidates
+        probs = pairwise_probabilities(sample, graph)
+        assert np.array_equal(pairwise_probabilities(sample, narrow), probs)
+        write_pairwise_csv(tmp_path / "full.csv", graph, probs)
+        write_pairwise_csv(tmp_path / "narrow.csv", narrow, probs)
+        assert ((tmp_path / "full.csv").read_bytes()
+                == (tmp_path / "narrow.csv").read_bytes())
+
 
 class TestFrequencyTable:
     def test_ordering_and_totals(self):
