@@ -10,9 +10,9 @@ mapping, a list, text, an integer, a number or a boolean. A boolean is
 never an integer or a number; text is a string or an integer, read as
 its decimal digits; null is a value of no shape (only a file that is
 empty altogether reads as an empty mapping). A wrong shape, a missing
-required key and the semantic checks of the objects built from the
-values raise ConfigError naming the value's place, as section.key or
-section[k].key.
+required key, a key that its mapping does not define and the semantic
+checks of the objects built from the values raise ConfigError naming the
+value's place, as section.key or section[k].key.
 """
 
 from __future__ import annotations
@@ -51,9 +51,13 @@ class SamplerConfig:
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must fit in 64 bits")
 
+    def retained(self) -> range:
+        """The numbers, from 1, of the sweeps whose draws are kept."""
+        return range(self.burn_in + 1, self.iterations + 1, self.thinning)
+
     @property
     def n_kept(self) -> int:
-        return (self.iterations - self.burn_in + self.thinning - 1) // self.thinning
+        return len(self.retained())
 
 
 @dataclass
@@ -118,6 +122,14 @@ def _get(mapping, key, shape, where, default=_REQUIRED):
     return _check(mapping[key], shape, f"{where}.{key}" if where else key)
 
 
+def _only(mapping, keys, where):
+    """mapping, each of whose keys must be one of keys."""
+    for key in mapping:
+        if key not in keys:
+            raise ConfigError(f"{where or 'config'}: unknown key {key!r}")
+    return mapping
+
+
 def _items(mapping, key, shape, where, default=_REQUIRED):
     """(place, item) for each item of the list at mapping[key], every
     item of the shape."""
@@ -167,9 +179,11 @@ def _check_fits(kind, fname, field_kinds, where) -> None:
 
 
 def _parse_fields(raw) -> list:
-    out = [_build(where, FieldSchema, _get(item, "name", "text", where),
-                  _get(item, "kind", "text", where, "string"))
-           for where, item in _items(raw, "fields", "mapping", "")]
+    out = []
+    for where, item in _items(raw, "fields", "mapping", ""):
+        _only(item, ("name", "kind"), where)
+        out.append(_build(where, FieldSchema, _get(item, "name", "text", where),
+                          _get(item, "kind", "text", where, "string")))
     names = [f.name for f in out]
     if len(set(names)) != len(names):
         raise ConfigError("fields: duplicate field names")
@@ -179,6 +193,7 @@ def _parse_fields(raw) -> list:
 def _parse_comparators(raw, field_kinds) -> list:
     out = []
     for where, item in _items(raw, "comparators", "mapping", ""):
+        _only(item, ("field", "kind", "cut_points"), where)
         fname = _known(_get(item, "field", "text", where), field_kinds, where)
         kind = _get(item, "kind", "text", where)
         _check_fits(kind, fname, field_kinds, where)
@@ -202,6 +217,7 @@ def _parse_comparators(raw, field_kinds) -> list:
 def _parse_filters(raw, field_kinds, base_dir) -> list:
     out = []
     for where, item in _items(raw, "filters", "mapping", "", []):
+        _only(item, ("kind", "field", "gap", "neighbors", "stop_tokens"), where)
         kind = _get(item, "kind", "text", where)
         if kind == "always_compare":
             out.append(FilterRule.always_compare())
@@ -230,8 +246,10 @@ def _parse_filters(raw, field_kinds, base_dir) -> list:
 def _parse_fix_rules(raw, compared) -> list:
     out = []
     for where, item in _items(raw, "fix_rules", "mapping", "", []):
+        _only(item, ("conditions",), where)
         conds = []
         for cw, cond in _items(item, "conditions", "mapping", where):
+            _only(cond, ("field", "min_level"), cw)
             fname = _known(_get(cond, "field", "text", cw), compared, cw,
                            "not a compared field")
             conds.append((fname, _get(cond, "min_level", "integer", cw)))
@@ -240,6 +258,7 @@ def _parse_fix_rules(raw, compared) -> list:
 
 
 def _parse_prior(raw, specs) -> PriorSpec:
+    _only(raw, ("lambdas", "alpha1", "beta1", "alpha0", "beta0"), "prior")
     lam_map = {}  # the values of each field, keyed by its name as text
     for key, vals in _get(raw, "lambdas", "mapping", "prior", {}).items():
         fname = _known(_check(key, "text", "prior.lambdas"),
@@ -263,6 +282,8 @@ def _parse_prior(raw, specs) -> PriorSpec:
 
 
 def _parse_sampler(raw) -> SamplerConfig:
+    _only(raw, ("iterations", "burn_in", "thinning", "seed", "chains",
+                "random_scan"), "sampler")
     kwargs = {key: _get(raw, key, "integer", "sampler", default)
               for key, default in (("iterations", 1000), ("burn_in", 0),
                                    ("thinning", 1), ("seed", 0), ("chains", 1))}
@@ -278,10 +299,13 @@ def load_config(path) -> PipelineConfig:
         raise ConfigError(str(e)) from None
     except yaml.YAMLError as e:
         raise ConfigError(f"invalid YAML in {path}: {e}") from None
-    raw = _check({} if raw is None else raw, "mapping", "config")
+    raw = _only(_check({} if raw is None else raw, "mapping", "config"),
+                ("input", "fields", "comparators", "filters", "fix_rules",
+                 "prior", "sampler", "output"), "")
     base_dir = os.path.dirname(os.path.abspath(path))
 
-    inp = _get(raw, "input", "mapping", "")
+    inp = _only(_get(raw, "input", "mapping", ""), ("path", "delimiter",
+                "missing_token", "required", "on_invalid"), "input")
     in_path = _path(inp, "path", "input", base_dir)
     on_invalid = _get(inp, "on_invalid", "text", "input", "drop")
     if on_invalid not in ("drop", "error"):
@@ -304,7 +328,8 @@ def load_config(path) -> PipelineConfig:
     prior = _parse_prior(_get(raw, "prior", "mapping", "", {}), specs)
     sampler = _parse_sampler(_get(raw, "sampler", "mapping", "", {}))
 
-    out_raw = _get(raw, "output", "mapping", "", {})
+    out_raw = _only(_get(raw, "output", "mapping", "", {}), (
+        "directory", "pairwise", "frequencies", "interval"), "output")
     interval = _get(out_raw, "interval", "number", "output", 0.90)
     if not 0 < interval < 1:
         raise ConfigError("output.interval: must be in (0, 1)")

@@ -86,7 +86,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter, namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
@@ -109,8 +109,8 @@ from .partition import (canonicalize_label_rows, distinct_rows,
 TBETA_CANDIDATES = 4
 TBETA_MAX_ROUNDS = 100
 # A chain revisits a few partitions, and so a few sets of m full
-# conditionals: it keeps the envelopes of up to this many, and starts
-# afresh when it has met more.
+# conditionals: its flat prior keeps the envelope of each, up to this many,
+# and starts afresh when it has met more.
 TBETA_MEMO = 64
 
 
@@ -338,8 +338,10 @@ def _tbeta_vec(rng: np.random.Generator, a: np.ndarray, b: np.ndarray,
 # (2, bins) level counts raveled, times gather, plus base, give the four
 # Beta parameters of every full conditional: m's a and b (from a1) and
 # u's a and b (from a0), one block of parameters each; base holds the
-# prior's side.
-FlatPrior = namedtuple("FlatPrior", "lam offsets gather base")
+# prior's side. memo is the _tbeta_vec envelope memo of every m draw from
+# this flat prior: one chain's, or one baseline run's, as each flattens
+# its own.
+FlatPrior = namedtuple("FlatPrior", "lam offsets gather base memo")
 
 
 def _concat(arrs) -> np.ndarray:
@@ -358,7 +360,7 @@ def flatten_prior(prior: PriorSpec) -> FlatPrior:
     return FlatPrior(lam=_concat(prior.lam), offsets=offsets,
                      gather=np.kron(np.eye(2), level),
                      base=_concat(prior.alpha1 + prior.beta1 + prior.alpha0
-                                  + prior.beta0))
+                                  + prior.beta0), memo={})
 
 
 def _beta_parameters(flat: FlatPrior, counts: np.ndarray) -> np.ndarray:
@@ -371,15 +373,15 @@ def _beta_parameters(flat: FlatPrior, counts: np.ndarray) -> np.ndarray:
 
 
 def draw_flat_params(rng: np.random.Generator, flat: FlatPrior,
-                     counts: np.ndarray, memo: dict | None = None,
-                     current: np.ndarray | None = None
+                     counts: np.ndarray, current: np.ndarray | None = None
                      ) -> tuple[np.ndarray, np.ndarray, int]:
     """Joint conjugate redraw of all m then all u, as flat vectors, from
     level counts of shape (2, bins): a1 in row 0, a0 in row 1; and the m
-    candidates rejected on the way. memo and current (the chain's m, which
-    turns each m draw into an overrelaxed update) as for _tbeta_vec."""
+    candidates rejected on the way. The m draws use the envelope memo of
+    flat; current (the chain's m, which turns each m draw into an
+    overrelaxed update) as for _tbeta_vec."""
     a_m, b_m, a_u, b_u = _beta_parameters(flat, counts)
-    m, rejected = _tbeta_vec(rng, a_m, b_m, flat.lam, memo, current)
+    m, rejected = _tbeta_vec(rng, a_m, b_m, flat.lam, flat.memo, current)
     u = rng.beta(a_u, b_u)
     np.maximum(u, 1e-12, out=u)
     np.minimum(u, 1.0 - 1e-12, out=u)
@@ -651,9 +653,8 @@ class ChainState:
     """Mutable Gibbs state: labeling, flat parameters with their per-bin
     log ratios (bin_lr, which the block draws read) and candidate log
     ratios (loglr, which the single-site draws read), level counts, the
-    cell sizes of the single-site records, a count of single-site passes,
-    one of the m candidates rejected among those the m draws used, and
-    the memo of m envelopes that _tbeta_vec keeps for this chain.
+    cell sizes of the single-site records, a count of single-site passes
+    and one of the m candidates rejected among those the m draws used.
 
     stats (a1 and a0 over all bins) are recounted from z before every
     parameter draw. Every label is the record id of a member of its cell;
@@ -670,7 +671,6 @@ class ChainState:
     loglr: np.ndarray
     stats: np.ndarray
     sizes: np.ndarray
-    envelopes: dict
     passes: int = 0
     rejections: int = 0
     cells: SiteCells | None = None
@@ -681,19 +681,17 @@ def init_state(ctx: SamplerContext, prior: PriorSpec,
                params: ModelParams | None = None) -> ChainState:
     """Singleton labeling; parameters drawn from the prior unless given."""
     z = np.arange(ctx.r)
-    rejected, envelopes = 0, {}
     if params is None:
         zero = np.zeros((2, ctx.n_bins), dtype=np.int64)
-        m, u, rejected = draw_flat_params(rng, flatten_prior(prior), zero,
-                                          envelopes)
+        m, u, rejected = draw_flat_params(rng, flatten_prior(prior), zero)
     else:
-        m, u = _concat(params.m), _concat(params.u)
+        m, u, rejected = _concat(params.m), _concat(params.u), 0
     sizes = np.zeros(ctx.r, dtype=np.int64)
     sizes[ctx.single_idx] = 1
     bin_lr = ctx.bin_log_ratios(m, u)
     return ChainState(z=z, m=m, u=u, bin_lr=bin_lr,
                       loglr=ctx.cand_bins @ bin_lr, stats=ctx.recount(z),
-                      sizes=sizes, rejections=rejected, envelopes=envelopes)
+                      sizes=sizes, rejections=rejected)
 
 
 def _site_cells(ctx: SamplerContext, z: np.ndarray,
@@ -843,7 +841,7 @@ def sweep(ctx: SamplerContext, state: ChainState, rng: np.random.Generator,
         return None
     state.stats = ctx.recount(state.z)
     state.m, state.u, rejected = draw_flat_params(rng, flat, state.stats,
-                                                  state.envelopes, state.m)
+                                                  state.m)
     state.rejections += rejected
     state.bin_lr = ctx.bin_log_ratios(state.m, state.u)
     state.loglr = ctx.cand_bins @ state.bin_lr
@@ -920,7 +918,8 @@ def run_chain(comps: PairComparisons | None, graph: CandidateGraph | None,
     state = init_state(ctx, prior, rng, params=fixed_params)
     flat = flatten_prior(prior) if fixed_params is None else None
 
-    n_kept = config.n_kept
+    kept = config.retained()
+    n_kept = len(kept)
     active = ctx.active
     dtype = label_dtype(len(active))
     # an active record's label is the id of an active member of its cell
@@ -930,34 +929,29 @@ def run_chain(comps: PairComparisons | None, graph: CandidateGraph | None,
     n_params = len(flat.lam) if flat is not None else 0
     try:
         index = np.empty(n_kept, dtype=np.int64)
-        kept_iter = np.empty(n_kept, dtype=np.int64)
         m_trace = np.empty((n_kept, n_params)) if flat is not None else None
         u_trace = np.empty((n_kept, n_params)) if flat is not None else None
     except MemoryError:
         raise ConfigError(f"sampler.iterations: {n_kept} retained draws per "
                           "chain do not fit in memory") from None
 
-    kk = 0
     for t in range(1, config.iterations + 1):
         drawn = sweep(ctx, state, rng, flat, config.random_scan)
-        if t > config.burn_in and (t - config.burn_in - 1) % config.thinning == 0:
-            index[kk] = seen.setdefault(pos_of[state.z[active]].tobytes(),
-                                        len(seen))
-            kept_iter[kk] = t
+        if t in kept:
+            k = kept.index(t)
+            index[k] = seen.setdefault(pos_of[state.z[active]].tobytes(),
+                                       len(seen))
             if drawn is not None:
-                m_trace[kk], u_trace[kk] = drawn
-            kk += 1
+                m_trace[k], u_trace[k] = drawn
 
     raw = np.frombuffer(bytearray().join(seen), dtype=dtype).reshape(
         len(seen), len(active))
     seen.clear()
     rows, merged = distinct_rows(canonicalize_label_rows(raw, out=raw))
     return PosteriorSample(
-        rows=rows, index=merged[index[:kk]], active=active, r=ctx.r,
-        kept_iterations=kept_iter[:kk],
-        m_trace=m_trace[:kk] if m_trace is not None else None,
-        u_trace=u_trace[:kk] if u_trace is not None else None,
-        fields=ctx.fields, n_levels=ctx.n_levels,
+        rows=rows, index=merged[index], active=active, r=ctx.r,
+        kept_iterations=np.array(kept, dtype=np.int64), m_trace=m_trace,
+        u_trace=u_trace, fields=ctx.fields, n_levels=ctx.n_levels,
         runtime_s=time.perf_counter() - start,
         single_site_passes=state.passes, tbeta_rejections=state.rejections)
 
@@ -994,10 +988,7 @@ def run_chains(comps: PairComparisons | None, graph: CandidateGraph | None,
     if ctx is None:
         ctx = SamplerContext(comps, graph)
     seeds = chain_seeds(config.seed, config.chains)
-    configs = [SamplerConfig(iterations=config.iterations, burn_in=config.burn_in,
-                             thinning=config.thinning, seed=s, chains=1,
-                             random_scan=config.random_scan)
-               for s in seeds]
+    configs = [replace(config, seed=s, chains=1) for s in seeds]
     if n_workers <= 1 or config.chains == 1:
         return [run_chain(comps, graph, prior, c, ctx=ctx) for c in configs]
     from concurrent.futures import ProcessPoolExecutor

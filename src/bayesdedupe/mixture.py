@@ -65,15 +65,14 @@ def run_mixture(comps: PairComparisons, graph: CandidateGraph,
     n_cand = ctx.n_candidates
     cand_pairs = graph.candidate_pairs()
     delta = np.zeros(n_cand, dtype=np.int8)
-    envelopes: dict = {}  # one m envelope memo for the run, as a chain keeps
-    m, u, _ = draw_flat_params(rng, flat, ctx.link_counts(delta == 1),
-                               envelopes)
+    m, u, _ = draw_flat_params(rng, flat, ctx.link_counts(delta == 1))
     p = rng.beta(1.0, 1.0 + n_cand)
 
     # retained link count per candidate; counts of 0/1 flags are exact,
     # so count / draws is the mean of the retained flags
     links = np.zeros(n_cand, dtype=np.int64)
-    kept_iter, p_tr, nontr = [], [], []
+    kept = config.retained()
+    p_tr, nontr = [], []
     for t in range(1, config.iterations + 1):
         loglr = ctx.flat_log_ratios(m, u)
         logit = np.log(p) - np.log1p(-p) + loglr
@@ -81,17 +80,15 @@ def run_mixture(comps: PairComparisons, graph: CandidateGraph,
         delta = (rng.random(n_cand) < prob).astype(np.int8)
         n_pos = int(delta.sum())
         p = rng.beta(1.0 + n_pos, 1.0 + n_cand - n_pos)
-        m, u, _ = draw_flat_params(rng, flat, ctx.link_counts(delta == 1),
-                                   envelopes)
-        if t > config.burn_in and (t - config.burn_in - 1) % config.thinning == 0:
-            kept_iter.append(t)
+        m, u, _ = draw_flat_params(rng, flat, ctx.link_counts(delta == 1))
+        if t in kept:
             p_tr.append(p)
             links += delta
             nontr.append(count_nontransitive_triplets(
                 comps.r, cand_pairs[delta == 1]))
 
     return MixtureSample(
-        delta_mean=links / len(kept_iter) if kept_iter else np.zeros(n_cand),
+        delta_mean=links / len(kept),
         nontransitive=np.asarray(nontr, dtype=np.int64),
         p_trace=np.asarray(p_tr),
-        kept_iterations=np.asarray(kept_iter, dtype=np.int64))
+        kept_iterations=np.array(kept, dtype=np.int64))

@@ -420,6 +420,22 @@ class TestCliErrors:
         ({"fields.0.name": 7, "comparators.0.field": 7, "fix_rules": None,
           "prior.lambdas": {7: [0.9] * 3, "7": [0.9] * 3}},
          "prior.lambdas: field '7' given twice"),
+        # a key that its mapping does not define, which would otherwise
+        # leave its setting at the default
+        ({"sampler.iteratons": 5}, "sampler: unknown key 'iteratons'"),
+        ({"filter": [{"kind": "categorical_block", "field": "city"}]},
+         "config: unknown key 'filter'"),
+        ({"output.pairwse": False}, "output: unknown key 'pairwse'"),
+        ({"fix_rules.0.conditions.0.min_levl": 2},
+         "fix_rules[0].conditions[0]: unknown key 'min_levl'"),
+        ({"input.delimeter": ";"}, "input: unknown key 'delimeter'"),
+        ({"fields.1.knd": "string"}, "fields[1]: unknown key 'knd'"),
+        ({"comparators.2.cut_point": [0, 1]},
+         "comparators[2]: unknown key 'cut_point'"),
+        ({"filters": [{"kind": "categorical_block", "feld": "city"}]},
+         "filters[0]: unknown key 'feld'"),
+        ({"fix_rules.0.condition": []}, "fix_rules[0]: unknown key 'condition'"),
+        ({"prior.alpha": 2}, "prior: unknown key 'alpha'"),
     ], ids=["levenshtein-integer", "token-levenshtein-integer",
             "difference-string", "gap-categorical", "overlap-integer",
             "long-delimiter", "empty-delimiter", "pairwise-string",
@@ -427,7 +443,10 @@ class TestCliErrors:
             "filter-field-list", "required-null", "directory-list",
             "path-list", "missing-token-null", "field-name-list",
             "stop-token-null", "required-string", "seed-negative",
-            "beyond-float", "lambda-key-twice"])
+            "beyond-float", "lambda-key-twice", "sampler-key",
+            "top-level-key", "output-key", "condition-key", "input-key",
+            "field-key", "comparator-key", "filter-key", "fix-rule-key",
+            "prior-key"])
     def test_config_boundary(self, tmp_path, capsys, overrides, key):
         p = write_config(tmp_path, overrides)
         assert main(["compare", "--config", str(p)]) == 2

@@ -23,6 +23,7 @@ from bayesdedupe.comparison import PairComparisons, compare_pairs
 from bayesdedupe.candidates import (CandidateGraph, all_pairs,
                                     connected_components)
 from bayesdedupe.errors import ConfigError
+from bayesdedupe.mixture import run_mixture
 from bayesdedupe.gibbs import (
     SamplerConfig,
     SamplerContext,
@@ -429,6 +430,38 @@ class TestSamplerConfig:
         assert SamplerConfig(iterations=10, burn_in=0).n_kept == 10
         assert SamplerConfig(iterations=10000, burn_in=1000).n_kept == 9000
 
+    # (iterations, burn_in, thinning); the last two thin by more than the
+    # sweeps left after the burn-in
+    SCHEDULES = [(10, 3, 2), (10, 0, 1), (7, 6, 1), (12, 4, 3), (9, 0, 9),
+                 (7, 2, 9), (6, 5, 4)]
+
+    @pytest.mark.parametrize("iterations, burn_in, thinning", SCHEDULES)
+    def test_retained_is_the_modular_rule(self, iterations, burn_in,
+                                          thinning):
+        """Every thinning-th sweep after the burn-in, starting with the
+        first."""
+        cfg = SamplerConfig(iterations=iterations, burn_in=burn_in,
+                            thinning=thinning)
+        rule = [t for t in range(1, iterations + 1)
+                if t > burn_in and (t - burn_in - 1) % thinning == 0]
+        assert list(cfg.retained()) == rule
+        assert cfg.n_kept == len(cfg.retained()) == len(rule)
+
+    @pytest.mark.parametrize("iterations, burn_in, thinning", SCHEDULES)
+    def test_samplers_keep_the_retained_sweeps(self, rng, iterations, burn_in,
+                                               thinning):
+        _, comps, graph = compared_setup(rng, 8)
+        prior = toy_prior_for(comps)
+        cfg = SamplerConfig(iterations=iterations, burn_in=burn_in,
+                            thinning=thinning, seed=4)
+        kept = list(cfg.retained())
+        chain = run_chain(comps, graph, prior, cfg)
+        assert chain.kept_iterations.tolist() == kept
+        assert len(chain.index) == len(chain.m_trace) == len(kept)
+        mix = run_mixture(comps, graph, prior, cfg)
+        assert mix.kept_iterations.tolist() == kept
+        assert len(mix.p_trace) == len(mix.nontransitive) == len(kept)
+
 
 def toy_prior_for(comps):
     return PriorSpec.from_lambdas(
@@ -450,6 +483,33 @@ class TestParameterBlock:
         for uf in u_list:
             assert np.all((uf > 0) & (uf < 1))
         assert np.concatenate(m_list) == pytest.approx(m_flat)
+
+    def test_flat_prior_owns_its_memo(self, rng):
+        """Draws with equal counts on one flat prior build one envelope
+        and give the draws, rejection counts and generator state of draws
+        that each get a fresh flat prior; no two flat priors share a
+        memo."""
+        _, comps, graph = compared_setup(rng, 10)
+        prior = PriorSpec.from_lambdas(
+            [np.full(n - 1, 0.9) for n in comps.n_levels])
+        stats = sufficient_stats(list(range(comps.r)), graph, comps)
+        flat = flatten_prior(prior)
+        assert flat.memo == {}
+        kept, fresh = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(3):
+            m1, u1, n1 = draw_flat_params(kept, flat, stats.as_counts())
+            m2, u2, n2 = draw_flat_params(fresh, flatten_prior(prior),
+                                          stats.as_counts())
+            assert m1.tobytes() == m2.tobytes() and n1 == n2
+            assert u1.tobytes() == u2.tobytes()
+            _, _, m1, u1 = draw_params(kept, flat, stats)
+            _, _, m2, u2 = draw_params(fresh, flatten_prior(prior), stats)
+            assert m1.tobytes() == m2.tobytes()
+            assert u1.tobytes() == u2.tobytes()
+        assert len(flat.memo) == 1
+        assert kept.bit_generator.state == fresh.bit_generator.state
+        other = flatten_prior(prior)
+        assert other.memo == {} and other.memo is not flat.memo
 
     def test_single_parameter_updates(self, rng):
         _, comps, graph = compared_setup(rng, 8)
@@ -1016,16 +1076,28 @@ class TestChainSeeds:
         assert s1 == s2
         assert len(set(s1)) == 3
 
-    def test_run_chains_matches_individual(self, rng):
+    def test_run_chains_matches_individual(self, rng, monkeypatch):
+        """Every SamplerConfig field reaches each chain. With P_MAX 1
+        every record is single-site, so that random_scan changes the
+        draws."""
+        monkeypatch.setattr(gibbs, "P_MAX", 1)
         _, comps, graph = compared_setup(rng, 8)
         prior = toy_prior_for(comps)
-        cfg = SamplerConfig(iterations=30, seed=6, chains=2)
+        cfg = SamplerConfig(iterations=30, burn_in=4, thinning=3, seed=6,
+                            chains=2, random_scan=True)
         both = run_chains(comps, graph, prior, cfg)
         assert len(both) == 2
         for sample, s in zip(both, chain_seeds(6, 2)):
-            solo = run_chain(comps, graph, prior,
-                             SamplerConfig(iterations=30, seed=s))
+            solo = run_chain(comps, graph, prior, SamplerConfig(
+                iterations=30, burn_in=4, thinning=3, seed=s,
+                random_scan=True))
             assert np.array_equal(sample.labelings, solo.labelings)
+            assert np.array_equal(sample.kept_iterations,
+                                  solo.kept_iterations)
+            assert np.array_equal(sample.m_trace, solo.m_trace)
+            ordered = run_chain(comps, graph, prior, SamplerConfig(
+                iterations=30, burn_in=4, thinning=3, seed=s))
+            assert not np.array_equal(sample.m_trace, ordered.m_trace)
 
     def test_run_chains_worker_count_invariance(self, rng):
         _, comps, graph = compared_setup(rng, 8)
